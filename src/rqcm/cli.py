@@ -90,7 +90,7 @@ def _grid_setting(args, cfg):
     return grid
 
 
-def _hbar_omega_note(args, cfg, m1, m2):
+def _hbar_omega_note(args, m1, m2):
     w = getattr(args, "hbar_omega", None)
     if w is not None:
         om = nr_spring_constant(m1, m2, w)
@@ -110,7 +110,7 @@ def _common_physics(args, cfg):
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     m1, m2, omega = _common_physics(args, cfg)
-    _hbar_omega_note(args, cfg, m1, m2)
+    _hbar_omega_note(args, m1, m2)
     nmax = args.nmax if args.nmax is not None else 6
     rows = []
     for n in range(nmax + 1):
@@ -162,7 +162,7 @@ def _sample_points(grid, velocity):
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     m1, m2, omega = _common_physics(args, cfg)
-    _hbar_omega_note(args, cfg, m1, m2)
+    _hbar_omega_note(args, m1, m2)
     ls = _parse_l(args, cfg)
     velocity = _parse_v(args, cfg)
     rep = _setting(args, cfg, "representation", "position")
@@ -213,8 +213,7 @@ def cmd_transform(args) -> int:
         cols = ["pi", "re", "im", "abs", "abs_closed_form"]
     elif to == "bargmann":
         g = lambda xi, l=ls[axis - 1]: phi_1d(l, omega, xi)
-        sign = int(_setting(args, cfg, "bargmann_sign", +1) or +1)
-        vals = transforms.bargmann_transform(g, ts.astype(complex), omega, rule, sign)
+        vals = transforms.bargmann_transform(g, ts.astype(complex), omega, rule)
         l = ls[axis - 1]
         ana = ts.astype(complex) ** l / math.sqrt(math.factorial(l))
         for t, v, a in zip(ts, np.atleast_1d(vals), np.atleast_1d(ana)):
@@ -320,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int)
     vf.add_argument("--trials", type=int)
     vf.add_argument("--points", type=int)
-    vf.add_argument("--max-n", type=int, dest="max_n")
+    vf.add_argument("--max-n", type=int, dest="max_n",
+                    help="highest level n of the transforms suite (other suites ignore it)")
     vf.add_argument("--order", type=int)
     vf.add_argument("--sigma-perturb", type=float, dest="sigma_perturb", default=0.0)
     vf.add_argument("--bargmann-sign", type=int, dest="bargmann_sign",

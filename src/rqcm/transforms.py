@@ -14,6 +14,11 @@ fourier_forward warns when asked for momenta beyond that trust limit, and
 fourier_inverse compresses its node span so that it never samples a
 forward transform outside the limit. Round-trip identity to 1e-8 needs
 order >= 64; order 32 resolves the transforms themselves comfortably.
+
+The 3D Fourier pair takes either one evaluator g(xi1, xi2, xi3) or a
+sequence of three 1D factors; a product such as an oscillator state
+(fourier_of_state) then costs three 1D transforms instead of an N^3 node
+tensor, and the tensor path remains for general evaluators.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .oscillator import OscillatorState, phi_1d, position_profile
+from .oscillator import OscillatorState, phi_1d
 
 MAX_ORDER = 256
 
@@ -181,17 +186,16 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float,
 def fourier_inverse1d(f, targets, rule: QuadratureRule, omega: float):
     """One axis of the inverse transform, kernel exp(+i pi xi), measure d pi."""
     return fourier_forward1d(f, targets, rule, omega, _sign=+1,
-                             _rate=_inverse_rate(rule, omega))
+                             _rate=_momentum_rate(rule, omega, 1.0 / (2.0 * omega)))
 
 
-def _inverse_rate(rule: QuadratureRule, omega: float) -> float:
+def _momentum_rate(rule: QuadratureRule, omega: float, natural: float) -> float:
     """Node-span policy for integrals over momentum constraint coordinates.
 
-    Natural envelope rate is 1/(2 omega); the rate is raised when needed
-    so no sample lands beyond trust_momentum, where a numerically
-    transformed integrand would be garbage.
+    The natural envelope rate is raised when needed so no sample lands
+    beyond trust_momentum, where a numerically transformed integrand
+    would be garbage.
     """
-    natural = 1.0 / (2.0 * omega)
     ymax = float(rule.nodes[-1]) if rule.order > 1 else 1.0
     return max(natural, (ymax / trust_momentum(rule, omega)) ** 2)
 
@@ -219,18 +223,37 @@ def _apply_kernels(G, k1, k2, k3):
     return np.einsum('ck,abk->abc', k3, T)
 
 
-def _transform3(g, targets, rule, rate, sign):
+def _separable_transform(factors, grid, is_grid, rule, omega, rate, sign):
+    if len(factors) != 3:
+        raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
+    f1, f2, f3 = (fourier_forward1d(f, t, rule, omega, _sign=sign, _rate=rate)
+                  for f, t in zip(factors, grid if is_grid else grid.T))
+    if is_grid:
+        return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
+    return f1 * f2 * f3
+
+
+def _tensor_transform(g, grid, is_grid, rule, rate, sign):
     pts, eff = rescaled_nodes(rule, rate)
     G = _tensor_grid_values(g, pts, eff)
-    grid, is_grid = _target_grid(targets)
     norm = (2.0 * math.pi) ** -1.5
     if is_grid:
         kerns = [np.exp(sign * 1j * np.outer(t, pts)) for t in grid]
         return norm * _apply_kernels(G, *kerns)
-    shape = np.asarray(targets, dtype=float).shape[:-1]
     kerns = [np.exp(sign * 1j * np.outer(grid[:, a], pts)) for a in range(3)]
-    out = np.einsum('ijk,mi,mj,mk->m', G, *kerns, optimize=True)
-    out = norm * out
+    return norm * np.einsum('ijk,mi,mj,mk->m', G, *kerns, optimize=True)
+
+
+def _transform3(g, targets, rule, omega, rate, sign):
+    """Three 1D factors take the separable path, one 3D evaluator the tensor path."""
+    grid, is_grid = _target_grid(targets)
+    if callable(g):
+        out = _tensor_transform(g, grid, is_grid, rule, rate, sign)
+    else:
+        out = _separable_transform(g, grid, is_grid, rule, omega, rate, sign)
+    if is_grid:
+        return out
+    shape = np.asarray(targets, dtype=float).shape[:-1]
     return out.reshape(shape) if shape else complex(out[0])
 
 
@@ -239,8 +262,10 @@ def fourier_forward(g, targets, rule: QuadratureRule, omega: float):
 
     g must be an evaluator g(xi1, xi2, xi3) broadcastable over arrays and
     built on the omega Gaussian envelope (oscillator states and their
-    linear combinations are). targets may be a list of points of shape
-    (..., 3) or a product grid given as three 1D axis arrays.
+    linear combinations are), or a sequence of three 1D evaluators whose
+    product is the integrand; the latter is transformed one axis at a
+    time. targets may be a list of points of shape (..., 3) or a product
+    grid given as three 1D axis arrays.
     """
     grid, is_grid = _target_grid(targets)
     reach = max((float(np.max(np.abs(t))) if len(t) else 0.0) for t in grid) if is_grid \
@@ -250,16 +275,18 @@ def fourier_forward(g, targets, rule: QuadratureRule, omega: float):
         warnings.warn(f"momentum target {reach:.3g} beyond the order-{rule.order} "
                       f"trust limit {limit:.3g}; raise the order",
                       InsufficientOrderWarning, stacklevel=2)
-    return _transform3(g, targets, rule, 0.5 * omega, -1)
+    return _transform3(g, targets, rule, omega, 0.5 * omega, -1)
 
 
 def fourier_inverse(f, targets, rule: QuadratureRule, omega: float):
     """Position-representation values of f: (8 pi^3)^(-1/2) integral f exp(+i pi.xi) d3pi.
 
-    The momentum sampling obeys the trust-limit policy so that f may be a
+    f is a 3D evaluator or three 1D factors, as for fourier_forward. The
+    momentum sampling obeys the trust-limit policy so that f may be a
     numerically computed forward transform at the same order.
     """
-    return _transform3(f, targets, rule, _inverse_rate(rule, omega), +1)
+    return _transform3(f, targets, rule, omega,
+                       _momentum_rate(rule, omega, 1.0 / (2.0 * omega)), +1)
 
 
 def momentum_quadrature(rule: QuadratureRule, omega: float):
@@ -269,10 +296,7 @@ def momentum_quadrature(rule: QuadratureRule, omega: float):
     fourier_inverse; used for Parseval checks against numerically
     transformed integrands.
     """
-    natural = 1.0 / omega
-    ymax = float(rule.nodes[-1]) if rule.order > 1 else 1.0
-    rate = max(natural, (ymax / trust_momentum(rule, omega)) ** 2)
-    return rescaled_nodes(rule, rate)
+    return rescaled_nodes(rule, _momentum_rate(rule, omega, 1.0 / omega))
 
 
 _BARGMANN_ALPHA_MAX = 10.0
@@ -317,14 +341,17 @@ def bargmann_transform3(profiles, alphas, omega: float, rule: QuadratureRule,
     return out
 
 
+def _position_factors(state: OscillatorState):
+    """The three 1D position factors whose product is the state's profile."""
+    return [lambda xi, l=l: phi_1d(l, state.omega, xi) for l in state.q.as_tuple()]
+
+
 def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule,
                       sign: int = +1) -> complex:
     """Segal-Bargmann transform of a state's position profile at constraint coordinates alphas."""
-    ls = state.q.as_tuple()
-    profiles = [lambda xi, l=l: phi_1d(l, state.omega, xi) for l in ls]
-    return bargmann_transform3(profiles, alphas, state.omega, rule, sign)
+    return bargmann_transform3(_position_factors(state), alphas, state.omega, rule, sign)
 
 
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):
     """Numeric forward transform of a state's position profile (phase omitted)."""
-    return fourier_forward(position_profile(state), targets, rule, state.omega)
+    return fourier_forward(_position_factors(state), targets, rule, state.omega)

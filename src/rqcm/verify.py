@@ -516,13 +516,13 @@ def run_transform_suite(max_n: int = 4, order: int = 32, roundtrip_order: int = 
         for idx, state in enumerate(states[:: max(1, len(states) // 7)]):
             g = oscillator.position_profile(state)
 
-            def fwd(p1, p2, p3, g=g):
+            def fwd(p1, p2, p3, state=state):
                 # the inverse samples a product grid; ravel back to axes so the
-                # forward runs on its fast separable path
+                # forward runs on a product grid, one axis at a time
                 axes = (np.asarray(p1, dtype=float).ravel(),
                         np.asarray(p2, dtype=float).ravel(),
                         np.asarray(p3, dtype=float).ravel())
-                return transforms.fourier_forward(g, axes, rule_rt, omega)
+                return transforms.fourier_of_state(state, axes, rule_rt)
 
             back = transforms.fourier_inverse(fwd, (rt_targets,) * 3, rule_rt, omega)
             truth = g(rt_targets[:, None, None], rt_targets[None, :, None],
@@ -530,7 +530,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, roundtrip_order: int = 
             cases.append(CaseRecord("roundtrip", {"state": idx},
                                     float(np.max(np.abs(back - truth))), 0.0,
                                     "inverse of forward is the identity", tol))
-            fnum = transforms.fourier_forward(g, (ppts,) * 3, rule_rt, omega)
+            fnum = transforms.fourier_of_state(state, (ppts,) * 3, rule_rt)
             w3 = peff[:, None, None] * peff[None, :, None] * peff[None, None, :]
             pval = float(np.sum(w3 * np.abs(fnum) ** 2))
             cases.append(CaseRecord("parseval", {"state": idx}, pval, 1.0,

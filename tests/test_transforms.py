@@ -153,6 +153,20 @@ def test_fourier_forward_point_list_matches_grid():
     np.testing.assert_allclose(grid.ravel(), flat, atol=1e-12)
     single = fourier_forward(position_profile(st), np.array([0.3, -0.2, 0.9]), rule, om)
     assert isinstance(single, complex)
+    # three 1D factors (separable path) agree with the equivalent 3D
+    # evaluator (tensor path) on a product grid and on a point list
+    ls = st.q.as_tuple()
+    pos = [lambda xi, l=l: phi_1d(l, om, xi) for l in ls]
+    mom = [lambda p, l=l: phi_1d_momentum(l, om, p) for l in ls]
+    for transform, factors, profile in ((fourier_forward, pos, position_profile(st)),
+                                        (fourier_inverse, mom, momentum_profile(st))):
+        for targets in ((axis, axis, axis), pts):
+            np.testing.assert_allclose(transform(factors, targets, rule, om),
+                                       transform(profile, targets, rule, om),
+                                       rtol=0, atol=1e-13)
+        assert isinstance(transform(factors, np.array([0.3, -0.2, 0.9]), rule, om), complex)
+    with pytest.raises(ValueError, match="three 1D factors"):
+        fourier_forward(pos[:2], pts, rule, om)
 
 
 def test_fourier_matches_momentum_representation():
@@ -240,6 +254,9 @@ def test_fourier_warns_beyond_trust():
     with pytest.warns(InsufficientOrderWarning):
         fourier_forward(lambda a, b, c: g(a) * g(b) * g(c),
                         np.array([far, 0.0, 0.0]), rule, om)
+    with pytest.warns(InsufficientOrderWarning):
+        fourier_of_state(oscillator_state((0, 0, 0), om, 1.0, 1.0),
+                         np.array([far, 0.0, 0.0]), rule)
 
 
 # ---------------------------------------------------------------------------
