@@ -6,15 +6,14 @@ integral transforms that relate them, and a verification harness for the
 invariances and operator identities the construction rests on.
 """
 
-from .minkowski import (FourVector, ComplexFourVector, BoundSystem,
+from .minkowski import (FourVector, BoundSystem,
                         minkowski_dot, general_boost, rest_mass, reduced_mass,
                         eta_params, on_shell_momentum, bound_system,
                         cm_and_relative, momentum_cm_and_relative,
                         perp_projection, ON_SHELL_RTOL)
-from .constraint import (ConstraintVector, ComplexConstraintVector,
-                         xi_from_x, pi_from_p, alpha_from_a, xi_jacobian,
+from .constraint import (constraint_coordinates, xi_jacobian,
                          xi_directional_derivative, invariant_norm)
-from .oscillator import (QuantumNumbers, OscillatorState, hermite, phi_1d,
+from .oscillator import (QuantumNumbers, OscillatorState, phi_1d,
                          phi_1d_momentum, phi_1d_derivative, sigma_n,
                          nr_spring_constant, degeneracy, quantum_numbers_at_level,
                          oscillator_state, states_up_to, psi_position,

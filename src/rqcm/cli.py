@@ -102,8 +102,8 @@ def _common_physics(args, cfg):
     m1 = float(_setting(args, cfg, "m1", 1.0))
     m2 = float(_setting(args, cfg, "m2", 1.0))
     omega = float(_setting(args, cfg, "omega", 1.0))
-    if m1 <= 0 or m2 <= 0 or omega <= 0:
-        raise SystemExit2("masses and omega must be positive")
+    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf and 0.0 < omega < math.inf):
+        raise SystemExit2("masses and omega must be positive and finite")
     return m1, m2, omega
 
 
@@ -135,8 +135,8 @@ def _parse_v(args, cfg):
     v = [float(c) for c in raw]
     if len(v) != 3:
         raise SystemExit2("v must have three components")
-    if sum(c * c for c in v) >= 1.0:
-        raise SystemExit2("|v| must be below 1")
+    if not sum(c * c for c in v) < 1.0:
+        raise SystemExit2("v must be finite with |v| below 1")
     return v
 
 
@@ -179,7 +179,7 @@ def cmd_eval(args) -> int:
         elif rep == "momentum":
             val = psi_momentum(state, pt)
         else:
-            val = psi_bargmann(state, pt.to_complex())
+            val = psi_bargmann(state, pt)
         rows.append({coord: float(t),
                      "c1": pt.c1, "c2": pt.c2, "c3": pt.c3, "c4": pt.c4,
                      "re_psi": val.real, "im_psi": val.imag,

@@ -1,11 +1,13 @@
 """Lorentz-invariant constraint-space coordinates.
 
 The constraint space of a bound system is the 3-plane Minkowski-orthogonal
-to its total momentum P. The maps below express a 4-vector in rectangular
-coordinates referred to axes inside that plane; they reduce to the plain
-spatial components in the system's rest frame and their lengths and mutual
-angles are the same for all observers (components rotate between observers
-by a Wigner rotation, so the frame-independent API is dot products).
+to its total momentum P. One map, constraint_coordinates, reads any 4-vector
+off in rectangular coordinates referred to axes inside that plane: xi of a
+relative position, pi of a relative momentum, alpha of a Bargmann point.
+They reduce to the plain spatial components in the system's rest frame and
+their lengths and mutual angles are the same for all observers (components
+rotate between observers by a Wigner rotation, so the frame-independent API
+is dot products).
 
 Index bookkeeping: the stored tuples are contravariant, and every
 contraction written here is the proper pairing P^mu d_mu = sum of spatial
@@ -15,85 +17,22 @@ as a signed Minkowski dot of raw partial tuples does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .minkowski import BoundSystem, ComplexFourVector, FourVector, minkowski_dot
+from .minkowski import BoundSystem, FourVector, minkowski_dot
 
 
-@dataclass(frozen=True)
-class ConstraintVector:
-    """Real 3-vector of constraint-space coordinates (position or momentum)."""
+def constraint_coordinates(w: FourVector, sys: BoundSystem) -> np.ndarray:
+    """xi of a relative 4-position, pi of a relative 4-momentum, alpha of a Bargmann point.
 
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self):
-        for name in ("k1", "k2", "k3"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.k1, self.k2, self.k3])
-
-    def squared_norm(self) -> float:
-        return self.k1 * self.k1 + self.k2 * self.k2 + self.k3 * self.k3
-
-    def dot(self, other: "ConstraintVector") -> float:
-        return self.k1 * other.k1 + self.k2 * other.k2 + self.k3 * other.k3
-
-
-@dataclass(frozen=True)
-class ComplexConstraintVector:
-    """Complex constraint-space 3-vector (Bargmann coordinates)."""
-
-    k1: complex
-    k2: complex
-    k3: complex
-
-    def __post_init__(self):
-        for name in ("k1", "k2", "k3"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.k1, self.k2, self.k3])
-
-    def square(self) -> complex:
-        """Analytic square sum(k_i^2), without conjugation."""
-        return self.k1 * self.k1 + self.k2 * self.k2 + self.k3 * self.k3
-
-
-def _pull_to_plane(w, sys: BoundSystem):
-    """Shared kernel of the three coordinate maps: w_i + P_i (P.w - M0 w4) / (M0 (M0 + P4))."""
+    w_i + P_i (P.w - M0 w4) / (M0 (M0 + P4)): the spatial part of w boosted to
+    the rest frame, and exactly w_i in the rest frame itself. Shape (3,),
+    float64 for a real w and complex128 for a complex one.
+    """
     P = sys.P
     num = minkowski_dot(P, w) - sys.M0 * w.c4
     den = sys.M0 * (sys.M0 + P.c4)
     return w.spatial + P.spatial * (num / den)
-
-
-def xi_from_x(x: FourVector, sys: BoundSystem) -> ConstraintVector:
-    """Constraint-space position coordinates of a relative 4-position.
-
-    Equals the spatial part of x boosted to the system's rest frame; in the
-    rest frame itself xi_i = x_i exactly.
-    """
-    k = _pull_to_plane(x, sys)
-    return ConstraintVector(k[0], k[1], k[2])
-
-
-def pi_from_p(p: FourVector, sys: BoundSystem) -> ConstraintVector:
-    """Constraint-space momentum coordinates; same map as xi_from_x applied to p."""
-    k = _pull_to_plane(p, sys)
-    return ConstraintVector(k[0], k[1], k[2])
-
-
-def alpha_from_a(a: ComplexFourVector, sys: BoundSystem) -> ComplexConstraintVector:
-    """Constraint-space coordinates of a Bargmann 4-space point (complex arithmetic, P real)."""
-    k = _pull_to_plane(a, sys)
-    return ComplexConstraintVector(k[0], k[1], k[2])
 
 
 def xi_jacobian(sys: BoundSystem) -> np.ndarray:
@@ -112,7 +51,7 @@ def xi_jacobian(sys: BoundSystem) -> np.ndarray:
 
 
 def _grad_components(grad4) -> np.ndarray:
-    if isinstance(grad4, (FourVector, ComplexFourVector)):
+    if isinstance(grad4, FourVector):
         return grad4.components
     g = np.asarray(grad4)
     if g.shape != (4,):
@@ -142,8 +81,8 @@ def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):
 def invariant_norm(w: FourVector, sys: BoundSystem) -> float:
     """Manifestly scalar squared length w.w + (P.w / M0)^2.
 
-    Equals the squared norm of the corresponding constraint vector; the
-    same expression serves 4-positions and 4-momenta.
+    Equals the squared norm of constraint_coordinates(w, sys); the same
+    expression serves 4-positions and 4-momenta.
     """
     pw = minkowski_dot(sys.P, w) / sys.M0
     return minkowski_dot(w, w) + pw * pw

@@ -22,9 +22,16 @@ ON_SHELL_RTOL = 1e-9
 _SPEED_LIMIT = 1.0 - 1e-12
 
 
+_COMPLEX = (complex, np.complexfloating)
+
+
 @dataclass(frozen=True)
 class FourVector:
-    """Real Minkowski 4-vector, stored contravariant."""
+    """Minkowski 4-vector, stored contravariant.
+
+    A complex component (Python or numpy; Bargmann points) stays complex,
+    any other is coerced with float.
+    """
 
     c1: float
     c2: float
@@ -33,7 +40,10 @@ class FourVector:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            # float is the common case, and a cheaper check than _COMPLEX
+            complex_ = not isinstance(value, float) and isinstance(value, _COMPLEX)
+            object.__setattr__(self, name, complex(value) if complex_ else float(value))
 
     @classmethod
     def from_components(cls, comps):
@@ -47,9 +57,6 @@ class FourVector:
     @property
     def spatial(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3])
-
-    def to_complex(self) -> "ComplexFourVector":
-        return ComplexFourVector(self.c1, self.c2, self.c3, self.c4)
 
     def __add__(self, other):
         return FourVector(self.c1 + other.c1, self.c2 + other.c2,
@@ -60,50 +67,11 @@ class FourVector:
                           self.c3 - other.c3, self.c4 - other.c4)
 
     def __rmul__(self, scalar):
-        s = float(scalar)
-        return FourVector(s * self.c1, s * self.c2, s * self.c3, s * self.c4)
+        return FourVector(scalar * self.c1, scalar * self.c2,
+                          scalar * self.c3, scalar * self.c4)
 
     def __neg__(self):
         return -1.0 * self
-
-
-@dataclass(frozen=True)
-class ComplexFourVector:
-    """Complex 4-vector; carrier for points of the Bargmann 4-space."""
-
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-
-    @classmethod
-    def from_components(cls, comps):
-        c1, c2, c3, c4 = comps
-        return cls(c1, c2, c3, c4)
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4])
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3])
-
-    def __add__(self, other):
-        return ComplexFourVector(self.c1 + other.c1, self.c2 + other.c2,
-                                 self.c3 + other.c3, self.c4 + other.c4)
-
-    def __sub__(self, other):
-        return ComplexFourVector(self.c1 - other.c1, self.c2 - other.c2,
-                                 self.c3 - other.c3, self.c4 - other.c4)
-
-    def __rmul__(self, scalar):
-        s = complex(scalar)
-        return ComplexFourVector(s * self.c1, s * self.c2, s * self.c3, s * self.c4)
 
 
 def minkowski_dot(a, b):
@@ -115,7 +83,10 @@ def _speed_squared(v) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("velocity must be a 3-vector")
-    return float(v @ v)
+    v2 = float(v @ v)
+    if not v2 < math.inf:
+        raise ValueError(f"velocity must be finite, got {v.tolist()}")
+    return v2
 
 
 def _check_speed(v2: float):
@@ -129,7 +100,7 @@ def general_boost(x, v):
     x'_i = x_i + gamma v_i (gamma v.x / (1 + gamma) - x4),
     x'_4 = gamma (x4 - v.x),  gamma = (1 - v^2)^(-1/2).
 
-    Accepts a FourVector or ComplexFourVector and returns the same type.
+    x may have complex components; v is real.
     """
     v = np.asarray(v, dtype=float)
     v2 = _speed_squared(v)
@@ -140,7 +111,7 @@ def general_boost(x, v):
     shift = g * vx / (1.0 + g) - x.c4
     new_sp = sp + g * v * shift
     new_c4 = g * (x.c4 - vx)
-    return type(x)(new_sp[0], new_sp[1], new_sp[2], new_c4)
+    return FourVector(new_sp[0], new_sp[1], new_sp[2], new_c4)
 
 
 def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> float:
@@ -153,8 +124,10 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
     and the correct Schroedinger limit. The "plus" branch keeps the inner
     addition for audits; it does neither for unequal masses.
     """
-    if m1 <= 0 or m2 <= 0:
-        raise ValueError("particle masses must be positive")
+    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf):
+        raise ValueError(f"particle masses must be positive and finite, got {m1!r}, {m2!r}")
+    if not -math.inf < sigma < math.inf:
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
     a = m1 * m1 + m2 * m2 + 4.0 * sigma
@@ -165,7 +138,11 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
     outer = a + math.sqrt(inner)
     if outer < 0.0:
         raise ValueError(f"unbound system: negative outer radicand {outer:.17g}")
-    return math.sqrt(outer)
+    M0 = math.sqrt(outer)
+    if not 0.0 < M0 < math.inf:
+        raise ValueError(f"rest mass {M0!r} is not positive and finite for "
+                         f"m1={m1!r}, m2={m2!r}, sigma={sigma!r}")
+    return M0
 
 
 def reduced_mass(m1: float, m2: float) -> float:
@@ -180,8 +157,8 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
     holds. The nudge never moves eta2 more than one ulp from the printed
     formula's value.
     """
-    if M0 <= 0:
-        raise ValueError("M0 must be positive")
+    if not (M0 > 0.0 and 0.0 < M0 * M0 < math.inf):
+        raise ValueError(f"M0 and M0^2 must be positive and finite, got M0={M0!r}")
     d = (m1 * m1 - m2 * m2) / (M0 * M0)
     eta1 = 0.5 + d
     eta2 = 1.0 - eta1
@@ -193,13 +170,13 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
         if stepped == eta2:
             stepped = np.nextafter(eta2, math.copysign(math.inf, 1.0 - s))
         eta2 = float(stepped)
-    raise AssertionError("eta complement fixup did not converge")
+    raise ValueError(f"eta weights cannot sum to one exactly for m1={m1!r}, m2={m2!r}, M0={M0!r}")
 
 
 def on_shell_momentum(M0: float, v) -> FourVector:
     """Total momentum (gamma M0 v, gamma M0) of a system of mass M0 moving with v."""
-    if M0 <= 0:
-        raise ValueError("M0 must be positive")
+    if not 0.0 < M0 < math.inf:
+        raise ValueError(f"M0 must be positive and finite, got {M0!r}")
     v = np.asarray(v, dtype=float)
     v2 = _speed_squared(v)
     _check_speed(v2)
@@ -225,16 +202,19 @@ class BoundSystem:
     P: FourVector
 
     def __post_init__(self):
-        if self.m1 <= 0 or self.m2 <= 0:
-            raise ValueError("particle masses must be positive")
-        if self.M0 <= 0:
-            raise ValueError("rest mass must be positive")
-        if self.P.c4 <= 0:
+        pp = minkowski_dot(self.P, self.P)
+        if isinstance(pp, complex):  # some component of P is complex
+            raise ValueError("total momentum P must be real")
+        if not (0.0 < self.m1 < math.inf and 0.0 < self.m2 < math.inf):
+            raise ValueError("particle masses must be positive and finite")
+        if not 0.0 < self.M0 < math.inf:
+            raise ValueError("rest mass must be positive and finite")
+        if not self.P.c4 > 0:
             raise ValueError("positive-energy branch requires P.c4 > 0")
         if self.eta1 + self.eta2 != 1.0:
             raise ValueError("eta weights must sum to one exactly")
-        miss = abs(minkowski_dot(self.P, self.P) + self.M0 * self.M0)
-        if miss > ON_SHELL_RTOL * self.M0 * self.M0:
+        miss = abs(pp + self.M0 * self.M0)
+        if not miss <= ON_SHELL_RTOL * self.M0 * self.M0:
             raise ValueError(f"total momentum off shell: |P.P + M0^2| = {miss:.3e}")
 
     @property
@@ -282,6 +262,6 @@ def perp_projection(w: FourVector, P: FourVector, M0: float,
     Requires P on the mass shell of M0; the result satisfies P.w_perp = 0.
     """
     miss = abs(minkowski_dot(P, P) + M0 * M0)
-    if miss > rtol * M0 * M0:
+    if not miss <= rtol * M0 * M0:
         raise ValueError(f"P off shell for M0={M0!r}: |P.P + M0^2| = {miss:.3e}")
     return w + (minkowski_dot(P, w) / (M0 * M0)) * P

@@ -17,28 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import xi_from_x, pi_from_p, alpha_from_a, xi_jacobian
-from .minkowski import (BoundSystem, ComplexFourVector, FourVector,
-                        bound_system, minkowski_dot, reduced_mass)
+from .constraint import constraint_coordinates, xi_jacobian
+from .minkowski import BoundSystem, FourVector, bound_system, minkowski_dot, reduced_mass
 
 # Highest admissible 1D quantum number.
 MAX_LEVEL = 64
-
-_ZERO4 = FourVector(0.0, 0.0, 0.0, 0.0)
-
-
-def hermite(l: int, y):
-    """Physicists' Hermite polynomial H_l via the three-term recurrence."""
-    if l < 0:
-        raise ValueError("Hermite index must be non-negative")
-    y = np.asarray(y, dtype=float)
-    h0 = np.ones_like(y)
-    if l == 0:
-        return h0 if h0.ndim else float(h0)
-    h1 = 2.0 * y
-    for k in range(1, l):
-        h0, h1 = h1, 2.0 * y * h1 - 2.0 * k * h0
-    return h1 if h1.ndim else float(h1)
 
 
 def _hermite_function(l: int, y):
@@ -56,8 +39,8 @@ def _hermite_function(l: int, y):
 def _check_1d_args(l: int, omega: float):
     if not 0 <= l <= MAX_LEVEL:
         raise ValueError(f"quantum number must be in [0, {MAX_LEVEL}], got {l}")
-    if omega <= 0:
-        raise ValueError("spring constant must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
 
 
 def phi_1d(l: int, omega: float, xi):
@@ -86,8 +69,8 @@ def phi_1d_derivative(l: int, omega: float, xi):
 
 def sigma_n(omega: float, n: int) -> float:
     """Separation-constant eigenvalue Omega (3/2 + n) of the level n."""
-    if omega <= 0:
-        raise ValueError("spring constant must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
     if n < 0:
         raise ValueError("level must be non-negative")
     return omega * (1.5 + n)
@@ -122,10 +105,10 @@ class QuantumNumbers:
     def __post_init__(self):
         for name in ("l1", "l2", "l3"):
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not 0 <= value <= MAX_LEVEL:
+                raise ValueError(f"{name} must be an integer in [0, {MAX_LEVEL}], got {value!r}")
             if int(value) != value:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value <= MAX_LEVEL:
-                raise ValueError(f"{name} must be in [0, {MAX_LEVEL}], got {value}")
             object.__setattr__(self, name, int(value))
 
     @property
@@ -154,8 +137,8 @@ class OscillatorState:
     sys: BoundSystem
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("spring constant must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"spring constant must be positive and finite, got {self.omega!r}")
         target = sigma_n(self.omega, self.q.n)
         if abs(self.sys.sigma - target) > 1e-12 * max(1.0, target):
             raise ValueError(
@@ -189,7 +172,7 @@ def _phase(state: OscillatorState, X) -> complex:
 
 def psi_position(state: OscillatorState, x: FourVector, X: FourVector | None = None) -> complex:
     """Position-representation wave function phi(xi_1) phi(xi_2) phi(xi_3) exp(i P.X)."""
-    xi = xi_from_x(x, state.sys).components
+    xi = constraint_coordinates(x, state.sys)
     q = state.q
     val = (phi_1d(q.l1, state.omega, xi[0])
            * phi_1d(q.l2, state.omega, xi[1])
@@ -199,7 +182,7 @@ def psi_position(state: OscillatorState, x: FourVector, X: FourVector | None = N
 
 def psi_momentum(state: OscillatorState, p: FourVector, X: FourVector | None = None) -> complex:
     """Momentum-representation wave function, the product of momentum factors times exp(i P.X)."""
-    pi = pi_from_p(p, state.sys).components
+    pi = constraint_coordinates(p, state.sys)
     q = state.q
     val = (phi_1d_momentum(q.l1, state.omega, pi[0])
            * phi_1d_momentum(q.l2, state.omega, pi[1])
@@ -207,10 +190,10 @@ def psi_momentum(state: OscillatorState, p: FourVector, X: FourVector | None = N
     return val * _phase(state, X)
 
 
-def psi_bargmann(state: OscillatorState, a: ComplexFourVector,
+def psi_bargmann(state: OscillatorState, a: FourVector,
                  X: FourVector | None = None) -> complex:
     """Bargmann-representation wave function alpha1^l1 alpha2^l2 alpha3^l3 / sqrt(l1! l2! l3!) exp(i P.X)."""
-    al = alpha_from_a(a, state.sys).components
+    al = constraint_coordinates(a, state.sys)
     q = state.q
     norm = math.sqrt(math.factorial(q.l1) * math.factorial(q.l2) * math.factorial(q.l3))
     return (al[0] ** q.l1) * (al[1] ** q.l2) * (al[2] ** q.l3) / norm * _phase(state, X)
@@ -219,7 +202,7 @@ def psi_bargmann(state: OscillatorState, a: ComplexFourVector,
 def psi_position_gradient(state: OscillatorState, x: FourVector,
                           X: FourVector | None = None) -> np.ndarray:
     """Closed-form partials (dpsi/dc1, ..., dpsi/dc4) of psi_position at x."""
-    xi = xi_from_x(x, state.sys).components
+    xi = constraint_coordinates(x, state.sys)
     ls = state.q.as_tuple()
     vals = [phi_1d(ls[k], state.omega, xi[k]) for k in range(3)]
     ders = [phi_1d_derivative(ls[k], state.omega, xi[k]) for k in range(3)]
@@ -277,7 +260,7 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     P = sys.P
     i = axis - 1
     d_xi = g[i] + (P.spatial[i] / (sys.M0 + P.c4)) * g[3]
-    xi_i = xi_from_x(x, sys).components[i]
+    xi_i = constraint_coordinates(x, sys)[i]
     return (-sign * d_xi + omega * xi_i * value) / math.sqrt(2.0 * omega)
 
 

@@ -167,6 +167,11 @@ def _draw_vector(rng) -> FourVector:
 # ---------------------------------------------------------------------------
 # suites
 
+def _dot3(a, b) -> float:
+    """a[0] b[0] + a[1] b[1] + a[2] b[2] summed left to right; a @ b can round differently."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99, seed: int = 0,
                          tol: float = 1e-9, ortho_tol: float = 1e-10) -> VerificationReport:
     """Frame equality of |xi|^2, |pi|^2 and xi.pi plus projection orthogonality.
@@ -187,13 +192,13 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99, seed: int = 0,
         sys_b = sys_a.boosted(v)
         xb = minkowski.general_boost(x, v)
         pb = minkowski.general_boost(p, v)
-        xi_a = constraint.xi_from_x(x, sys_a)
-        xi_b = constraint.xi_from_x(xb, sys_b)
-        pi_a = constraint.pi_from_p(p, sys_a)
-        pi_b = constraint.pi_from_p(pb, sys_b)
-        for name, a, b in (("xi_sq", xi_a.squared_norm(), xi_b.squared_norm()),
-                           ("pi_sq", pi_a.squared_norm(), pi_b.squared_norm()),
-                           ("xi_dot_pi", xi_a.dot(pi_a), xi_b.dot(pi_b))):
+        xi_a = constraint.constraint_coordinates(x, sys_a).tolist()
+        xi_b = constraint.constraint_coordinates(xb, sys_b).tolist()
+        pi_a = constraint.constraint_coordinates(p, sys_a).tolist()
+        pi_b = constraint.constraint_coordinates(pb, sys_b).tolist()
+        for name, a, b in (("xi_sq", _dot3(xi_a, xi_a), _dot3(xi_b, xi_b)),
+                           ("pi_sq", _dot3(pi_a, pi_a), _dot3(pi_b, pi_b)),
+                           ("xi_dot_pi", _dot3(xi_a, pi_a), _dot3(xi_b, pi_b))):
             cases.append(CaseRecord(name, {"trial": trial}, b, a,
                                     "frame-invariant combination", tol))
         for name, w in (("perp_x", x), ("perp_p", p)):
@@ -224,7 +229,7 @@ def _phi_second(l: int, omega: float, xi: float) -> float:
 def _internal_residual_analytic(state: OscillatorState, x: FourVector,
                                 sigma_used: float) -> tuple[float, float]:
     """(-sum d2/dxi2 + Omega^2 xi^2 - 2 sigma) psi at x; returns (residual, |2 sigma psi|)."""
-    xi = constraint.xi_from_x(x, state.sys).components
+    xi = constraint.constraint_coordinates(x, state.sys)
     om = state.omega
     ls = state.q.as_tuple()
     vals = [oscillator.phi_1d(ls[k], om, xi[k]) for k in range(3)]
@@ -246,7 +251,7 @@ def _internal_residual_fd(state: OscillatorState, x: FourVector, sigma_used: flo
     direction = sys.P.components / sys.M0
     dir2 = finite_difference_directional2(field_fn, x, direction, h)
     lap_xi = lap4 - dir2
-    xi = constraint.xi_from_x(x, sys).components
+    xi = constraint.constraint_coordinates(x, sys)
     psi = field_fn(x)
     om = state.omega
     resid = -lap_xi + om * om * float(xi @ xi) * psi - 2.0 * sigma_used * psi
@@ -335,7 +340,7 @@ def _constrained_test_field(sys, coeffs):
     c0, c1, c2, c3 = coeffs
 
     def value(x: FourVector) -> float:
-        k = constraint.xi_from_x(x, sys).components
+        k = constraint.constraint_coordinates(x, sys)
         poly = c0 + c1 * k[0] + c2 * k[1] * k[2] + c3 * k[0] * k[2]
         return math.exp(-0.5 * float(k @ k)) * poly
 

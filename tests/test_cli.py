@@ -129,6 +129,21 @@ def test_eval_rejects_superluminal(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--omega", "nan"),
+    ("spectrum", "--m1", "inf"),
+    ("eval", "--v", "nan", "0", "0"),
+    ("eval", "--omega", "nan"),
+    ("eval", "--m1", "inf"),
+    ("transform", "--omega", "nan"),
+], ids=" ".join)
+def test_non_finite_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_transform_momentum_matches_closed_form(capsys):
     code, out, _ = run_cli(capsys, "transform", "--l", "1", "0", "0", "--to", "momentum",
                            "--grid-min", "-2", "--grid-max", "2", "--samples", "9")

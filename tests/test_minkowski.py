@@ -22,6 +22,30 @@ def test_dot_rest_system():
     assert abs(minkowski_dot(sys.P, sys.P) - (-4.0)) < 1e-12
 
 
+@pytest.mark.parametrize("value", [1 + 2j, np.complex128(1 + 2j), np.complex64(1 + 2j)],
+                         ids=["complex", "complex128", "complex64"])
+def test_four_vector_keeps_complex_components(value):
+    w = FourVector(value, 0.5, np.float32(-1.0), np.int64(2))
+    assert type(w.c1) is complex and w.c1 == 1 + 2j
+    assert all(type(c) is float for c in (w.c2, w.c3, w.c4))
+    assert w.components.dtype == np.complex128
+    assert (w - w).c1 == 0j and type((1j * w).c2) is complex
+
+
+def test_boost_is_complex_linear():
+    # general_boost(a + i b) == general_boost(a) + i general_boost(b)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        a = FourVector.from_components(rng.uniform(-3, 3, 4))
+        b = FourVector.from_components(rng.uniform(-3, 3, 4))
+        v = rng.uniform(-1, 1, 3)
+        v *= rng.uniform(0, 0.95) / np.linalg.norm(v)
+        z = FourVector.from_components(a.components + 1j * b.components)
+        got = general_boost(z, v).components
+        want = general_boost(a, v).components + 1j * general_boost(b, v).components
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
 def test_boost_identity():
     x = FourVector(1, 2, 3, 4)
     assert general_boost(x, (0, 0, 0)) == x

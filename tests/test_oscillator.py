@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rqcm.constraint import xi_from_x
-from rqcm.minkowski import ComplexFourVector, FourVector, bound_system, general_boost, minkowski_dot
+from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
+                            general_boost, minkowski_dot, rest_mass)
 from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, degeneracy,
-                             hermite, ladder_apply, ladder_apply_explicit,
+                             ladder_apply, ladder_apply_explicit,
                              ladder_explicit_4d_value, ladder_explicit_value,
                              nr_spring_constant, oscillator_state, phi_1d,
                              phi_1d_derivative, phi_1d_momentum, psi_bargmann,
@@ -18,6 +18,20 @@ from rqcm.verify import finite_difference_gradient4
 
 # ---------------------------------------------------------------------------
 # special functions
+
+def hermite(l: int, y):
+    """Physicists' Hermite polynomial H_l via the three-term recurrence (test oracle)."""
+    if l < 0:
+        raise ValueError("Hermite index must be non-negative")
+    y = np.asarray(y, dtype=float)
+    h0 = np.ones_like(y)
+    if l == 0:
+        return h0 if h0.ndim else float(h0)
+    h1 = 2.0 * y
+    for k in range(1, l):
+        h0, h1 = h1, 2.0 * y * h1 - 2.0 * k * h0
+    return h1 if h1.ndim else float(h1)
+
 
 def test_hermite_values():
     y = np.linspace(-3, 3, 7)
@@ -94,6 +108,43 @@ def test_quantum_numbers_validation():
         QuantumNumbers(0, MAX_LEVEL + 1, 0)
     with pytest.raises(ValueError):
         QuantumNumbers(0.5, 0, 0)
+
+
+_NAN, _INF = math.nan, math.inf
+_INVALID_INPUTS = {
+    "v_nan": lambda: bound_system(1, 1, 0, (_NAN, 0, 0)),
+    "v_inf": lambda: bound_system(1, 1, 0, (_INF, 0, 0)),
+    "boost_v_nan": lambda: general_boost(FourVector(0, 0, 0, 1), (0, _NAN, 0)),
+    "sigma_nan": lambda: bound_system(1, 1, _NAN),
+    "rest_mass_m1_inf": lambda: rest_mass(_INF, 1, 0),
+    "rest_mass_m2_nan": lambda: rest_mass(1, _NAN, 0),
+    "rest_mass_overflow": lambda: rest_mass(1e200, 1, 0),
+    "rest_mass_underflow": lambda: rest_mass(1e-200, 1e-200, 0),
+    "eta_M0_nan": lambda: eta_params(1, 1, _NAN),
+    "eta_M0_negative": lambda: eta_params(1, 1, -2),
+    "eta_m1_inf": lambda: eta_params(_INF, 1, 2),
+    "eta_M0_square_underflow": lambda: eta_params(1, 2, 1e-200),
+    "state_omega_nan": lambda: oscillator_state((0, 0, 0), _NAN, 1, 1),
+    "state_omega_inf": lambda: oscillator_state((0, 0, 0), _INF, 1, 1),
+    "state_m1_inf": lambda: oscillator_state((0, 0, 0), 1, _INF, 1),
+    "state_direct_omega_nan": lambda: OscillatorState(QuantumNumbers(0, 0, 0), _NAN,
+                                                      bound_system(1, 1, 1.5)),
+    "sigma_n_omega_nan": lambda: sigma_n(_NAN, 0),
+    "phi_omega_nan": lambda: phi_1d(0, _NAN, 0.3),
+    "phi_momentum_omega_inf": lambda: phi_1d_momentum(0, _INF, 0.3),
+    "quantum_bool": lambda: QuantumNumbers(True, 0, 0),
+    "quantum_numpy_bool": lambda: QuantumNumbers(0, np.True_, 0),
+    "quantum_inf": lambda: QuantumNumbers(0, _INF, 0),
+    "quantum_nan": lambda: QuantumNumbers(0, 0, _NAN),
+    "complex_P": lambda: BoundSystem(1, 1, 0, 2, 0.5, 0.5, FourVector(0, 0, 0, 2 + 0j)),
+    "nan_P": lambda: BoundSystem(1, 1, 0, 2, 0.5, 0.5, FourVector(_NAN, 0, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("call", _INVALID_INPUTS.values(), ids=_INVALID_INPUTS.keys())
+def test_invalid_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_degeneracy_matches_enumeration():
@@ -173,14 +224,14 @@ def test_psi_momentum_values():
 
 def test_psi_bargmann_values():
     st0 = oscillator_state((0, 0, 0), 1.2, 1.0, 1.1, (0.2, 0.1, 0.0))
-    a = ComplexFourVector(0.3 + 0.4j, -1.0, 0.2j, 0.5)
+    a = FourVector(0.3 + 0.4j, -1.0, 0.2j, 0.5)
     X = FourVector(0.3, 0.0, -0.2, 1.0)
     phase = complex(np.exp(1j * minkowski_dot(st0.sys.P, X)))
     assert abs(psi_bargmann(st0, a, X) - phase) < 1e-14
 
     st1 = oscillator_state((1, 0, 0), 1.2, 1.0, 1.0)
     z = 0.7 - 0.2j
-    got = psi_bargmann(st1, ComplexFourVector(z, 0, 0, 0))
+    got = psi_bargmann(st1, FourVector(z, 0, 0, 0))
     assert abs(got - z) < 1e-15
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rqcm.minkowski import ComplexFourVector
+from rqcm.minkowski import FourVector
 from rqcm.oscillator import (oscillator_state, phi_1d, phi_1d_momentum,
                              position_profile, momentum_profile, psi_bargmann,
                              states_up_to)
@@ -310,7 +310,7 @@ def test_bargmann_product_matches_state_representation():
     st = oscillator_state((2, 0, 1), om, 1.0, 1.0)
     alphas = (0.6 - 0.3j, -1.1 + 0.2j, 0.4j)
     got = bargmann_of_state(st, alphas, rule)
-    a = ComplexFourVector(alphas[0], alphas[1], alphas[2], 0.0)
+    a = FourVector(alphas[0], alphas[1], alphas[2], 0.0)
     want = psi_bargmann(st, a)
     assert abs(got - want) <= 1e-9
 
