@@ -18,7 +18,8 @@ import numpy as np
 from . import transforms, verify
 from .minkowski import FourVector, general_boost, reduced_mass, rest_mass
 from .oscillator import (degeneracy, nr_spring_constant, oscillator_state,
-                         psi_bargmann, psi_momentum, psi_position, sigma_n)
+                         phi_1d, phi_1d_momentum, psi_bargmann, psi_momentum,
+                         psi_position, sigma_n)
 
 _CONFIG_KEYS = ("m1", "m2", "omega", "l", "v", "grid", "representation",
                 "order", "seed", "format")
@@ -48,18 +49,16 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path):
         sys.stdout.write(text)
 
 
-class SystemExit2(Exception):
-    """Configuration error carrying the usage exit code."""
-
-
 def _load_config(path):
     if not path:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
-        raise SystemExit2(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -72,8 +71,26 @@ def _setting(args, cfg, key, default):
     return default
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _format_setting(args, cfg):
+    fmt = _setting(args, cfg, "format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unsupported format {fmt!r}")
+    return fmt
+
+
 def _grid_setting(args, cfg):
-    grid = dict(cfg.get("grid", {}))
+    grid = cfg.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ValueError("grid must be a JSON object")
+    grid = dict(grid)
     for key, flag in (("axis", "grid_axis"), ("min", "grid_min"),
                       ("max", "grid_max"), ("samples", "samples")):
         val = getattr(args, flag, None)
@@ -83,10 +100,14 @@ def _grid_setting(args, cfg):
     grid.setdefault("min", -4.0)
     grid.setdefault("max", 4.0)
     grid.setdefault("samples", 41)
+    if not (_is_int(grid["axis"]) and _is_int(grid["samples"])):
+        raise ValueError("grid axis and samples must be integers")
+    if not all(_is_real(grid[k]) and math.isfinite(grid[k]) for k in ("min", "max")):
+        raise ValueError("grid min and max must be finite numbers")
     if grid["samples"] < 2:
-        raise SystemExit2("grid samples must be >= 2")
+        raise ValueError("grid samples must be >= 2")
     if grid["axis"] not in (1, 2, 3):
-        raise SystemExit2("grid axis must be 1, 2 or 3")
+        raise ValueError("grid axis must be 1, 2 or 3")
     return grid
 
 
@@ -103,7 +124,7 @@ def _common_physics(args, cfg):
     m2 = float(_setting(args, cfg, "m2", 1.0))
     omega = float(_setting(args, cfg, "omega", 1.0))
     if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf and 0.0 < omega < math.inf):
-        raise SystemExit2("masses and omega must be positive and finite")
+        raise ValueError("masses and omega must be positive and finite")
     return m1, m2, omega
 
 
@@ -117,26 +138,27 @@ def cmd_spectrum(args) -> int:
         s = sigma_n(omega, n)
         rows.append({"n": n, "degeneracy": degeneracy(n), "sigma": s,
                      "M0": rest_mass(m1, m2, s)})
-    fmt = _setting(args, cfg, "format", "csv")
+    fmt = _format_setting(args, cfg)
     _emit(rows, ["n", "degeneracy", "sigma", "M0"], fmt, args.out)
     return 0
 
 
 def _parse_l(args, cfg):
     raw = _setting(args, cfg, "l", [0, 0, 0])
-    ls = [int(v) for v in raw]
-    if len(ls) != 3:
-        raise SystemExit2("l must have three entries")
-    return tuple(ls)
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 3
+            and all(_is_int(v) for v in raw)):
+        raise ValueError("l must be three integers")
+    return tuple(raw)
 
 
 def _parse_v(args, cfg):
     raw = _setting(args, cfg, "v", [0.0, 0.0, 0.0])
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 3
+            and all(_is_real(c) for c in raw)):
+        raise ValueError("v must be three numbers")
     v = [float(c) for c in raw]
-    if len(v) != 3:
-        raise SystemExit2("v must have three components")
     if not sum(c * c for c in v) < 1.0:
-        raise SystemExit2("v must be finite with |v| below 1")
+        raise ValueError("v must be finite with |v| below 1")
     return v
 
 
@@ -167,7 +189,7 @@ def cmd_eval(args) -> int:
     velocity = _parse_v(args, cfg)
     rep = _setting(args, cfg, "representation", "position")
     if rep not in ("position", "momentum", "bargmann"):
-        raise SystemExit2(f"unsupported representation {rep!r}")
+        raise ValueError(f"unsupported representation {rep!r}")
     grid = _grid_setting(args, cfg)
     state = oscillator_state(ls, omega, m1, m2, velocity)
     ts, pts = _sample_points(grid, velocity)
@@ -184,7 +206,7 @@ def cmd_eval(args) -> int:
                      "c1": pt.c1, "c2": pt.c2, "c3": pt.c3, "c4": pt.c4,
                      "re_psi": val.real, "im_psi": val.imag,
                      "abs2_psi": abs(val) ** 2})
-    fmt = _setting(args, cfg, "format", "csv")
+    fmt = _format_setting(args, cfg)
     _emit(rows, [coord, "c1", "c2", "c3", "c4", "re_psi", "im_psi", "abs2_psi"],
           fmt, args.out)
     return 0
@@ -201,7 +223,6 @@ def cmd_transform(args) -> int:
     grid = _grid_setting(args, cfg)
     axis = grid["axis"]
     ts = np.linspace(grid["min"], grid["max"], grid["samples"])
-    from .oscillator import phi_1d, phi_1d_momentum
     rows = []
     if to == "momentum":
         g = lambda xi, l=ls[axis - 1]: phi_1d(l, omega, xi)
@@ -221,8 +242,8 @@ def cmd_transform(args) -> int:
                          "abs": abs(v), "abs_closed_form": abs(a)})
         cols = ["alpha", "re", "im", "abs", "abs_closed_form"]
     else:
-        raise SystemExit2(f"unsupported transform target {to!r}")
-    fmt = _setting(args, cfg, "format", "csv")
+        raise ValueError(f"unsupported transform target {to!r}")
+    fmt = _format_setting(args, cfg)
     _emit(rows, cols, fmt, args.out)
     return 0
 
@@ -335,9 +356,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

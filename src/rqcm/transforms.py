@@ -51,65 +51,16 @@ class QuadratureRule:
             raise ValueError("rule arrays must match the order")
 
 
-def _hermnorm_and_deriv(order: int, y: np.ndarray):
-    """Orthonormal Hermite polynomial (weight exp(-y^2)) and derivative, vectorised."""
-    p1 = np.full(np.shape(y), np.pi ** -0.25)
-    p2 = np.zeros_like(p1)
-    for j in range(1, order + 1):
-        p1, p2 = y * math.sqrt(2.0 / j) * p1 - math.sqrt((j - 1) / j) * p2, p1
-    return p1, math.sqrt(2.0 * order) * p2
-
-
 @lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule of the given order, 1 <= order <= 256.
 
-    Positive roots are bracketed by a sign scan at the asymptotic zero
-    density (spacing pi/sqrt(2N+1)) and polished with bracket-clamped
-    Newton iterations; weights are 2 / Hn'(x)^2 in the orthonormal
-    normalisation. Nodes are symmetric about zero by construction.
+    The nodes and weights are numpy's hermgauss; rules are cached and
+    their arrays read-only, so every caller shares one copy per order.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    if order == 1:
-        nodes = np.array([0.0])
-        weights = np.array([math.sqrt(math.pi)])
-    else:
-        limit = math.sqrt(2.0 * order + 1.0)
-        step = 0.45 * math.pi / limit
-        grid = np.arange(step / 3.0, limit + step, step)
-        vals, _ = _hermnorm_and_deriv(order, grid)
-        flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if len(flip) != order // 2:
-            raise RuntimeError(
-                f"root scan found {len(flip)} sign changes, expected {order // 2}")
-        lo, hi = grid[flip].copy(), grid[flip + 1].copy()
-        flo = vals[flip].copy()
-        z = 0.5 * (lo + hi)
-        for _ in range(100):
-            p, dp = _hermnorm_and_deriv(order, z)
-            on_lo_side = np.sign(p) * np.sign(flo) > 0
-            lo = np.where(on_lo_side, z, lo)
-            flo = np.where(on_lo_side, p, flo)
-            hi = np.where(on_lo_side, hi, z)
-            zn = z - p / dp
-            outside = (zn <= lo) | (zn >= hi)
-            zn = np.where(outside, 0.5 * (lo + hi), zn)
-            if np.all(np.abs(zn - z) <= 1e-15 * np.maximum(1.0, np.abs(zn))):
-                z = zn
-                break
-            z = zn
-        p, dp = _hermnorm_and_deriv(order, z)
-        z = z - p / dp
-        _, dp = _hermnorm_and_deriv(order, z)
-        wpos = 2.0 / (dp * dp)
-        if order % 2:
-            _, dp0 = _hermnorm_and_deriv(order, np.array([0.0]))
-            nodes = np.concatenate([-z[::-1], [0.0], z])
-            weights = np.concatenate([wpos[::-1], 2.0 / (dp0 * dp0), wpos])
-        else:
-            nodes = np.concatenate([-z[::-1], z])
-            weights = np.concatenate([wpos[::-1], wpos])
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(order, nodes, weights)
@@ -142,20 +93,16 @@ def trust_momentum(rule: QuadratureRule, omega: float) -> float:
 def normalization_integral(state: OscillatorState, rule: QuadratureRule) -> float:
     """Norm of the state over the constraint space, exact value one.
 
-    The squared factors are polynomials of degree 2 l_i against the
-    absorbed Gaussian, so the tensor-product quadrature is exact (up to
-    rounding) once the order exceeds the per-axis degree; orders below
-    n + 2 raise InsufficientOrderWarning.
+    This is overlap_integral of the state with itself. The squared factors
+    are polynomials of degree 2 l_i against the absorbed Gaussian, so the
+    tensor-product quadrature is exact (up to rounding) once the order
+    exceeds the per-axis degree; orders below n + 2 raise
+    InsufficientOrderWarning.
     """
     if rule.order < state.q.n + 2:
         warnings.warn(f"order {rule.order} < n + 2 = {state.q.n + 2} under-resolves "
                       "the normalisation integral", InsufficientOrderWarning, stacklevel=2)
-    pts, eff = rescaled_nodes(rule, state.omega)
-    total = 1.0
-    for l in state.q.as_tuple():
-        vals = phi_1d(l, state.omega, pts)
-        total *= float(np.sum(eff * vals * vals))
-    return total
+    return overlap_integral(state, state, rule)
 
 
 def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
@@ -166,8 +113,9 @@ def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
     pts, eff = rescaled_nodes(rule, state_a.omega)
     total = 1.0
     for la, lb in zip(state_a.q.as_tuple(), state_b.q.as_tuple()):
-        total *= float(np.sum(eff * phi_1d(la, state_a.omega, pts)
-                              * phi_1d(lb, state_b.omega, pts)))
+        fa = phi_1d(la, state_a.omega, pts)
+        fb = fa if lb == la else phi_1d(lb, state_b.omega, pts)
+        total *= float(np.sum(eff * fa * fb))
     return total
 
 

@@ -308,10 +308,7 @@ def run_pde_suite(states=None, points_per_state: int = 20, mode: str = "fd",
             base = psi_position(state, x)
             phase_fn = lambda X: complex(np.exp(1j * minkowski_dot(sys.P, X))) * base
             X0 = FourVector.from_components(rng.uniform(-2.0, 2.0, 4))
-            lap = 0.0
-            for mu in range(4):
-                d2 = finite_difference_second4(phase_fn, X0, mu, h_cm)
-                lap = lap + (d2 if mu < 3 else -d2)
+            lap = box4(phase_fn, X0, h_cm)
             want = sys.M0 ** 2 * phase_fn(X0)
             cases.append(CaseRecord("cm_wave", {"state": idx},
                                     abs(lap - want) / max(abs(want), 1.0), 0.0,
@@ -359,7 +356,6 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0,
     for n in range(max_n + 1):
         for q in oscillator.quantum_numbers_at_level(n):
             states.append(oscillator_state(q, omega, m1, m2, _draw_velocity(rng, vmax)))
-    grad_engine = lambda fld, pt: finite_difference_gradient4(fld, pt)
     for idx, state in enumerate(states):
         for axis in (1, 2, 3):
             for direction in ("lower", "raise"):
@@ -368,7 +364,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0,
                 for _ in range(points):
                     x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
                     got = ladder_apply_explicit(direction, axis, state, x,
-                                                gradient=grad_engine)
+                                                gradient=finite_difference_gradient4)
                     want = 0.0 if new_state is None else coeff * psi_position(new_state, x)
                     samples.append((got, want))
                 if new_state is None:

@@ -136,9 +136,33 @@ def test_eval_rejects_superluminal(capsys):
     ("eval", "--omega", "nan"),
     ("eval", "--m1", "inf"),
     ("transform", "--omega", "nan"),
+    ("eval", "--grid-min", "nan", "--samples", "3"),
+    ("transform", "--grid-max", "inf", "--samples", "3"),
 ], ids=" ".join)
 def test_non_finite_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("config", [
+    {"grid": {"samples": 2.5}},
+    {"grid": {"samples": "41"}},
+    {"grid": {"axis": True}},
+    {"grid": [1, 2]},
+    {"grid": {"min": "a"}},
+    {"grid": {"max": math.inf}},
+    {"v": 5},
+    {"l": 5},
+    {"l": [[1], 0, 0]},
+    {"format": "xml"},
+    5,
+], ids=json.dumps)
+def test_mistyped_config_values_are_usage_errors(tmp_path, capsys, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert out == ""
