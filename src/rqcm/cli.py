@@ -24,6 +24,16 @@ from .oscillator import (degeneracy, nr_spring_constant, oscillator_state,
 _CONFIG_KEYS = ("m1", "m2", "omega", "l", "v", "grid", "representation",
                 "order", "seed", "format")
 
+# each `verify` option and the suites that take it; a suite gets it when it is set
+_VERIFY_OPTIONS = {
+    "trials": ("invariance",),
+    "points": ("pde", "ladder"),
+    "sigma_perturb": ("pde",),
+    "max_n": ("transforms",),
+    "order": ("transforms",),
+    "bargmann_sign": ("transforms",),
+}
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -79,6 +89,13 @@ def _is_real(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _typed_setting(args, cfg, key, default, is_type, kind):
+    value = _setting(args, cfg, key, default)
+    if value is not None and not is_type(value):
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def _format_setting(args, cfg):
     fmt = _setting(args, cfg, "format", "csv")
     if fmt not in ("csv", "json"):
@@ -120,9 +137,8 @@ def _hbar_omega_note(args, m1, m2):
 
 
 def _common_physics(args, cfg):
-    m1 = float(_setting(args, cfg, "m1", 1.0))
-    m2 = float(_setting(args, cfg, "m2", 1.0))
-    omega = float(_setting(args, cfg, "omega", 1.0))
+    m1, m2, omega = (float(_typed_setting(args, cfg, key, 1.0, _is_real, "a number"))
+                     for key in ("m1", "m2", "omega"))
     if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf and 0.0 < omega < math.inf):
         raise ValueError("masses and omega must be positive and finite")
     return m1, m2, omega
@@ -193,15 +209,11 @@ def cmd_eval(args) -> int:
     grid = _grid_setting(args, cfg)
     state = oscillator_state(ls, omega, m1, m2, velocity)
     ts, pts = _sample_points(grid, velocity)
-    coord = {"position": "xi", "momentum": "pi", "bargmann": "alpha"}[rep]
+    coord, psi = {"position": ("xi", psi_position), "momentum": ("pi", psi_momentum),
+                  "bargmann": ("alpha", psi_bargmann)}[rep]
     rows = []
     for t, pt in zip(ts, pts):
-        if rep == "position":
-            val = psi_position(state, pt)
-        elif rep == "momentum":
-            val = psi_momentum(state, pt)
-        else:
-            val = psi_bargmann(state, pt)
+        val = psi(state, pt)
         rows.append({coord: float(t),
                      "c1": pt.c1, "c2": pt.c2, "c3": pt.c3, "c4": pt.c4,
                      "re_psi": val.real, "im_psi": val.imag,
@@ -216,63 +228,44 @@ def cmd_transform(args) -> int:
     cfg = _load_config(args.config)
     m1, m2, omega = _common_physics(args, cfg)
     ls = _parse_l(args, cfg)
-    to = args.to
-    order = int(_setting(args, cfg, "order", 32))
+    # target -> (numeric transform of one factor, its closed form, coordinate column)
+    targets = {
+        "momentum": (transforms.fourier_forward1d, phi_1d_momentum, "pi"),
+        "bargmann": (lambda g, t, rule, om: transforms.bargmann_transform(
+                         g, t.astype(complex), om, rule),
+                     lambda l, om, t: t.astype(complex) ** l / math.sqrt(math.factorial(l)),
+                     "alpha"),
+    }
+    if args.to not in targets:
+        raise ValueError(f"unsupported transform target {args.to!r}")
+    transform, closed_form, coord = targets[args.to]
+    order = _typed_setting(args, cfg, "order", 32, _is_int, "an integer")
     rule = transforms.gauss_hermite(order)
     state = oscillator_state(ls, omega, m1, m2)
     grid = _grid_setting(args, cfg)
-    axis = grid["axis"]
     ts = np.linspace(grid["min"], grid["max"], grid["samples"])
-    rows = []
-    if to == "momentum":
-        g = lambda xi, l=ls[axis - 1]: phi_1d(l, omega, xi)
-        vals = transforms.fourier_forward1d(g, ts, rule, omega)
-        ana = phi_1d_momentum(ls[axis - 1], omega, ts)
-        for t, v, a in zip(ts, np.atleast_1d(vals), np.atleast_1d(ana)):
-            rows.append({"pi": float(t), "re": v.real, "im": v.imag,
-                         "abs": abs(v), "abs_closed_form": abs(a)})
-        cols = ["pi", "re", "im", "abs", "abs_closed_form"]
-    elif to == "bargmann":
-        g = lambda xi, l=ls[axis - 1]: phi_1d(l, omega, xi)
-        vals = transforms.bargmann_transform(g, ts.astype(complex), omega, rule)
-        l = ls[axis - 1]
-        ana = ts.astype(complex) ** l / math.sqrt(math.factorial(l))
-        for t, v, a in zip(ts, np.atleast_1d(vals), np.atleast_1d(ana)):
-            rows.append({"alpha": float(t), "re": v.real, "im": v.imag,
-                         "abs": abs(v), "abs_closed_form": abs(a)})
-        cols = ["alpha", "re", "im", "abs", "abs_closed_form"]
-    else:
-        raise ValueError(f"unsupported transform target {to!r}")
+    l = ls[grid["axis"] - 1]
+    vals = transform(lambda xi: phi_1d(l, omega, xi), ts, rule, omega)
+    ana = closed_form(l, omega, ts)
+    rows = [{coord: float(t), "re": v.real, "im": v.imag, "abs": abs(v),
+             "abs_closed_form": abs(a)}
+            for t, v, a in zip(ts, np.atleast_1d(vals), np.atleast_1d(ana))]
     fmt = _format_setting(args, cfg)
-    _emit(rows, cols, fmt, args.out)
+    _emit(rows, [coord, "re", "im", "abs", "abs_closed_form"], fmt, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_setting(args, cfg, "seed", 0))
-    order = _setting(args, cfg, "order", None)
+    seed = _typed_setting(args, cfg, "seed", 0, _is_int, "an integer")
+    options = {key: getattr(args, key) for key in _VERIFY_OPTIONS}
+    options["order"] = _typed_setting(args, cfg, "order", None, _is_int, "an integer")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = {}
     for name in names:
-        kwargs = {"seed": seed}
-        if name == "invariance" and args.trials is not None:
-            kwargs["trials"] = args.trials
-        if name == "pde":
-            if args.sigma_perturb:
-                kwargs["sigma_perturb"] = args.sigma_perturb
-            if args.points is not None:
-                kwargs["points_per_state"] = args.points
-        if name == "ladder" and args.points is not None:
-            kwargs["points"] = args.points
-        if name == "transforms":
-            if order is not None:
-                kwargs["order"] = int(order)
-            if args.bargmann_sign is not None:
-                kwargs["bargmann_sign"] = args.bargmann_sign
-            if args.max_n is not None:
-                kwargs["max_n"] = args.max_n
-        reports[name] = verify.SUITES[name](**kwargs)
+        kwargs = {key: value for key, value in options.items()
+                  if value is not None and name in _VERIFY_OPTIONS[key]}
+        reports[name] = verify.SUITES[name](seed=seed, **kwargs)
     payload = {name: rep.to_dict() for name, rep in reports.items()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.report:
@@ -343,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--max-n", type=int, dest="max_n",
                     help="highest level n of the transforms suite (other suites ignore it)")
     vf.add_argument("--order", type=int)
-    vf.add_argument("--sigma-perturb", type=float, dest="sigma_perturb", default=0.0)
+    vf.add_argument("--sigma-perturb", type=float, dest="sigma_perturb")
     vf.add_argument("--bargmann-sign", type=int, dest="bargmann_sign",
                     choices=(-1, 1))
     vf.add_argument("--report", help="write the JSON report to this path")

@@ -225,9 +225,9 @@ class BoundSystem:
     def reduced_mass(self) -> float:
         return reduced_mass(self.m1, self.m2)
 
-    def with_sigma(self, sigma: float, branch: str = "minus") -> "BoundSystem":
+    def with_sigma(self, sigma: float) -> "BoundSystem":
         """Same constituents and velocity, new separation constant."""
-        return bound_system(self.m1, self.m2, sigma, self.velocity, branch)
+        return bound_system(self.m1, self.m2, sigma, self.velocity)
 
     def boosted(self, v) -> "BoundSystem":
         """The same system seen from a frame moving with velocity v."""
@@ -236,9 +236,9 @@ class BoundSystem:
 
 
 def bound_system(m1: float, m2: float, sigma: float = 0.0,
-                 velocity=(0.0, 0.0, 0.0), branch: str = "minus") -> BoundSystem:
+                 velocity=(0.0, 0.0, 0.0)) -> BoundSystem:
     """Construct an on-shell BoundSystem from masses, sigma and a velocity."""
-    M0 = rest_mass(m1, m2, sigma, branch)
+    M0 = rest_mass(m1, m2, sigma)
     eta1, eta2 = eta_params(m1, m2, M0)
     return BoundSystem(m1, m2, float(sigma), M0, eta1, eta2,
                        on_shell_momentum(M0, velocity))

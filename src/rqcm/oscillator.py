@@ -150,10 +150,10 @@ class OscillatorState:
 
 
 def oscillator_state(l, omega: float, m1: float, m2: float,
-                     velocity=(0.0, 0.0, 0.0), branch: str = "minus") -> OscillatorState:
+                     velocity=(0.0, 0.0, 0.0)) -> OscillatorState:
     """Build an eigenstate; the bound system gets sigma_n and the requested velocity."""
     q = l if isinstance(l, QuantumNumbers) else QuantumNumbers(*l)
-    sys = bound_system(m1, m2, sigma_n(omega, q.n), velocity, branch)
+    sys = bound_system(m1, m2, sigma_n(omega, q.n), velocity)
     return OscillatorState(q, float(omega), sys)
 
 

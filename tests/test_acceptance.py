@@ -96,8 +96,8 @@ def test_criterion_05_spectrum():
 
 def test_criterion_06_pde_residuals():
     t0 = time.time()
-    analytic = verify.run_pde_suite(mode="analytic", max_n=4, points_per_state=20, seed=106)
-    fd = verify.run_pde_suite(mode="fd", max_n=4, points_per_state=20, vmax=0.9, seed=106)
+    analytic = verify.run_pde_suite(mode="analytic", max_n=4, points=20, seed=106)
+    fd = verify.run_pde_suite(mode="fd", max_n=4, points=20, seed=106)
     elapsed = time.time() - t0
     ok = (analytic.passed and analytic.tolerance == 1e-10
           and fd.passed and fd.tolerance == 1e-5 and elapsed < 30.0)
@@ -107,7 +107,7 @@ def test_criterion_06_pde_residuals():
 
 
 def test_criterion_07_ladder_relations():
-    report = verify.run_ladder_suite(max_n=4, points=20, vmax=0.9, seed=107)
+    report = verify.run_ladder_suite(max_n=4, points=20, seed=107)
     explicit = [c for c in report.cases if c.check.startswith("explicit_")]
     decomposition = [c for c in report.cases if c.check.startswith("decomposition")]
     ok = (report.passed and all(c.rel_err <= 1e-5 for c in explicit)
@@ -119,7 +119,7 @@ def test_criterion_07_ladder_relations():
 
 def test_criterion_08_fourier():
     t0 = time.time()
-    report = verify.run_transform_suite(max_n=4, order=32, roundtrip_order=64, seed=108)
+    report = verify.run_transform_suite(max_n=4, order=32, seed=108)
     elapsed = time.time() - t0
     modulus = [c for c in report.cases if c.check == "fourier_modulus"]
     roundtrip = [c for c in report.cases if c.check == "roundtrip"]
@@ -157,7 +157,7 @@ def test_criterion_10_normalization():
 
 
 def test_criterion_11_negative_controls():
-    perturbed = verify.run_pde_suite(max_n=1, points_per_state=5,
+    perturbed = verify.run_pde_suite(max_n=1, points=5,
                                      sigma_perturb=0.1, seed=111)
     wrong_sign = verify.run_transform_suite(max_n=1, bargmann_sign=-1, seed=111)
     under_resolved = verify.run_transform_suite(max_n=6, order=8, seed=111)

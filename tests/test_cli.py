@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqcm
+from rqcm import verify
 from rqcm.cli import main
 from rqcm.minkowski import rest_mass
 from rqcm.oscillator import sigma_n
@@ -146,7 +152,7 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("config", [
+MISTYPED_CONFIGS = [("eval", config) for config in (
     {"grid": {"samples": 2.5}},
     {"grid": {"samples": "41"}},
     {"grid": {"axis": True}},
@@ -158,11 +164,30 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv):
     {"l": [[1], 0, 0]},
     {"format": "xml"},
     5,
-], ids=json.dumps)
-def test_mistyped_config_values_are_usage_errors(tmp_path, capsys, config):
+    {"m1": [1]},
+    {"m2": True},
+    {"omega": "2"},
+)] + [
+    ("spectrum", {"m1": [1]}),
+    ("transform", {"order": [32]}),
+    ("transform", {"order": 40.9}),
+    ("transform", {"omega": "2"}),
+    ("verify --suite nr-limit", {"seed": [1]}),
+    ("verify --suite nr-limit", {"seed": 1.5}),
+    ("verify --suite transforms", {"order": [32]}),
+    ("verify --suite transforms", {"order": 40.9}),
+]
+
+
+# an `eval` case is named by its config alone, as before other commands were covered
+@pytest.mark.parametrize("command, config", [
+    pytest.param(command, config, id=json.dumps(config) if command == "eval"
+                 else f"{command} {json.dumps(config)}")
+    for command, config in MISTYPED_CONFIGS])
+def test_mistyped_config_values_are_usage_errors(tmp_path, capsys, command, config):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "eval", "--config", str(cfg))
+    code, out, err = run_cli(capsys, *command.split(), "--config", str(cfg))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert out == ""
@@ -268,6 +293,40 @@ def test_verify_reports_byte_identical_under_seed(tmp_path, capsys):
     assert run_cli(capsys, "verify", "--suite", "invariance", "--trials", "40",
                    "--seed", "5", "--report", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+VERIFY_ROUTES = [
+    ("invariance", "--trials 5 --seed 2", {"trials": 5, "seed": 2}),
+    ("invariance", "--trials 5 --points 2 --max-n 1", {"trials": 5}),
+    ("pde", "--points 2", {"points": 2}),
+    ("pde", "--points 2 --sigma-perturb 0.1", {"points": 2, "sigma_perturb": 0.1}),
+    ("pde", "--points 2 --max-n 1 --order 8", {"points": 2}),
+    ("ladder", "--points 2", {"points": 2}),
+    ("ladder", "--points 2 --max-n 1 --sigma-perturb 0.1", {"points": 2}),
+    ("nr-limit", "--seed 4 --trials 5 --points 2", {"seed": 4}),
+    ("transforms", "--max-n 1", {"max_n": 1}),
+    ("transforms", "--max-n 1 --order 16", {"max_n": 1, "order": 16}),
+    ("transforms", "--max-n 1 --bargmann-sign -1", {"max_n": 1, "bargmann_sign": -1}),
+    ("transforms", "--max-n 1 --points 2 --trials 5", {"max_n": 1}),
+]
+
+
+@pytest.mark.parametrize("suite, flags, kwargs", [
+    pytest.param(*route, id=" ".join(route[:2])) for route in VERIFY_ROUTES])
+def test_verify_flags_reach_the_suites_that_take_them(capsys, suite, flags, kwargs):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, *flags.split())
+    report = verify.SUITES[suite](**kwargs)
+    assert code == (0 if report.passed else 1)
+    assert json.loads(out) == json.loads(json.dumps({suite: report.to_dict()}))
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # every CLI command pays for what `import rqcm.cli` loads
+    src = str(Path(rqcm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, rqcm.cli; assert 'numpy.polynomial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_hbar_omega_helper(capsys):

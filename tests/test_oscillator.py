@@ -381,6 +381,6 @@ def test_transversality_condition():
 
 def test_internal_equation_analytic_rest_frame():
     from rqcm.verify import run_pde_suite
-    report = run_pde_suite(points_per_state=10, mode="analytic", max_n=4)
+    report = run_pde_suite(points=10, mode="analytic", max_n=4)
     assert report.passed, report.max_rel_err
     assert report.max_rel_err <= 1e-10

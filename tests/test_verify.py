@@ -136,20 +136,20 @@ def test_invariance_suite_validates_vmax():
 
 
 def test_pde_suite_modes():
-    assert run_pde_suite(max_n=2, points_per_state=6, mode="analytic").passed
-    assert run_pde_suite(max_n=2, points_per_state=6, mode="fd").passed
+    assert run_pde_suite(max_n=2, points=6, mode="analytic").passed
+    assert run_pde_suite(max_n=2, points=6, mode="fd").passed
     with pytest.raises(ValueError):
         run_pde_suite(mode="symbolic")
 
 
 def test_pde_suite_negative_control():
-    rep = run_pde_suite(max_n=1, points_per_state=4, sigma_perturb=0.1)
+    rep = run_pde_suite(max_n=1, points=4, sigma_perturb=0.1)
     assert not rep.passed
 
 
 def test_pde_suite_accepts_explicit_states():
     states = [oscillator_state((2, 0, 1), 1.4, 1.0, 2.0, (0.0, 0.5, 0.0))]
-    rep = run_pde_suite(states=states, points_per_state=5)
+    rep = run_pde_suite(states=states, points=5)
     assert rep.passed
     assert {c.inputs["state"] for c in rep.cases if "state" in c.inputs} == {0}
 
@@ -190,7 +190,7 @@ def test_transform_suite_negative_controls():
 
 def test_run_all_aggregates():
     reports = verify.run_all(seed=3, invariance={"trials": 30},
-                             pde={"max_n": 1, "points_per_state": 3},
+                             pde={"max_n": 1, "points": 3},
                              ladder={"max_n": 1, "points": 3},
                              transforms={"max_n": 1})
     assert set(reports) == set(verify.SUITES)
