@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import transforms, verify
-from .minkowski import FourVector, general_boost, reduced_mass, rest_mass
+from .minkowski import general_boost, reduced_mass, rest_mass
 from .oscillator import (degeneracy, nr_spring_constant, oscillator_state,
                          phi_1d, phi_1d_momentum, psi_bargmann, psi_momentum,
                          psi_position, sigma_n)
@@ -86,7 +86,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # an integer beyond the float range would raise OverflowError in float()
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _typed_setting(args, cfg, key, default, is_type, kind):
@@ -185,16 +186,10 @@ def _sample_points(grid, velocity):
     the requested frame with the inverse boost, so the constraint
     coordinates are the grid values by construction.
     """
-    axis = grid["axis"]
     ts = np.linspace(grid["min"], grid["max"], grid["samples"])
-    pts = []
-    neg_v = [-c for c in velocity]
-    for t in ts:
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[axis - 1] = float(t)
-        rest_point = FourVector.from_components(comps)
-        pts.append(general_boost(rest_point, neg_v))
-    return ts, pts
+    rest = np.zeros((ts.size, 4))
+    rest[:, grid["axis"] - 1] = ts
+    return ts, general_boost(rest, [-c for c in velocity])
 
 
 def cmd_eval(args) -> int:
@@ -211,13 +206,10 @@ def cmd_eval(args) -> int:
     ts, pts = _sample_points(grid, velocity)
     coord, psi = {"position": ("xi", psi_position), "momentum": ("pi", psi_momentum),
                   "bargmann": ("alpha", psi_bargmann)}[rep]
-    rows = []
-    for t, pt in zip(ts, pts):
-        val = psi(state, pt)
-        rows.append({coord: float(t),
-                     "c1": pt.c1, "c2": pt.c2, "c3": pt.c3, "c4": pt.c4,
-                     "re_psi": val.real, "im_psi": val.imag,
-                     "abs2_psi": abs(val) ** 2})
+    rows = [{coord: t, "c1": c1, "c2": c2, "c3": c3, "c4": c4,
+             "re_psi": val.real, "im_psi": val.imag, "abs2_psi": abs(val) ** 2}
+            for t, (c1, c2, c3, c4), val in zip(ts.tolist(), pts.tolist(),
+                                                psi(state, pts).tolist())]
     fmt = _format_setting(args, cfg)
     _emit(rows, [coord, "c1", "c2", "c3", "c4", "re_psi", "im_psi", "abs2_psi"],
           fmt, args.out)

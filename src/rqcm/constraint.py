@@ -19,20 +19,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import BoundSystem, FourVector, minkowski_dot
+from .minkowski import BoundSystem, FourVector, _components, _over_real, _parts, minkowski_dot
 
 
-def constraint_coordinates(w: FourVector, sys: BoundSystem) -> np.ndarray:
+def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
     """xi of a relative 4-position, pi of a relative 4-momentum, alpha of a Bargmann point.
 
     w_i + P_i (P.w - M0 w4) / (M0 (M0 + P4)): the spatial part of w boosted to
-    the rest frame, and exactly w_i in the rest frame itself. Shape (3,),
-    float64 for a real w and complex128 for a complex one.
+    the rest frame, and exactly w_i in the rest frame itself. w is a
+    FourVector or a (..., 4) array; the result has shape (..., 3), float64
+    for a real w and complex128 for a complex one.
     """
     P = sys.P
-    num = minkowski_dot(P, w) - sys.M0 * w.c4
+    w = _components(w)
+    num = minkowski_dot(P, w) - sys.M0 * w[..., 3][()]
     den = sys.M0 * (sys.M0 + P.c4)
-    return w.spatial + P.spatial * (num / den)
+    return w[..., :3] + P.spatial * _over_real(num, den)[..., None]
 
 
 def xi_jacobian(sys: BoundSystem) -> np.ndarray:
@@ -50,27 +52,19 @@ def xi_jacobian(sys: BoundSystem) -> np.ndarray:
     return jac
 
 
-def _grad_components(grad4) -> np.ndarray:
-    if isinstance(grad4, FourVector):
-        return grad4.components
-    g = np.asarray(grad4)
-    if g.shape != (4,):
-        raise ValueError("grad4 must supply four partial derivatives")
-    return g
-
-
 def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):
-    """df/dxi_i from the 4-space partials of f at a point.
+    """df/dxi_i from the 4-space partials of f, at one point or at a batch.
 
     grad4 holds the plain partials (df/dc1, ..., df/dc4) with respect to
-    the stored contravariant components; axis is 1-based. Applied to the
-    coordinate field xi_j this returns the Kronecker delta, and on fields
-    obeying the transversality condition P^mu d_mu f = 0 it agrees with
-    the reduced two-term form used by the explicit ladder operators.
+    the stored contravariant components, as a FourVector or a (..., 4)
+    array; axis is 1-based. Applied to the coordinate field xi_j this
+    returns the Kronecker delta, and on fields obeying the transversality
+    condition P^mu d_mu f = 0 it agrees with the reduced two-term form used
+    by the explicit ladder operators.
     """
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
-    g = _grad_components(grad4)
+    g = _parts(grad4)
     P = sys.P
     sp = P.spatial
     i = axis - 1

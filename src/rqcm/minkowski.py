@@ -74,24 +74,60 @@ class FourVector:
         return -1.0 * self
 
 
+def _components(w) -> np.ndarray:
+    """The (..., 4) float64 or complex128 component array of a FourVector or array-like."""
+    if isinstance(w, FourVector):
+        return w.components
+    arr = np.asarray(w)
+    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
+    if arr.ndim == 0 or arr.shape[-1] != 4:
+        raise ValueError(f"4-vectors need a trailing axis of length 4, got shape {arr.shape}")
+    return arr
+
+
+def _parts(w):
+    """The four components; numpy scalars, not slow 0-d arrays, for one 4-vector."""
+    if isinstance(w, FourVector):
+        return w.c1, w.c2, w.c3, w.c4
+    w = _components(w)
+    return w[..., 0][()], w[..., 1][()], w[..., 2][()], w[..., 3][()]
+
+
+def _complex(re, im):
+    """The complex array re + i im, assembled part by part: re + 1j * im
+    would turn some negative zeros positive."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out[()]
+
+
+def _over_real(num, den):
+    """num / den for a real den; a complex num is divided part by part, as
+    Python does, where numpy multiplies by 1/den and can differ in the last ulp."""
+    if np.asarray(num).dtype.kind != "c":
+        return num / den
+    return _complex(np.real(num) / den, np.imag(num) / den)
+
+
 def minkowski_dot(a, b):
-    """a1*b1 + a2*b2 + a3*b3 - a4*b4 for contravariant component tuples."""
-    return a.c1 * b.c1 + a.c2 * b.c2 + a.c3 * b.c3 - a.c4 * b.c4
+    """a1*b1 + a2*b2 + a3*b3 - a4*b4 of two FourVectors (a Python scalar), or
+    of contravariant components on the last axis of arrays (an array)."""
+    a1, a2, a3, a4 = _parts(a)
+    b1, b2, b3, b4 = _parts(b)
+    return a1 * b1 + a2 * b2 + a3 * b3 - a4 * b4
 
 
-def _speed_squared(v) -> float:
+def _lorentz(v) -> tuple[np.ndarray, float]:
+    """A finite, subluminal velocity as a float 3-vector, and its gamma factor."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("velocity must be a 3-vector")
     v2 = float(v @ v)
     if not v2 < math.inf:
         raise ValueError(f"velocity must be finite, got {v.tolist()}")
-    return v2
-
-
-def _check_speed(v2: float):
     if v2 >= _SPEED_LIMIT * _SPEED_LIMIT:
         raise ValueError(f"superluminal or near-luminal velocity: |v| = {math.sqrt(v2):.17g}")
+    return v, 1.0 / math.sqrt(1.0 - v2)
 
 
 def general_boost(x, v):
@@ -100,18 +136,18 @@ def general_boost(x, v):
     x'_i = x_i + gamma v_i (gamma v.x / (1 + gamma) - x4),
     x'_4 = gamma (x4 - v.x),  gamma = (1 - v^2)^(-1/2).
 
-    x may have complex components; v is real.
+    x is a FourVector, which gives a FourVector, or a real or complex
+    (..., 4) array, which gives an array of the same shape; v is real.
     """
-    v = np.asarray(v, dtype=float)
-    v2 = _speed_squared(v)
-    _check_speed(v2)
-    g = 1.0 / math.sqrt(1.0 - v2)
-    sp = x.spatial
-    vx = v[0] * sp[0] + v[1] * sp[1] + v[2] * sp[2]
-    shift = g * vx / (1.0 + g) - x.c4
-    new_sp = sp + g * v * shift
-    new_c4 = g * (x.c4 - vx)
-    return FourVector(new_sp[0], new_sp[1], new_sp[2], new_c4)
+    v, g = _lorentz(v)
+    w = _components(x)
+    w1, w2, w3, w4 = _parts(w)
+    vx = v[0] * w1 + v[1] * w2 + v[2] * w3
+    shift = g * vx / (1.0 + g) - w4
+    out = np.empty_like(w)
+    out[..., :3] = w[..., :3] + g * v * shift[..., None]
+    out[..., 3] = g * (w4 - vx)
+    return FourVector.from_components(out.tolist()) if isinstance(x, FourVector) else out
 
 
 def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> float:
@@ -177,10 +213,7 @@ def on_shell_momentum(M0: float, v) -> FourVector:
     """Total momentum (gamma M0 v, gamma M0) of a system of mass M0 moving with v."""
     if not 0.0 < M0 < math.inf:
         raise ValueError(f"M0 must be positive and finite, got {M0!r}")
-    v = np.asarray(v, dtype=float)
-    v2 = _speed_squared(v)
-    _check_speed(v2)
-    g = 1.0 / math.sqrt(1.0 - v2)
+    v, g = _lorentz(v)
     return FourVector(g * M0 * v[0], g * M0 * v[1], g * M0 * v[2], g * M0)
 
 

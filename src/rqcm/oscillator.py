@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraint import constraint_coordinates, xi_jacobian
-from .minkowski import BoundSystem, FourVector, bound_system, minkowski_dot, reduced_mass
+from .minkowski import (BoundSystem, _complex, _components, bound_system, minkowski_dot,
+                        reduced_mass)
 
 # Highest admissible 1D quantum number.
 MAX_LEVEL = 64
@@ -164,55 +165,72 @@ def states_up_to(max_n: int, omega: float, m1: float, m2: float,
             for n in range(max_n + 1) for q in quantum_numbers_at_level(n)]
 
 
-def _phase(state: OscillatorState, X) -> complex:
+# Each psi_* takes FourVectors, which give a Python complex, or (..., 4)
+# arrays of points and centre-of-mass positions X, which broadcast to a
+# (...) array; X = None omits the phase.
+
+def _phase(state: OscillatorState, X):
     if X is None:
         return 1.0 + 0.0j
-    return complex(np.exp(1j * minkowski_dot(state.sys.P, X)))
+    return np.exp(1j * minkowski_dot(state.sys.P, X))
 
 
-def psi_position(state: OscillatorState, x: FourVector, X: FourVector | None = None) -> complex:
+def _product(a, b):
+    """a * b, multiplying two complex operands by the textbook formula:
+    numpy's vectorised complex multiply may fuse a multiply and an add, and
+    then a batch differs from its rows, and from Python, in the last ulp."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    return _complex(np.real(a) * np.real(b) - np.imag(a) * np.imag(b),
+                    np.real(a) * np.imag(b) + np.imag(a) * np.real(b))
+
+
+def _scalar(value):
+    """A 0-d result as a Python complex, the type a single FourVector gives."""
+    return value if np.ndim(value) else complex(value)
+
+
+def _separable(factor, state: OscillatorState, w, X):
+    c = constraint_coordinates(w, state.sys)
+    return _scalar(_profile(factor, state)(c[..., 0], c[..., 1], c[..., 2]) * _phase(state, X))
+
+
+def psi_position(state: OscillatorState, x, X=None):
     """Position-representation wave function phi(xi_1) phi(xi_2) phi(xi_3) exp(i P.X)."""
-    xi = constraint_coordinates(x, state.sys)
-    q = state.q
-    val = (phi_1d(q.l1, state.omega, xi[0])
-           * phi_1d(q.l2, state.omega, xi[1])
-           * phi_1d(q.l3, state.omega, xi[2]))
-    return val * _phase(state, X)
+    return _separable(phi_1d, state, x, X)
 
 
-def psi_momentum(state: OscillatorState, p: FourVector, X: FourVector | None = None) -> complex:
+def psi_momentum(state: OscillatorState, p, X=None):
     """Momentum-representation wave function, the product of momentum factors times exp(i P.X)."""
-    pi = constraint_coordinates(p, state.sys)
-    q = state.q
-    val = (phi_1d_momentum(q.l1, state.omega, pi[0])
-           * phi_1d_momentum(q.l2, state.omega, pi[1])
-           * phi_1d_momentum(q.l3, state.omega, pi[2]))
-    return val * _phase(state, X)
+    return _separable(phi_1d_momentum, state, p, X)
 
 
-def psi_bargmann(state: OscillatorState, a: FourVector,
-                 X: FourVector | None = None) -> complex:
+def psi_bargmann(state: OscillatorState, a, X=None):
     """Bargmann-representation wave function alpha1^l1 alpha2^l2 alpha3^l3 / sqrt(l1! l2! l3!) exp(i P.X)."""
     al = constraint_coordinates(a, state.sys)
     q = state.q
     norm = math.sqrt(math.factorial(q.l1) * math.factorial(q.l2) * math.factorial(q.l3))
-    return (al[0] ** q.l1) * (al[1] ** q.l2) * (al[2] ** q.l3) / norm * _phase(state, X)
+    mono = _product(_product(al[..., 0] ** q.l1, al[..., 1] ** q.l2), al[..., 2] ** q.l3)
+    return _scalar(_product(mono / norm, _phase(state, X)))
 
 
-def psi_position_gradient(state: OscillatorState, x: FourVector,
-                          X: FourVector | None = None) -> np.ndarray:
-    """Closed-form partials (dpsi/dc1, ..., dpsi/dc4) of psi_position at x."""
+def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
+    """Closed-form partials (dpsi/dc1, ..., dpsi/dc4) of psi_position at x, shape (..., 4)."""
     xi = constraint_coordinates(x, state.sys)
     ls = state.q.as_tuple()
-    vals = [phi_1d(ls[k], state.omega, xi[k]) for k in range(3)]
-    ders = [phi_1d_derivative(ls[k], state.omega, xi[k]) for k in range(3)]
-    grad_xi = np.array([ders[0] * vals[1] * vals[2],
+    vals = [phi_1d(ls[k], state.omega, xi[..., k]) for k in range(3)]
+    ders = [phi_1d_derivative(ls[k], state.omega, xi[..., k]) for k in range(3)]
+    grad_xi = np.stack([ders[0] * vals[1] * vals[2],
                         vals[0] * ders[1] * vals[2],
-                        vals[0] * vals[1] * ders[2]])
-    return (grad_xi @ xi_jacobian(state.sys)) * _phase(state, X)
+                        vals[0] * vals[1] * ders[2]], axis=-1)
+    # one vector-matrix product per point: a plain 2-D @ rounds differently
+    grad = np.matmul(grad_xi[..., None, :], xi_jacobian(state.sys))[..., 0, :]
+    return grad * np.asarray(_phase(state, X))[..., None]
 
 
-def _ladder_sign(direction: str) -> int:
+def _ladder_sign(direction: str, axis: int) -> int:
+    if axis not in (1, 2, 3):
+        raise ValueError("axis must be 1, 2 or 3")
     if direction == "raise":
         return +1
     if direction == "lower":
@@ -227,9 +245,7 @@ def ladder_apply(direction: str, axis: int, state: OscillatorState):
     is 0.0 and the state slot holds None. The new state's system keeps the
     velocity and gets the eigenvalue of the new level.
     """
-    sign = _ladder_sign(direction)
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
+    sign = _ladder_sign(direction, axis)
     li = state.q.as_tuple()[axis - 1]
     if sign < 0:
         if li == 0:
@@ -245,7 +261,7 @@ def ladder_apply(direction: str, axis: int, state: OscillatorState):
 
 
 def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSystem,
-                          x: FourVector, value, grad4) -> complex:
+                          x, value, grad4):
     """Explicit 4-space ladder operator applied to a field value and gradient at x.
 
     Derivative part: the constraint-space derivative reduced with the
@@ -253,19 +269,17 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     Multiplicative part: Omega xi_i(x). Valid for fields satisfying
     P^mu d_mu f = 0; oscillator eigenfunctions do.
     """
-    sign = _ladder_sign(direction)
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
+    sign = _ladder_sign(direction, axis)
     g = np.asarray(grad4)
     P = sys.P
     i = axis - 1
-    d_xi = g[i] + (P.spatial[i] / (sys.M0 + P.c4)) * g[3]
-    xi_i = constraint_coordinates(x, sys)[i]
+    d_xi = g[..., i] + (P.spatial[i] / (sys.M0 + P.c4)) * g[..., 3]
+    xi_i = constraint_coordinates(x, sys)[..., i]
     return (-sign * d_xi + omega * xi_i * value) / math.sqrt(2.0 * omega)
 
 
 def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: BoundSystem,
-                             x: FourVector, value, grad4) -> complex:
+                             x, value, grad4):
     """Same operator assembled from the four flat-space ladder components.
 
     Each component is (-+ d^mu + Omega x^mu)/sqrt(2 Omega) on contravariant
@@ -273,57 +287,47 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     combined with the constraint-coordinate map applied to the component
     values. Agrees with ladder_explicit_value on transversal fields.
     """
-    sign = _ladder_sign(direction)
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
+    sign = _ladder_sign(direction, axis)
     g = np.asarray(grad4)
-    d_contra = np.array([g[0], g[1], g[2], -g[3]])
-    a_mu = (-sign * d_contra + omega * x.components * value) / math.sqrt(2.0 * omega)
+    d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
+    a_mu = ((-sign * d_contra + omega * _components(x) * np.expand_dims(value, -1))
+            / math.sqrt(2.0 * omega))
     P = sys.P
-    sp = P.spatial
-    pa = sp[0] * a_mu[0] + sp[1] * a_mu[1] + sp[2] * a_mu[2] - P.c4 * a_mu[3]
+    pa = minkowski_dot(P, a_mu)
     i = axis - 1
-    return a_mu[i] + sp[i] * (pa - sys.M0 * a_mu[3]) / (sys.M0 * (sys.M0 + P.c4))
+    return a_mu[..., i] + P.spatial[i] * (pa - sys.M0 * a_mu[..., 3]) / (sys.M0 * (sys.M0 + P.c4))
 
 
 def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState,
-                          x: FourVector, X: FourVector | None = None,
-                          gradient=None) -> complex:
+                          x, X=None, gradient=None):
     """Evaluate the explicit ladder operator on the state's wave function at x.
 
-    gradient=None uses the closed-form gradient; otherwise gradient must be
-    a callable (field, x) -> length-4 array of partials, e.g. the finite
-    difference engine from the verify module. The result equals
-    coefficient * psi_new(x) of ladder_apply, with the centre-of-mass phase
-    of the original state.
+    x is a FourVector or a (..., 4) array of points. gradient=None uses the
+    closed-form gradient; otherwise gradient must be a callable
+    (field, x) -> (..., 4) array of partials, e.g. the finite difference
+    engine from the verify module; field takes stacked points. The result
+    equals coefficient * psi_new(x) of ladder_apply, with the centre-of-mass
+    phase of the original state.
     """
     value = psi_position(state, x, X)
     if gradient is None:
         grad4 = psi_position_gradient(state, x, X)
     else:
-        field = lambda pt: psi_position(state, pt, X)
-        grad4 = gradient(field, x)
+        grad4 = gradient(lambda pt: psi_position(state, pt, X), x)
     return ladder_explicit_value(direction, axis, state.omega, state.sys, x, value, grad4)
+
+
+def _profile(factor, state: OscillatorState):
+    ls = state.q.as_tuple()
+    om = state.omega
+    return lambda x1, x2, x3: factor(ls[0], om, x1) * factor(ls[1], om, x2) * factor(ls[2], om, x3)
 
 
 def position_profile(state: OscillatorState):
     """Vectorised (xi1, xi2, xi3) -> product of position factors, phase omitted."""
-    ls = state.q.as_tuple()
-    om = state.omega
-
-    def profile(x1, x2, x3):
-        return phi_1d(ls[0], om, x1) * phi_1d(ls[1], om, x2) * phi_1d(ls[2], om, x3)
-
-    return profile
+    return _profile(phi_1d, state)
 
 
 def momentum_profile(state: OscillatorState):
     """Vectorised (pi1, pi2, pi3) -> product of momentum factors, phase omitted."""
-    ls = state.q.as_tuple()
-    om = state.omega
-
-    def profile(p1, p2, p3):
-        return (phi_1d_momentum(ls[0], om, p1) * phi_1d_momentum(ls[1], om, p2)
-                * phi_1d_momentum(ls[2], om, p3))
-
-    return profile
+    return _profile(phi_1d_momentum, state)

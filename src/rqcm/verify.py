@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constraint, minkowski, oscillator, transforms
-from .minkowski import FourVector, bound_system, minkowski_dot, reduced_mass, rest_mass
+from .minkowski import (FourVector, _components, _over_real, bound_system, minkowski_dot,
+                        reduced_mass, rest_mass)
 from .oscillator import (OscillatorState, ladder_apply, ladder_apply_explicit,
                          ladder_explicit_4d_value, ladder_explicit_value,
                          oscillator_state, psi_position, states_up_to)
@@ -30,52 +31,70 @@ DEFAULT_H_SECOND = 1e-5
 
 # ---------------------------------------------------------------------------
 # finite-difference engine
+#
+# Each function takes a FourVector or a (..., 4) array of points and calls
+# field once, on the whole stencil stacked as a (..., k, 4) array; field
+# returns the (..., k) values. Steps scale as h * max(1, |component|).
 
-def finite_difference_gradient4(field, x: FourVector, h: float = DEFAULT_H_FIRST) -> np.ndarray:
+def _axis_steps(x: np.ndarray, h: float) -> np.ndarray:
+    return h * np.maximum(1.0, np.abs(x))
+
+
+def _direction_step(x: np.ndarray, h: float) -> np.ndarray:
+    return h * np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True))
+
+
+def finite_difference_gradient4(field, x, h: float = DEFAULT_H_FIRST) -> np.ndarray:
     """Central-difference partials of a scalar field at x, error O(h^2).
 
-    Steps scale as h * max(1, |component|); the result is complex when the
-    field is.
+    Shape (..., 4), from one call on the 8-point stencil; the result is
+    complex when the field is.
     """
-    comps = x.components
-    out = []
-    for mu in range(4):
-        step = h * max(1.0, abs(comps[mu]))
-        up = comps.copy(); up[mu] += step
-        dn = comps.copy(); dn[mu] -= step
-        out.append((field(FourVector.from_components(up))
-                    - field(FourVector.from_components(dn))) / (2.0 * step))
-    return np.asarray(out)
+    x = _components(x)
+    step = _axis_steps(x, h)
+    shift = step[..., None] * np.eye(4)
+    f = field(np.concatenate([x[..., None, :] + shift, x[..., None, :] - shift], axis=-2))
+    return _over_real(f[..., :4] - f[..., 4:], 2.0 * step)
 
 
-def finite_difference_second4(field, x: FourVector, mu: int,
-                              h: float = DEFAULT_H_SECOND):
+def _second_differences(field, x: np.ndarray, directions: np.ndarray, steps: np.ndarray):
+    """Central second differences along each row of directions (k, 4) with
+    steps (..., k), from one call on the (..., 2k + 1, 4) stencil; returns
+    them, shape (..., k), and the centre value, shape (...)."""
+    k = len(directions)
+    centre = x[..., None, :]
+    shift = steps[..., None] * directions
+    f = field(np.concatenate([centre, centre + shift, centre - shift], axis=-2))
+    f0 = f[..., :1]
+    d2 = _over_real(f[..., 1:k + 1] - 2.0 * f0 + f[..., k + 1:], steps * steps)
+    return d2, f[..., 0]
+
+
+def _wave(d2: np.ndarray):
+    """Spatial second derivatives minus the time one, in that order."""
+    return d2[..., 0] + d2[..., 1] + d2[..., 2] - d2[..., 3]
+
+
+def finite_difference_second4(field, x, mu: int, h: float = DEFAULT_H_SECOND):
     """Central second difference along one stored component."""
-    comps = x.components
-    step = h * max(1.0, abs(comps[mu]))
-    up = comps.copy(); up[mu] += step
-    dn = comps.copy(); dn[mu] -= step
-    return (field(FourVector.from_components(up)) - 2.0 * field(x)
-            + field(FourVector.from_components(dn))) / (step * step)
+    x = _components(x)
+    d2, _ = _second_differences(field, x, np.eye(4)[[mu]], _axis_steps(x, h)[..., [mu]])
+    return d2[..., 0][()]
 
 
-def finite_difference_directional2(field, x: FourVector, direction,
-                                   h: float = DEFAULT_H_SECOND):
+def finite_difference_directional2(field, x, direction, h: float = DEFAULT_H_SECOND):
     """Second derivative along a 4-direction in component space."""
-    d = np.asarray(direction, dtype=float)
-    step = h * max(1.0, float(np.max(np.abs(x.components))))
-    up = FourVector.from_components(x.components + step * d)
-    dn = FourVector.from_components(x.components - step * d)
-    return (field(up) - 2.0 * field(x) + field(dn)) / (step * step)
+    x = _components(x)
+    d = np.asarray(direction, dtype=float).reshape(1, 4)
+    d2, _ = _second_differences(field, x, d, _direction_step(x, h))
+    return d2[..., 0][()]
 
 
-def box4(field, x: FourVector, h: float = DEFAULT_H_SECOND):
+def box4(field, x, h: float = DEFAULT_H_SECOND):
     """Wave operator: spatial second derivatives minus the time one."""
-    total = 0.0
-    for mu in range(4):
-        d2 = finite_difference_second4(field, x, mu, h)
-        total = total + (d2 if mu < 3 else -d2)
-    return total
+    x = _components(x)
+    d2, _ = _second_differences(field, x, np.eye(4), _axis_steps(x, h))
+    return _wave(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +180,6 @@ def _draw_velocity(rng, vmax: float) -> np.ndarray:
     return rng.uniform(0.0, vmax) * direction
 
 
-def _draw_vector(rng) -> FourVector:
-    return FourVector.from_components(rng.uniform(-2.0, 2.0, 4))
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -188,23 +203,19 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     cases = []
     for trial in range(trials):
         sys_a = _draw_system(rng, vmax)
-        x = _draw_vector(rng)
-        p = _draw_vector(rng)
+        xp = rng.uniform(-2.0, 2.0, (2, 4))  # a position, then a momentum
         v = _draw_velocity(rng, vmax)
         sys_b = sys_a.boosted(v)
-        xb = minkowski.general_boost(x, v)
-        pb = minkowski.general_boost(p, v)
-        xi_a = constraint.constraint_coordinates(x, sys_a).tolist()
-        xi_b = constraint.constraint_coordinates(xb, sys_b).tolist()
-        pi_a = constraint.constraint_coordinates(p, sys_a).tolist()
-        pi_b = constraint.constraint_coordinates(pb, sys_b).tolist()
+        xi_a, pi_a = constraint.constraint_coordinates(xp, sys_a).tolist()
+        xi_b, pi_b = constraint.constraint_coordinates(minkowski.general_boost(xp, v),
+                                                       sys_b).tolist()
         for name, a, b in (("xi_sq", _dot3(xi_a, xi_a), _dot3(xi_b, xi_b)),
                            ("pi_sq", _dot3(pi_a, pi_a), _dot3(pi_b, pi_b)),
                            ("xi_dot_pi", _dot3(xi_a, pi_a), _dot3(xi_b, pi_b))):
             cases.append(CaseRecord(name, {"trial": trial}, b, a,
                                     "frame-invariant combination", 1e-9))
-        for name, w in (("perp_x", x), ("perp_p", p)):
-            perp = minkowski.perp_projection(w, sys_a.P, sys_a.M0)
+        for name, w in zip(("perp_x", "perp_p"), xp.tolist()):
+            perp = minkowski.perp_projection(FourVector.from_components(w), sys_a.P, sys_a.M0)
             resid = abs(minkowski_dot(sys_a.P, perp))
             scale = max(float(np.linalg.norm(sys_a.P.components))
                         * float(np.linalg.norm(perp.components)), 1.0)
@@ -213,7 +224,7 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     return VerificationReport("invariance", 1e-9, cases, [f"seed={seed}", f"vmax={vmax}"])
 
 
-def _phi_second(l: int, omega: float, xi: float) -> float:
+def _phi_second(l: int, omega: float, xi):
     """Second derivative of the 1D position factor from the recurrence algebra.
 
     phi_l'' = Omega [ sqrt(l(l-1))/2 phi_{l-2} - (2l+1)/2 phi_l
@@ -228,38 +239,41 @@ def _phi_second(l: int, omega: float, xi: float) -> float:
     return omega ** 1.25 * (down - mid + up)
 
 
-def _internal_residual(om: float, xi, lap_xi, psi, sigma_used: float) -> tuple[float, float]:
+def _internal_residual(om: float, xi, lap_xi, psi, sigma_used: float):
     """(-sum d2/dxi2 + Omega^2 xi^2 - 2 sigma) psi from the Laplacian and
-    the value at xi; returns (residual, |2 sigma psi|)."""
-    resid = -lap_xi + om * om * float(xi @ xi) * psi - 2.0 * sigma_used * psi
-    return resid, abs(2.0 * sigma_used * psi)
+    the value at xi (..., 3); returns (residual, |2 sigma psi|), each (...)."""
+    # rounds as xi @ xi does for one point; a sum over the last axis need not
+    xi2 = np.matmul(xi[..., None, :], xi[..., :, None])[..., 0, 0]
+    resid = -lap_xi + om * om * xi2 * psi - 2.0 * sigma_used * psi
+    return resid, np.abs(2.0 * sigma_used * psi)
 
 
-def _internal_residual_analytic(state: OscillatorState, x: FourVector,
-                                sigma_used: float) -> tuple[float, float]:
+def _internal_residual_analytic(state: OscillatorState, x, sigma_used: float):
     """The residual with closed-form second derivatives of the 1D factors."""
     xi = constraint.constraint_coordinates(x, state.sys)
     om = state.omega
     ls = state.q.as_tuple()
-    vals = [oscillator.phi_1d(ls[k], om, xi[k]) for k in range(3)]
-    secs = [_phi_second(ls[k], om, xi[k]) for k in range(3)]
+    vals = [oscillator.phi_1d(ls[k], om, xi[..., k]) for k in range(3)]
+    secs = [_phi_second(ls[k], om, xi[..., k]) for k in range(3)]
     psi = vals[0] * vals[1] * vals[2]
     lap = (secs[0] * vals[1] * vals[2] + vals[0] * secs[1] * vals[2]
            + vals[0] * vals[1] * secs[2])
     return _internal_residual(om, xi, lap, psi, sigma_used)
 
 
-def _internal_residual_fd(state: OscillatorState, x: FourVector, sigma_used: float,
-                          h: float = DEFAULT_H_SECOND) -> tuple[float, float]:
+def _internal_residual_fd(state: OscillatorState, x, sigma_used: float,
+                          h: float = DEFAULT_H_SECOND):
     """The residual with the constraint-space Laplacian reduced to 4-space
-    finite differences: sum d2/dxi2 = box - (P^mu d_mu / M0)^2."""
+    finite differences: sum d2/dxi2 = box - (P^mu d_mu / M0)^2. box4's
+    stencil and the directional one share their centre: one field call."""
     sys = state.sys
-    field_fn = lambda pt: psi_position(state, pt).real
-    lap4 = box4(field_fn, x, h)
-    direction = sys.P.components / sys.M0
-    dir2 = finite_difference_directional2(field_fn, x, direction, h)
+    x = _components(x)
+    directions = np.vstack([np.eye(4), sys.P.components / sys.M0])
+    steps = np.concatenate([_axis_steps(x, h), _direction_step(x, h)], axis=-1)
+    d2, psi = _second_differences(lambda pt: psi_position(state, pt).real, x,
+                                  directions, steps)
     xi = constraint.constraint_coordinates(x, sys)
-    return _internal_residual(state.omega, xi, lap4 - dir2, field_fn(x), sigma_used)
+    return _internal_residual(state.omega, xi, _wave(d2) - d2[..., 4], psi, sigma_used)
 
 
 def _draw_states(rng, max_n: int, moving: bool) -> list[OscillatorState]:
@@ -292,12 +306,9 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
     for idx, state in enumerate(states):
         sys = state.sys
         sigma_used = state.sigma + sigma_perturb * state.omega
-        resids = []
-        for _ in range(points):
-            x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
-            resids.append(residual(state, x, sigma_used))
-        scale = max(max(s for _, s in resids), 1e-30)
-        for k, (r, _) in enumerate(resids):
+        resids, scales = residual(state, rng.uniform(-1.5, 1.5, (points, 4)), sigma_used)
+        scale = max(np.max(scales), 1e-30)
+        for k, r in enumerate(resids):
             cases.append(CaseRecord("internal_equation",
                                     {"state": idx, "point": k, "mode": mode},
                                     r / scale, 0.0, "internal oscillator equation", tol))
@@ -307,23 +318,21 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
                                     -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
                                     "plane-wave phase, exact", tol))
         else:
-            x = FourVector.from_components(rng.uniform(-1.0, 1.0, 4))
-            base = psi_position(state, x)
-            phase_fn = lambda X: complex(np.exp(1j * minkowski_dot(sys.P, X))) * base
-            X0 = FourVector.from_components(rng.uniform(-2.0, 2.0, 4))
+            base = psi_position(state, rng.uniform(-1.0, 1.0, 4))
+            phase_fn = lambda X: np.exp(1j * minkowski_dot(sys.P, X)) * base
+            X0 = rng.uniform(-2.0, 2.0, 4)
             lap = box4(phase_fn, X0, 1e-4)
             want = sys.M0 ** 2 * phase_fn(X0)
             cases.append(CaseRecord("cm_wave", {"state": idx},
                                     abs(lap - want) / max(abs(want), 1.0), 0.0,
                                     "plane-wave phase, finite differences", tol))
         # transversality of the internal factor
-        for k in range(3):
-            x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
-            field_fn = lambda pt: psi_position(state, pt).real
-            if mode == "analytic":
-                grad = oscillator.psi_position_gradient(state, x).real
-            else:
-                grad = finite_difference_gradient4(field_fn, x)
+        xs = rng.uniform(-1.5, 1.5, (3, 4))
+        if mode == "analytic":
+            grads = oscillator.psi_position_gradient(state, xs).real
+        else:
+            grads = finite_difference_gradient4(lambda pt: psi_position(state, pt).real, xs)
+        for k, grad in enumerate(grads):
             contraction = float(sys.P.spatial @ grad[:3] + sys.P.c4 * grad[3])
             scale = max(float(np.linalg.norm(sys.P.components))
                         * float(np.linalg.norm(grad)), 1e-3)
@@ -339,23 +348,28 @@ def _constrained_test_field(sys, coeffs):
     decomposition checks. coeffs parameterises a polynomial-Gaussian bump."""
     c0, c1, c2, c3 = coeffs
 
-    def value(x: FourVector) -> float:
+    def value(x):
         k = constraint.constraint_coordinates(x, sys)
-        poly = c0 + c1 * k[0] + c2 * k[1] * k[2] + c3 * k[0] * k[2]
-        return math.exp(-0.5 * float(k @ k)) * poly
+        poly = c0 + c1 * k[..., 0] + c2 * k[..., 1] * k[..., 2] + c3 * k[..., 0] * k[..., 2]
+        # math.exp per point keeps the report bits; np.exp can differ in the last ulp
+        gauss = [math.exp(-0.5 * float(kk @ kk)) for kk in k.reshape(-1, 3)]
+        return np.reshape(gauss, np.shape(poly)) * poly
 
     return value
 
 
 def _decomposition_cases(check: str, inputs: dict, provenance: str, omega: float,
-                         sys, x: FourVector, value, grad):
-    """The explicit ladder operator against its flat 4-space decomposition,
-    one case per axis and direction (tolerance 1e-5)."""
-    for axis in (1, 2, 3):
-        for direction in ("lower", "raise"):
-            a = ladder_explicit_value(direction, axis, omega, sys, x, value, grad)
-            b = ladder_explicit_4d_value(direction, axis, omega, sys, x, value, grad)
-            yield CaseRecord(check, {**inputs, "axis": axis}, abs(a - b), 0.0,
+                         sys, x, value, grad):
+    """The explicit ladder operator against its flat 4-space decomposition at
+    one point or a batch (n, 4), one case per point, axis and direction
+    (tolerance 1e-5)."""
+    diffs = [np.reshape(ladder_explicit_value(direction, axis, omega, sys, x, value, grad)
+                        - ladder_explicit_4d_value(direction, axis, omega, sys, x, value, grad),
+                        -1)
+             for axis in (1, 2, 3) for direction in ("lower", "raise")]
+    for row in zip(*diffs):
+        for j, diff in enumerate(row):
+            yield CaseRecord(check, {**inputs, "axis": j // 2 + 1}, abs(diff), 0.0,
                              provenance, 1e-5)
 
 
@@ -372,23 +386,20 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
         for axis in (1, 2, 3):
             for direction in ("lower", "raise"):
                 coeff, new_state = ladder_apply(direction, axis, state)
-                samples = []
-                for _ in range(points):
-                    x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
-                    got = ladder_apply_explicit(direction, axis, state, x,
-                                                gradient=finite_difference_gradient4)
-                    want = 0.0 if new_state is None else coeff * psi_position(new_state, x)
-                    samples.append((got, want))
+                xs = rng.uniform(-1.5, 1.5, (points, 4))
+                gots = ladder_apply_explicit(direction, axis, state, xs,
+                                             gradient=finite_difference_gradient4)
                 if new_state is None:
-                    for k, (got, _) in enumerate(samples):
+                    for k, got in enumerate(gots):
                         cases.append(CaseRecord("annihilation",
                                                 {"state": idx, "axis": axis, "point": k},
                                                 abs(got), 0.0,
                                                 "lowering the ground level gives zero",
                                                 1e-8))
                 else:
-                    scale = max(max(abs(w) for _, w in samples), 1e-3)
-                    for k, (got, want) in enumerate(samples):
+                    wants = coeff * psi_position(new_state, xs)
+                    scale = max(max(abs(w) for w in wants), 1e-3)
+                    for k, (got, want) in enumerate(zip(gots, wants)):
                         cases.append(CaseRecord(
                             f"explicit_{direction}",
                             {"state": idx, "axis": axis, "point": k},
@@ -411,19 +422,16 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
                                 state.omega * (number + 1.5), state.sigma,
                                 "number operator plus zero point", 1e-12))
         # decomposition into flat 4-space ladder components, on the state itself
-        for _ in range(3):
-            x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
-            value = psi_position(state, x)
-            grad = oscillator.psi_position_gradient(state, x)
-            cases.extend(_decomposition_cases(
-                "decomposition_state", {"state": idx},
-                "4-space decomposition on eigenstates", state.omega, state.sys,
-                x, value, grad))
+        xs = rng.uniform(-1.5, 1.5, (3, 4))
+        cases.extend(_decomposition_cases(
+            "decomposition_state", {"state": idx},
+            "4-space decomposition on eigenstates", state.omega, state.sys,
+            xs, psi_position(state, xs), oscillator.psi_position_gradient(state, xs)))
     # decomposition on generic transversal fields, finite-difference gradients
     sys = _draw_system(rng, 0.9)
     for k in range(20):
         fld = _constrained_test_field(sys, rng.uniform(-1.0, 1.0, 4))
-        x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
+        x = rng.uniform(-1.5, 1.5, 4)
         value = fld(x)
         grad = finite_difference_gradient4(fld, x)
         cases.extend(_decomposition_cases(
@@ -460,16 +468,16 @@ def run_nr_limit_suite(mass_pairs=None, seed: int = 0) -> VerificationReport:
     m1, m2, w_nr = 1.0, 1.3, 0.7
     om = oscillator.nr_spring_constant(m1, m2, w_nr)
     state = oscillator_state((1, 0, 0), om, m1, m2)
-    rng2 = np.random.default_rng(seed + 1)
-    for k in range(5):
-        x = FourVector.from_components(rng2.uniform(-1.0, 1.0, 4))
-        value = psi_position(state, x)
-        grad = oscillator.psi_position_gradient(state, x)
-        for direction, sgn in (("raise", +1), ("lower", -1)):
-            got = ladder_explicit_value(direction, 1, om, state.sys, x, value, grad)
-            schrod = (-sgn * grad[0] + om * x.c1 * value) / math.sqrt(2.0 * om)
+    xs = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (5, 4))
+    values = psi_position(state, xs)
+    grads = oscillator.psi_position_gradient(state, xs)
+    diffs = {direction: ladder_explicit_value(direction, 1, om, state.sys, xs, values, grads)
+             - (-sgn * grads[:, 0] + om * xs[:, 0] * values) / math.sqrt(2.0 * om)
+             for direction, sgn in (("raise", +1), ("lower", -1))}
+    for k in range(len(xs)):
+        for direction, diff in diffs.items():
             cases.append(CaseRecord("schrodinger_form", {"point": k, "direction": direction},
-                                    abs(got - schrod), 0.0,
+                                    abs(diff[k]), 0.0,
                                     "rest-frame operator vs Schroedinger ladder", 1e-12))
     return VerificationReport("nr-limit", 0.5, cases, [f"seed={seed}", f"sigma0={sigma0}"])
 

@@ -69,7 +69,7 @@ def test_criterion_04_jacobian_identity():
         x = FourVector.from_components(rng.uniform(-2, 2, 4))
         jac = xi_jacobian(sys)
         for j in range(3):
-            field = lambda pt, j=j: constraint_coordinates(pt, sys)[j]
+            field = lambda pt, j=j: constraint_coordinates(pt, sys)[..., j]
             grad_fd = verify.finite_difference_gradient4(field, x)
             for i in (1, 2, 3):
                 want = 1.0 if i - 1 == j else 0.0

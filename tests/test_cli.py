@@ -193,6 +193,20 @@ def test_mistyped_config_values_are_usage_errors(tmp_path, capsys, command, conf
     assert out == ""
 
 
+# JSON integers of 401 digits: too large for a float
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", {"m1": 10 ** 400}),
+    ("eval", {"grid": {"min": -10 ** 400}}),
+], ids=["spectrum m1", "eval grid.min"])
+def test_integers_beyond_float_range_are_usage_errors(tmp_path, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_transform_momentum_matches_closed_form(capsys):
     code, out, _ = run_cli(capsys, "transform", "--l", "1", "0", "0", "--to", "momentum",
                            "--grid-min", "-2", "--grid-max", "2", "--samples", "9")

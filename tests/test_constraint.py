@@ -122,7 +122,7 @@ def test_directional_derivative_finite_difference():
         sys = _random_system(rng)
         x = FourVector.from_components(rng.uniform(-2, 2, 4))
         for j in range(3):
-            field = lambda pt, j=j: constraint_coordinates(pt, sys)[j]
+            field = lambda pt, j=j: constraint_coordinates(pt, sys)[..., j]
             grad = finite_difference_gradient4(field, x)
             for i in (1, 2, 3):
                 got = xi_directional_derivative(grad, i, sys)
@@ -145,7 +145,7 @@ def test_directional_derivative_of_xi_squared():
 
     def field(pt):
         k = constraint_coordinates(pt, sys)
-        return float(k @ k)
+        return np.sum(k * k, axis=-1)
 
     grad_fd = finite_difference_gradient4(field, x)
     grad_analytic = 2.0 * (xi @ xi_jacobian(sys))
@@ -214,7 +214,7 @@ def test_second_derivative_reduction_on_transversal_fields():
 
         def field(pt):
             k = constraint_coordinates(pt, sys)
-            return math.exp(-0.5 * float(k @ k)) * (c0 + c1 * k[0])
+            return np.exp(-0.5 * np.sum(k * k, axis=-1)) * (c0 + c1 * k[..., 0])
 
         def xi_laplacian(k):
             r2 = float(k @ k)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rqcm.constraint import constraint_coordinates, xi_jacobian
-from rqcm.minkowski import FourVector, bound_system, minkowski_dot, on_shell_momentum
+from rqcm.minkowski import FourVector, bound_system, on_shell_momentum
 from rqcm.oscillator import oscillator_state
 from rqcm import verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
@@ -20,14 +20,15 @@ from rqcm.verify import (CaseRecord, VerificationReport, box4,
 
 def test_gradient_of_linear_field():
     P = on_shell_momentum(2.0, (0.3, -0.1, 0.5))
-    field = lambda x: minkowski_dot(P, x)
+    field = lambda x: P.c1 * x[..., 0] + P.c2 * x[..., 1] + P.c3 * x[..., 2] - P.c4 * x[..., 3]
     got = finite_difference_gradient4(field, FourVector(0.2, 0.7, -1.1, 0.4))
     want = np.array([P.c1, P.c2, P.c3, -P.c4])
     np.testing.assert_allclose(got, want, atol=1e-8)
 
 
 def test_gradient_of_constant_field():
-    got = finite_difference_gradient4(lambda x: 3.25, FourVector(1, 2, 3, 4))
+    got = finite_difference_gradient4(lambda x: np.full(x.shape[:-1], 3.25),
+                                      FourVector(1, 2, 3, 4))
     np.testing.assert_array_equal(got, np.zeros(4))
 
 
@@ -37,7 +38,7 @@ def test_gradient_of_invariant_norm_field():
 
     def field(pt):
         k = constraint_coordinates(pt, sys)
-        return float(k @ k)
+        return np.sum(k * k, axis=-1)
 
     got = finite_difference_gradient4(field, x)
     want = 2.0 * (constraint_coordinates(x, sys) @ xi_jacobian(sys))
@@ -67,13 +68,13 @@ def test_first_differences_quadratic_scaling():
 
 
 def test_directional_second_derivative():
-    f = lambda x: (x.c1 + 2 * x.c4) ** 2
+    f = lambda x: (x[..., 0] + 2 * x[..., 3]) ** 2
     got = finite_difference_directional2(f, FourVector(0.3, 0, 0, -0.2), (1, 0, 0, 1))
     assert abs(got - 2 * 9.0) < 1e-5  # (d/dt)^2 (t + 2t + c)^2 = 2*3^2
 
 
 def test_box_of_interval_field():
-    f = lambda x: minkowski_dot(x, x)
+    f = lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2 - x[..., 3] ** 2
     got = box4(f, FourVector(0.3, -0.5, 0.2, 0.9))
     assert abs(got - 8.0) < 1e-5  # spatial seconds 2+2+2, minus the time second -2
 
