@@ -24,10 +24,9 @@ from .oscillator import (QuantumNumbers, OscillatorState, phi_1d,
 from .transforms import (QuadratureRule, gauss_hermite, rescaled_nodes,
                          normalization_integral, overlap_integral,
                          fourier_forward, fourier_inverse, fourier_forward1d,
-                         fourier_inverse1d, bargmann_transform,
-                         bargmann_transform3, bargmann_of_state,
+                         bargmann_transform, bargmann_of_state,
                          fourier_of_state, trust_momentum,
-                         momentum_quadrature, InsufficientOrderWarning)
+                         InsufficientOrderWarning)
 from .verify import (VerificationReport, CaseRecord,
                      finite_difference_gradient4, run_invariance_suite,
                      run_pde_suite, run_ladder_suite, run_nr_limit_suite,

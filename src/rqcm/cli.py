@@ -223,8 +223,7 @@ def cmd_transform(args) -> int:
     # target -> (numeric transform of one factor, its closed form, coordinate column)
     targets = {
         "momentum": (transforms.fourier_forward1d, phi_1d_momentum, "pi"),
-        "bargmann": (lambda g, t, rule, om: transforms.bargmann_transform(
-                         g, t.astype(complex), om, rule),
+        "bargmann": (lambda g, t, rule, om: transforms.bargmann_transform(g, t, om, rule),
                      lambda l, om, t: t.astype(complex) ** l / math.sqrt(math.factorial(l)),
                      "alpha"),
     }
@@ -237,6 +236,8 @@ def cmd_transform(args) -> int:
     grid = _grid_setting(args, cfg)
     ts = np.linspace(grid["min"], grid["max"], grid["samples"])
     l = ls[grid["axis"] - 1]
+    if l >= order:
+        raise ValueError(f"level {l} is not below the order {order}; raise --order above {l}")
     vals = transform(lambda xi: phi_1d(l, omega, xi), ts, rule, omega)
     ana = closed_form(l, omega, ts)
     rows = [{coord: float(t), "re": v.real, "im": v.imag, "abs": abs(v),

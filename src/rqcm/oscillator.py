@@ -25,16 +25,17 @@ from .minkowski import (BoundSystem, _complex, _components, bound_system, minkow
 MAX_LEVEL = 64
 
 
-def _hermite_function(l: int, y):
-    """Orthonormal Hermite function H_l(y) exp(-y^2/2) / sqrt(2^l l! sqrt(pi))."""
+def _hermite_levels(top: int, y) -> list:
+    """Orthonormal Hermite functions H_l(y) exp(-y^2/2) / sqrt(2^l l! sqrt(pi)) for
+    l = 0..top, from one pass of the three-term recurrence; entry l is level l."""
     y = np.asarray(y, dtype=float)
-    h0 = np.pi ** -0.25 * np.exp(-0.5 * y * y)
-    if l == 0:
-        return h0
-    h1 = math.sqrt(2.0) * y * h0
-    for k in range(1, l):
-        h0, h1 = h1, math.sqrt(2.0 / (k + 1)) * y * h1 - math.sqrt(k / (k + 1)) * h0
-    return h1
+    levels = [np.pi ** -0.25 * np.exp(-0.5 * y * y)]
+    if top > 0:
+        levels.append(math.sqrt(2.0) * y * levels[0])
+    for k in range(1, top):
+        levels.append(math.sqrt(2.0 / (k + 1)) * y * levels[k]
+                      - math.sqrt(k / (k + 1)) * levels[k - 1])
+    return levels
 
 
 def _check_1d_args(l: int, omega: float):
@@ -47,23 +48,23 @@ def _check_1d_args(l: int, omega: float):
 def phi_1d(l: int, omega: float, xi):
     """Position-space factor (Omega/pi)^(1/4)/sqrt(2^l l!) H_l(sqrt(Omega) xi) exp(-Omega xi^2/2)."""
     _check_1d_args(l, omega)
-    out = omega ** 0.25 * _hermite_function(l, math.sqrt(omega) * np.asarray(xi, dtype=float))
+    out = omega ** 0.25 * _hermite_levels(l, math.sqrt(omega) * np.asarray(xi, dtype=float))[l]
     return out if out.ndim else float(out)
 
 
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
     _check_1d_args(l, omega)
-    out = omega ** -0.25 * _hermite_function(l, np.asarray(pi_, dtype=float) / math.sqrt(omega))
+    out = omega ** -0.25 * _hermite_levels(l, np.asarray(pi_, dtype=float) / math.sqrt(omega))[l]
     return out if out.ndim else float(out)
 
 
 def phi_1d_derivative(l: int, omega: float, xi):
     """d/dxi of phi_1d: sqrt(Omega) (sqrt(l/2) phi_{l-1} - sqrt((l+1)/2) phi_{l+1})."""
     _check_1d_args(l, omega)
-    y = math.sqrt(omega) * np.asarray(xi, dtype=float)
-    lower = math.sqrt(l / 2.0) * _hermite_function(l - 1, y) if l > 0 else 0.0
-    upper = math.sqrt((l + 1) / 2.0) * _hermite_function(l + 1, y)
+    h = _hermite_levels(l + 1, math.sqrt(omega) * np.asarray(xi, dtype=float))
+    lower = math.sqrt(l / 2.0) * h[l - 1] if l > 0 else 0.0
+    upper = math.sqrt((l + 1) / 2.0) * h[l + 1]
     out = omega ** 0.75 * (lower - upper)
     return out if np.ndim(out) else float(out)
 

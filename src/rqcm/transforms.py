@@ -7,29 +7,31 @@ integral with envelope exp(-c xi^2) is evaluated by substituting
 y = sqrt(c) xi; the envelope then cancels against the rule's weight and
 the Jacobian c^(-1/2) is applied per axis.
 
-Oscillatory kernels put a resolution limit on a rule: an order-N rule
-reproduces exp(i b y) factors accurately only up to |b| roughly
-0.196 N - 0.75 (measured at 1e-10 absolute error against closed forms).
-fourier_forward warns when asked for momenta beyond that trust limit, and
-fourier_inverse compresses its node span so that it never samples a
-forward transform outside the limit. Round-trip identity to 1e-8 needs
-order >= 64; order 32 resolves the transforms themselves comfortably.
+Every transform is diagonal on the oscillator's Hermite levels and runs
+through one spectral kernel: the rule's projector takes a 1D factor sampled
+at y / sqrt(Omega) (position) or y sqrt(Omega) (momentum) to its
+coefficients on the levels l < order, and a synthesis table maps level l to
+(-i)^l phi_l^mom (forward Fourier), (+i)^l phi_l (inverse) or
+sign^l alpha^l / sqrt(l!) (Segal-Bargmann). The result is exact, up to
+rounding, at every target once the order exceeds the integrand's highest
+level. The direct quadrature of the oscillatory kernels is the verify
+module's oracle for this kernel; trust_momentum is that oracle's reach.
 
-The 3D Fourier pair takes either one evaluator g(xi1, xi2, xi3) or a
-sequence of three 1D factors; a product such as an oscillator state
-(fourier_of_state) then costs three 1D transforms instead of an N^3 node
-tensor, and the tensor path remains for general evaluators.
+The 3D Fourier pair takes one evaluator g(xi1, xi2, xi3), transformed on
+the N^3 node tensor, or three 1D factors, such as an oscillator state's
+(fourier_of_state), transformed one axis at a time.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .oscillator import OscillatorState, phi_1d
+from .oscillator import OscillatorState, _hermite_levels, phi_1d
 
 MAX_ORDER = 256
 
@@ -50,20 +52,31 @@ class QuadratureRule:
         if len(self.nodes) != self.order or len(self.weights) != self.order:
             raise ValueError("rule arrays must match the order")
 
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """P[l, j] = w_j exp(y_j^2) h_l(y_j), read-only: P @ f(nodes) gives the
+        coefficients of f on the Hermite functions h_l, l < order, exactly
+        when f is a combination of them."""
+        P = np.array(_hermite_levels(self.order - 1, self.nodes))
+        P *= self.weights * np.exp(self.nodes ** 2)
+        P.flags.writeable = False
+        return P
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=None, typed=True)
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order, 1 <= order <= 256.
+    """Gauss-Hermite rule of the given order, an integer 1 <= order <= 256.
 
     The nodes and weights are numpy's hermgauss; rules are cached and
     their arrays read-only, so every caller shares one copy per order.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) \
+            or not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
+    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(order, nodes, weights)
+    return QuadratureRule(int(order), nodes, weights)
 
 
 def rescaled_nodes(rule: QuadratureRule, rate: float):
@@ -74,20 +87,24 @@ def rescaled_nodes(rule: QuadratureRule, rate: float):
     sum(eff * F(points)) approximates the integral of F over the line for
     integrands F with Gaussian envelope exp(-rate xi^2).
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
     root = math.sqrt(rate)
     return rule.nodes / root, rule.weights * np.exp(rule.nodes ** 2) / root
 
 
-def trust_frequency(order: int) -> float:
-    """Largest kernel frequency (in rule y-units) resolved to ~1e-10."""
-    return max(0.5, 0.196 * order - 0.75)
-
-
 def trust_momentum(rule: QuadratureRule, omega: float) -> float:
-    """Largest |pi| at which fourier_forward with this rule is accurate."""
-    return trust_frequency(rule.order) * math.sqrt(omega / 2.0)
+    """Reach of the direct quadrature of exp(-i pi xi), verify's Fourier oracle:
+    an order-N rule resolves exp(i b y) to ~1e-10 (measured against closed
+    forms) only for |b| up to 0.196 N - 0.75. The spectral kernel has no limit."""
+    return max(0.5, 0.196 * rule.order - 0.75) * math.sqrt(omega / 2.0)
+
+
+def _warn_unresolved(state: OscillatorState, rule: QuadratureRule):
+    top = max(state.q.as_tuple())
+    if top >= rule.order:
+        warnings.warn(f"level {top} is not below the order {rule.order}: the result is "
+                      "not exact", InsufficientOrderWarning, stacklevel=3)
 
 
 def normalization_integral(state: OscillatorState, rule: QuadratureRule) -> float:
@@ -96,12 +113,10 @@ def normalization_integral(state: OscillatorState, rule: QuadratureRule) -> floa
     This is overlap_integral of the state with itself. The squared factors
     are polynomials of degree 2 l_i against the absorbed Gaussian, so the
     tensor-product quadrature is exact (up to rounding) once the order
-    exceeds the per-axis degree; orders below n + 2 raise
+    exceeds every level; a level at or above the order raises
     InsufficientOrderWarning.
     """
-    if rule.order < state.q.n + 2:
-        warnings.warn(f"order {rule.order} < n + 2 = {state.q.n + 2} under-resolves "
-                      "the normalisation integral", InsufficientOrderWarning, stacklevel=2)
+    _warn_unresolved(state, rule)
     return overlap_integral(state, state, rule)
 
 
@@ -119,132 +134,88 @@ def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
     return total
 
 
-def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float,
-                      _sign: int = -1, _rate: float | None = None):
-    """One axis of the transform: (2 pi)^(-1/2) integral g(xi) exp(-i pi xi) dxi."""
-    rate = 0.5 * omega if _rate is None else _rate
-    pts, eff = rescaled_nodes(rule, rate)
-    targets = np.asarray(targets, dtype=float)
-    vals = np.asarray(g(pts)) * eff
-    kern = np.exp(_sign * 1j * np.outer(np.atleast_1d(targets), pts))
-    out = (kern @ vals) / math.sqrt(2.0 * math.pi)
-    return out if targets.ndim else complex(out[0])
+def _scale(omega: float, power: float) -> float:
+    """The sample scale omega**power, for a positive finite spring constant."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
+    return omega ** power
 
 
-def fourier_inverse1d(f, targets, rule: QuadratureRule, omega: float):
-    """One axis of the inverse transform, kernel exp(+i pi xi), measure d pi."""
-    return fourier_forward1d(f, targets, rule, omega, _sign=+1,
-                             _rate=_momentum_rate(rule, omega, 1.0 / (2.0 * omega)))
+def _finite(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("targets must be finite")
+    return values
 
 
-def _momentum_rate(rule: QuadratureRule, omega: float, natural: float) -> float:
-    """Node-span policy for integrals over momentum constraint coordinates.
+def _coefficients(g, rule: QuadratureRule, scale: float):
+    """Coefficients of g on h_l(x / scale) / sqrt(scale), l < order, from g(scale * nodes)."""
+    return math.sqrt(scale) * (rule.projector @ np.asarray(g(scale * rule.nodes)))
 
-    The natural envelope rate is raised when needed so no sample lands
-    beyond trust_momentum, where a numerically transformed integrand
-    would be garbage.
+
+def _fourier_table(t, scale: float, order: int, sign: int):
+    """(sign i)^l sqrt(scale) h_l(scale t), shape (len(t), order): the transform of
+    h_l(x / scale) / sqrt(scale) under the kernel exp(sign i t x) / sqrt(2 pi)."""
+    phase = np.array([1, sign * 1j, -1, -sign * 1j])[np.arange(order) % 4]
+    return math.sqrt(scale) * np.stack(_hermite_levels(order - 1, scale * t), axis=-1) * phase
+
+
+def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
+    """One axis of the transform: (2 pi)^(-1/2) integral g(xi) exp(-i pi xi) dxi.
+
+    g is sampled at xi = y / sqrt(Omega); level l maps to (-i)^l phi_l^mom(pi).
     """
-    ymax = float(rule.nodes[-1]) if rule.order > 1 else 1.0
-    return max(natural, (ymax / trust_momentum(rule, omega)) ** 2)
+    t, scale = _finite(targets), _scale(omega, -0.5)
+    out = _fourier_table(t.reshape(-1), scale, rule.order, -1) @ _coefficients(g, rule, scale)
+    return out.reshape(t.shape) if t.ndim else complex(out[0])
 
 
-def _target_grid(targets):
-    """Accept a product grid (three 1D arrays) or a point list of shape (..., 3)."""
-    if isinstance(targets, (tuple, list)) and len(targets) == 3 \
-            and all(np.asarray(t).ndim == 1 for t in targets):
-        return tuple(np.asarray(t, dtype=float) for t in targets), True
-    pts = np.asarray(targets, dtype=float)
-    if pts.shape[-1] != 3:
+def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
+    """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
+    grid = isinstance(targets, (tuple, list)) and len(targets) == 3 \
+        and all(np.ndim(t) == 1 for t in targets)
+    pts = None if grid else _finite(targets)
+    if not grid and (pts.ndim == 0 or pts.shape[-1] != 3):
         raise ValueError("targets must be (..., 3) points or three 1D axis arrays")
-    return pts.reshape(-1, 3), False
-
-
-def _tensor_grid_values(g, pts, eff):
-    G = np.asarray(g(pts[:, None, None], pts[None, :, None], pts[None, None, :]),
-                   dtype=complex)
-    return G * (eff[:, None, None] * eff[None, :, None] * eff[None, None, :])
-
-
-def _apply_kernels(G, k1, k2, k3):
-    T = np.einsum('ai,ijk->ajk', k1, G)
-    T = np.einsum('bj,ajk->abk', k2, T)
-    return np.einsum('ck,abk->abc', k3, T)
-
-
-def _separable_transform(factors, grid, is_grid, rule, omega, rate, sign):
-    if len(factors) != 3:
-        raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
-    f1, f2, f3 = (fourier_forward1d(f, t, rule, omega, _sign=sign, _rate=rate)
-                  for f, t in zip(factors, grid if is_grid else grid.T))
-    if is_grid:
-        return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
-    return f1 * f2 * f3
-
-
-def _tensor_transform(g, grid, is_grid, rule, rate, sign):
-    pts, eff = rescaled_nodes(rule, rate)
-    G = _tensor_grid_values(g, pts, eff)
-    norm = (2.0 * math.pi) ** -1.5
-    if is_grid:
-        kerns = [np.exp(sign * 1j * np.outer(t, pts)) for t in grid]
-        return norm * _apply_kernels(G, *kerns)
-    kerns = [np.exp(sign * 1j * np.outer(grid[:, a], pts)) for a in range(3)]
-    return norm * np.einsum('ijk,mi,mj,mk->m', G, *kerns, optimize=True)
-
-
-def _transform3(g, targets, rule, omega, rate, sign):
-    """Three 1D factors take the separable path, one 3D evaluator the tensor path."""
-    grid, is_grid = _target_grid(targets)
+    tables = [_fourier_table(_finite(t), scale, rule.order, sign)
+              for t in (targets if grid else pts.reshape(-1, 3).T)]
     if callable(g):
-        out = _tensor_transform(g, grid, is_grid, rule, rate, sign)
+        x = scale * rule.nodes
+        G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
+        kernels = [A @ (math.sqrt(scale) * rule.projector) for A in tables]
+        out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a', *kernels, G,
+                        optimize=True)
+    elif len(g) == 3:
+        out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
+                        *(A @ _coefficients(f, rule, scale) for f, A in zip(g, tables)))
     else:
-        out = _separable_transform(g, grid, is_grid, rule, omega, rate, sign)
-    if is_grid:
+        raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
+    if grid:
         return out
-    shape = np.asarray(targets, dtype=float).shape[:-1]
-    return out.reshape(shape) if shape else complex(out[0])
+    return out.reshape(pts.shape[:-1]) if pts.ndim > 1 else complex(out[0])
 
 
 def fourier_forward(g, targets, rule: QuadratureRule, omega: float):
     """Momentum-representation values of g: (8 pi^3)^(-1/2) integral g exp(-i pi.xi) d3xi.
 
-    g must be an evaluator g(xi1, xi2, xi3) broadcastable over arrays and
-    built on the omega Gaussian envelope (oscillator states and their
-    linear combinations are), or a sequence of three 1D evaluators whose
-    product is the integrand; the latter is transformed one axis at a
-    time. targets may be a list of points of shape (..., 3) or a product
-    grid given as three 1D axis arrays.
+    g must be an evaluator g(xi1, xi2, xi3) broadcastable over arrays, or
+    a sequence of three 1D evaluators whose product is the integrand; the
+    latter is transformed one axis at a time. targets may be a list of
+    points of shape (..., 3) or a product grid given as three 1D axis
+    arrays. Level l maps to (-i)^l phi_l^mom per axis: exact once the order
+    exceeds every level of g.
     """
-    grid, is_grid = _target_grid(targets)
-    reach = max((float(np.max(np.abs(t))) if len(t) else 0.0) for t in grid) if is_grid \
-        else (float(np.max(np.abs(grid))) if grid.size else 0.0)
-    limit = trust_momentum(rule, omega) * (1.0 + 1e-9)
-    if reach > limit:
-        warnings.warn(f"momentum target {reach:.3g} beyond the order-{rule.order} "
-                      f"trust limit {limit:.3g}; raise the order",
-                      InsufficientOrderWarning, stacklevel=2)
-    return _transform3(g, targets, rule, omega, 0.5 * omega, -1)
+    return _transform3(g, targets, rule, _scale(omega, -0.5), -1)
 
 
 def fourier_inverse(f, targets, rule: QuadratureRule, omega: float):
     """Position-representation values of f: (8 pi^3)^(-1/2) integral f exp(+i pi.xi) d3pi.
 
-    f is a 3D evaluator or three 1D factors, as for fourier_forward. The
-    momentum sampling obeys the trust-limit policy so that f may be a
-    numerically computed forward transform at the same order.
+    f is a 3D evaluator or three 1D factors, as for fourier_forward. Each
+    axis is sampled at y sqrt(Omega) and level l maps to (+i)^l phi_l, so
+    the inverse of a forward transform at the same order is the identity.
     """
-    return _transform3(f, targets, rule, omega,
-                       _momentum_rate(rule, omega, 1.0 / (2.0 * omega)), +1)
-
-
-def momentum_quadrature(rule: QuadratureRule, omega: float):
-    """Sample points and weights for integrating |f(pi)|^2-type densities.
-
-    Natural envelope rate 1/omega, compressed to the trust limit like
-    fourier_inverse; used for Parseval checks against numerically
-    transformed integrands.
-    """
-    return rescaled_nodes(rule, _momentum_rate(rule, omega, 1.0 / omega))
+    return _transform3(f, targets, rule, _scale(omega, 0.5), +1)
 
 
 _BARGMANN_ALPHA_MAX = 10.0
@@ -256,37 +227,20 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule, sign: int =
     (Omega/pi)^(1/4) integral g(xi) exp((-Omega xi^2 - alpha^2)/2)
                                   exp(sign sqrt(2 Omega) alpha xi) dxi
 
-    sign=+1 maps the l-th oscillator factor to alpha^l / sqrt(l!); the
-    printed-kernel sign=-1 variant produces the same monomials with an
-    extra (-1)^l and stays available for audits. alpha may be a scalar or
-    an array; |alpha| is capped at 10 to guard the kernel growth.
+    Level l of g maps to sign^l alpha^l / sqrt(l!): sign=+1 gives the stated
+    monomials, and the printed-kernel sign=-1 variant, kept for audits, an
+    extra (-1)^l. alpha may be a scalar or an array; |alpha| must be finite
+    and at most 10, which bounds the growth of alpha^l / sqrt(l!).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    alpha_arr = np.asarray(alpha, dtype=complex)
-    if np.any(np.abs(alpha_arr) > _BARGMANN_ALPHA_MAX):
-        raise ValueError(f"|alpha| exceeds the kernel guard {_BARGMANN_ALPHA_MAX}")
-    pts, eff = rescaled_nodes(rule, omega)
-    vals = np.asarray(g(pts)) * eff * np.exp(-0.5 * omega * pts ** 2)
-    a = alpha_arr.reshape(-1)
-    kern = np.exp(-0.5 * a[:, None] ** 2 + sign * math.sqrt(2.0 * omega) * a[:, None] * pts[None, :])
-    out = (omega / math.pi) ** 0.25 * (kern @ vals)
-    return out.reshape(alpha_arr.shape) if alpha_arr.ndim else complex(out[0])
-
-
-def bargmann_transform3(profiles, alphas, omega: float, rule: QuadratureRule,
-                        sign: int = +1) -> complex:
-    """Product of per-axis transforms for a separable 3D function.
-
-    profiles is a sequence of three 1D evaluators; alphas a length-3
-    complex sequence.
-    """
-    if len(profiles) != 3 or len(alphas) != 3:
-        raise ValueError("need three profiles and three alpha values")
-    out = 1.0 + 0.0j
-    for g, a in zip(profiles, alphas):
-        out *= bargmann_transform(g, a, omega, rule, sign)
-    return out
+    a = np.asarray(alpha, dtype=complex)
+    if not np.all(np.abs(a) <= _BARGMANN_ALPHA_MAX):
+        raise ValueError(f"|alpha| must be finite and at most {_BARGMANN_ALPHA_MAX}")
+    steps = sign * a[..., None] / np.sqrt(np.arange(1.0, rule.order))
+    table = np.concatenate([np.ones(a.shape + (1,)), np.cumprod(steps, axis=-1)], axis=-1)
+    out = table @ _coefficients(g, rule, _scale(omega, -0.5))
+    return out if a.ndim else complex(out)
 
 
 def _position_factors(state: OscillatorState):
@@ -296,10 +250,17 @@ def _position_factors(state: OscillatorState):
 
 def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule,
                       sign: int = +1) -> complex:
-    """Segal-Bargmann transform of a state's position profile at constraint coordinates alphas."""
-    return bargmann_transform3(_position_factors(state), alphas, state.omega, rule, sign)
+    """Segal-Bargmann transform of a state's position profile at constraint
+    coordinates alphas (three complex values), one axis at a time."""
+    if len(alphas) != 3:
+        raise ValueError("need three alpha values")
+    _warn_unresolved(state, rule)
+    return math.prod(bargmann_transform(g, a, state.omega, rule, sign)
+                     for g, a in zip(_position_factors(state), alphas))
 
 
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):
-    """Numeric forward transform of a state's position profile (phase omitted)."""
+    """Forward transform of a state's position profile (phase omitted): its
+    momentum profile times (-i)^n."""
+    _warn_unresolved(state, rule)
     return fourier_forward(_position_factors(state), targets, rule, state.omega)

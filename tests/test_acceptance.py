@@ -160,10 +160,10 @@ def test_criterion_11_negative_controls():
     perturbed = verify.run_pde_suite(max_n=1, points=5,
                                      sigma_perturb=0.1, seed=111)
     wrong_sign = verify.run_transform_suite(max_n=1, bargmann_sign=-1, seed=111)
-    under_resolved = verify.run_transform_suite(max_n=6, order=8, seed=111)
+    under_resolved = verify.run_transform_suite(max_n=6, order=6, seed=111)
     flagged = any("insufficient order" in note for note in under_resolved.notes)
     ok = (not perturbed.passed) and (not wrong_sign.passed) \
         and (not under_resolved.passed) and flagged
-    _criterion(11, "perturbed sigma, wrong Bargmann kernel sign and order-8 "
-                   "under-resolution each fail their suite",
+    _criterion(11, "perturbed sigma, wrong Bargmann kernel sign and order-6 "
+                   "under-resolution of level 6 each fail their suite",
                ok, f"flagged={flagged}")

@@ -226,6 +226,18 @@ def test_transform_bargmann(capsys):
         assert abs(float(r["re"]) - want) <= 1e-9
 
 
+@pytest.mark.parametrize("to, level, order", [
+    ("momentum", 40, 32), ("momentum", 32, 32), ("bargmann", 48, 48)])
+def test_transform_level_not_below_order_is_usage_error(capsys, to, level, order):
+    # such a level is past what the order resolves: the table would print wrong numbers
+    code, out, err = run_cli(capsys, "transform", "--l", str(level), "0", "0", "--to", to,
+                             "--order", str(order), "--samples", "5",
+                             "--grid-min", "-3", "--grid-max", "3")
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"m1": 2.0, "m2": 2.0, "omega": 1.0}))

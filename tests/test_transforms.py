@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rqcm import verify
 from rqcm.minkowski import FourVector
 from rqcm.oscillator import (oscillator_state, phi_1d, phi_1d_momentum,
                              position_profile, momentum_profile, psi_bargmann,
                              states_up_to)
 from rqcm.transforms import (InsufficientOrderWarning, bargmann_of_state,
-                             bargmann_transform, bargmann_transform3,
-                             fourier_forward, fourier_forward1d, fourier_inverse,
-                             fourier_inverse1d, fourier_of_state, gauss_hermite,
-                             momentum_quadrature, normalization_integral,
-                             overlap_integral, rescaled_nodes, trust_momentum)
+                             bargmann_transform, fourier_forward, fourier_forward1d,
+                             fourier_inverse, fourier_of_state, gauss_hermite,
+                             normalization_integral, overlap_integral, rescaled_nodes,
+                             trust_momentum)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -107,9 +111,11 @@ def test_normalization_high_levels():
 
 
 def test_normalization_insufficient_order_warns():
+    # exact once the order exceeds every level, so only order <= 2 warns here
     st = oscillator_state((2, 2, 2), 1.0, 1.0, 1.0)
     with pytest.warns(InsufficientOrderWarning):
-        normalization_integral(st, gauss_hermite(7))
+        normalization_integral(st, gauss_hermite(2))
+    assert abs(normalization_integral(st, gauss_hermite(3)) - 1.0) <= 1e-13
 
 
 def test_overlap_orthogonality():
@@ -208,20 +214,24 @@ def test_fourier_round_trip_identity():
 
 
 def test_fourier_round_trip_1d():
+    # inverse of three forward-transformed 1D factors, one varying level
     om = 0.9
     rule = gauss_hermite(64)
     xi_pts = np.linspace(-2.0, 2.0, 9)
+    ground = lambda xi: phi_1d(0, om, xi)
+    fwd_ground = lambda p: fourier_forward1d(ground, p, rule, om)
     for l in range(5):
         g = lambda xi, l=l: phi_1d(l, om, xi)
-        fwd = lambda p: fourier_forward1d(g, p, rule, om)
-        back = fourier_inverse1d(fwd, xi_pts, rule, om)
-        np.testing.assert_allclose(back, g(xi_pts).astype(complex), atol=1e-9)
+        fwd = lambda p, g=g: fourier_forward1d(g, p, rule, om)
+        back = fourier_inverse([fwd, fwd_ground, fwd_ground], (xi_pts, [0.0], [0.3]), rule, om)
+        want = g(xi_pts) * ground(0.0) * ground(0.3)
+        np.testing.assert_allclose(back[:, 0, 0], want.astype(complex), atol=1e-9)
 
 
 def test_parseval():
     om = 1.3
     rule = gauss_hermite(64)
-    ppts, peff = momentum_quadrature(rule, om)
+    ppts, peff = rescaled_nodes(rule, 1.0 / om)
     for ls in ((0, 0, 0), (1, 1, 1), (2, 0, 2)):
         st = oscillator_state(ls, om, 1.0, 1.1)
         fnum = fourier_forward(position_profile(st), (ppts,) * 3, rule, om)
@@ -245,8 +255,8 @@ def test_fourier_linearity():
 
 def test_fourier_convergence_with_order():
     om = 1.0
-    st = oscillator_state((2, 1, 1), om, 1.0, 1.0)  # n = 4, threshold 2n + 8 = 16
-    # targets inside the order-16 trust region, where doubling is a no-op
+    st = oscillator_state((2, 1, 1), om, 1.0, 1.0)
+    # every level is below both orders, so doubling the order is a no-op
     reach = 0.9 * trust_momentum(gauss_hermite(16), om)
     axis = np.linspace(-reach, reach, 3)
     a = fourier_of_state(st, (axis, axis, axis), gauss_hermite(16))
@@ -254,17 +264,33 @@ def test_fourier_convergence_with_order():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_fourier_warns_beyond_trust():
+def test_kernel_holds_beyond_oracle_reach():
+    # at twice trust_momentum the direct quadrature (verify's oracle) is off by
+    # more than 1e-2; the spectral kernel still matches the closed forms
     om = 1.0
-    rule = gauss_hermite(8)
-    g = lambda xi: phi_1d(0, om, xi)
+    rule = gauss_hermite(32)
     far = 2.0 * trust_momentum(rule, om)
-    with pytest.warns(InsufficientOrderWarning):
-        fourier_forward(lambda a, b, c: g(a) * g(b) * g(c),
-                        np.array([far, 0.0, 0.0]), rule, om)
-    with pytest.warns(InsufficientOrderWarning):
-        fourier_of_state(oscillator_state((0, 0, 0), om, 1.0, 1.0),
-                         np.array([far, 0.0, 0.0]), rule)
+    targets = np.linspace(-far, far, 41)
+    bump = lambda xi: np.exp(-0.5 * xi ** 2) * np.cos(1.7 * xi)
+    bump_ft = 0.5 * (np.exp(-0.5 * (targets - 1.7) ** 2) + np.exp(-0.5 * (targets + 1.7) ** 2))
+    pairs = [(bump, bump_ft)] + [(lambda xi, l=l: phi_1d(l, om, xi),
+                                  (-1j) ** l * phi_1d_momentum(l, om, targets))
+                                 for l in range(9)]
+    for g, want in pairs:
+        assert np.max(np.abs(fourier_forward1d(g, targets, rule, om) - want)) <= 1e-12
+    assert np.max(np.abs(verify._direct_fourier(bump, targets, rule, om) - bump_ft)) > 1e-2
+
+
+def test_state_transforms_warn_at_unresolved_levels():
+    rule = gauss_hermite(8)
+    for l, warns in ((7, False), (8, True)):
+        st = oscillator_state((0, l, 1), 1.0, 1.0, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fourier_of_state(st, np.array([0.2, 0.0, -0.4]), rule)
+            bargmann_of_state(st, (0.3, 0.1j, -0.5), rule)
+        flagged = [w for w in caught if issubclass(w.category, InsufficientOrderWarning)]
+        assert len(flagged) == (2 if warns else 0), l
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +348,110 @@ def test_bargmann_product_matches_state_representation():
     want = psi_bargmann(st, a)
     assert abs(got - want) <= 1e-9
 
-    profiles = [lambda xi, l=l: phi_1d(l, om, xi) for l in st.q.as_tuple()]
-    same = bargmann_transform3(profiles, alphas, om, rule)
-    assert abs(same - got) < 1e-15
+
+# ---------------------------------------------------------------------------
+# input checks
+
+PHI0 = lambda xi: phi_1d(0, 1.0, xi)
+GROUND = oscillator_state((0, 0, 0), 1.0, 1.0, 1.0)
+BAD_INPUTS = {
+    "bargmann alpha nan": (bargmann_transform, (PHI0, math.nan, 1.0, gauss_hermite(16))),
+    "bargmann omega nan": (bargmann_transform, (PHI0, 0.5, math.nan, gauss_hermite(16))),
+    "forward1d target nan": (fourier_forward1d, (PHI0, math.nan, gauss_hermite(16), 1.0)),
+    "forward omega nan": (fourier_forward, ([PHI0] * 3, np.zeros(3), gauss_hermite(16),
+                                            math.nan)),
+    "inverse target inf": (fourier_inverse, (position_profile(GROUND),
+                                             np.array([math.inf, 0.0, 0.0]),
+                                             gauss_hermite(16), 1.0)),
+    "of_state target nan": (fourier_of_state, (GROUND, np.array([math.nan, 0.0, 0.0]),
+                                               gauss_hermite(16))),
+    "rescaled_nodes rate nan": (rescaled_nodes, (gauss_hermite(16), math.nan)),
+    "gauss_hermite 32.5": (gauss_hermite, (32.5,)),
+    "gauss_hermite True": (gauss_hermite, (True,)),
+}
+
+
+@pytest.mark.parametrize("fn, args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_non_finite_and_mistyped_inputs_raise_value_error(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# spectral kernel: closed-form sums over random spectra
+
+# derandomized and without an example database, as in test_batched.py
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def spectra(draw):
+    """A rule, a spring constant and coefficients a_l on levels below the order."""
+    rule = gauss_hermite(draw(st.sampled_from([4, 8, 16, 32, 64])))
+    omega = draw(st.floats(0.5, 2.0))
+    levels = draw(st.integers(1, rule.order))
+    coeffs = draw(hnp.arrays(float, levels, elements=st.floats(-1.0, 1.0)))
+    return rule, omega, coeffs
+
+
+def unit_draws(n=7):
+    return hnp.arrays(float, n, elements=st.floats(-1.0, 1.0))
+
+
+def level_sum(factor, coeffs, omega, x, phase=1.0):
+    return sum(a * phase ** l * factor(l, omega, x) for l, a in enumerate(coeffs))
+
+
+def size(coeffs):
+    """Scale of the level sum: its values are at most about sum |a_l|."""
+    return max(1.0, float(np.sum(np.abs(coeffs))))
+
+
+@SETTINGS
+@given(spectra(), unit_draws())
+def test_forward_of_level_sum_is_closed_form(spectrum, unit):
+    rule, omega, coeffs = spectrum
+    momenta = 2.0 * trust_momentum(rule, omega) * unit
+    got = fourier_forward1d(lambda xi: level_sum(phi_1d, coeffs, omega, xi),
+                            momenta, rule, omega)
+    want = level_sum(phi_1d_momentum, coeffs, omega, momenta, -1j)
+    assert np.max(np.abs(got - want)) <= 1e-12 * size(coeffs)
+
+
+@SETTINGS
+@given(spectra(), unit_draws(), unit_draws())
+def test_inverse_of_level_sum_is_closed_form(spectrum, unit, unit2):
+    rule, omega, coeffs = spectrum
+    reach = 2.0 * trust_momentum(rule, omega)
+    pts = reach * np.stack([unit, unit2, unit[::-1]], axis=-1)
+    ground = lambda p: phi_1d_momentum(0, omega, p)
+    got = fourier_inverse([lambda p: level_sum(phi_1d_momentum, coeffs, omega, p),
+                           ground, ground], pts, rule, omega)
+    want = (level_sum(phi_1d, coeffs, omega, pts[:, 0], 1j)
+            * phi_1d(0, omega, pts[:, 1]) * phi_1d(0, omega, pts[:, 2]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * size(coeffs)
+
+
+@SETTINGS
+@given(spectra(), unit_draws(), unit_draws(), st.sampled_from([+1, -1]))
+def test_bargmann_of_level_sum_is_closed_form(spectrum, re, im, sign):
+    rule, omega, coeffs = spectrum
+    alpha = 2.5 * (re + 1j * im)
+    got = bargmann_transform(lambda xi: level_sum(phi_1d, coeffs, omega, xi),
+                             alpha, omega, rule, sign)
+    monomials = [(sign * alpha) ** l / math.sqrt(math.factorial(l)) for l in range(len(coeffs))]
+    want = sum(a * m for a, m in zip(coeffs, monomials))
+    scale = max(1.0, float(np.sum(np.abs(coeffs) * np.max(np.abs(monomials), axis=-1))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(spectra(), unit_draws(), unit_draws())
+def test_inverse_after_forward_is_identity(spectrum, unit, unit2):
+    rule, omega, coeffs = spectrum
+    g = lambda xi: level_sum(phi_1d, coeffs, omega, xi)
+    fwd = lambda p: fourier_forward1d(g, p, rule, omega)
+    pts = 2.0 * trust_momentum(rule, omega) * np.stack([unit, unit2, unit[::-1]], axis=-1)
+    got = fourier_inverse([fwd] * 3, pts, rule, omega)
+    want = g(pts[:, 0]) * g(pts[:, 1]) * g(pts[:, 2])
+    assert np.max(np.abs(got - want)) <= 1e-12 * size(coeffs) ** 3

@@ -184,9 +184,13 @@ def test_transform_suite_negative_controls():
     bad = [c for c in rep.cases if c.check == "bargmann_monomial" and c.rel_err > c.tol]
     assert bad, "wrong kernel sign must break the monomial map"
 
-    rep = run_transform_suite(max_n=6, order=8)
+    # level 6 at order 6 is the first the kernel cannot resolve; order 7 is exact
+    rep = run_transform_suite(max_n=6, order=6)
     assert not rep.passed
     assert any("insufficient order" in note for note in rep.notes)
+    rep = run_transform_suite(max_n=6, order=7)
+    assert rep.passed
+    assert not any("insufficient order" in note for note in rep.notes)
 
 
 def test_run_all_aggregates():
