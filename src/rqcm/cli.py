@@ -236,8 +236,8 @@ def cmd_transform(args) -> int:
     grid = _grid_setting(args, cfg)
     ts = np.linspace(grid["min"], grid["max"], grid["samples"])
     l = ls[grid["axis"] - 1]
-    if l >= order:
-        raise ValueError(f"level {l} is not below the order {order}; raise --order above {l}")
+    if why := transforms.unresolved([l], rule):
+        raise ValueError(f"{why}; raise --order above {l}")
     vals = transform(lambda xi: phi_1d(l, omega, xi), ts, rule, omega)
     ana = closed_form(l, omega, ts)
     rows = [{coord: float(t), "re": v.real, "im": v.imag, "abs": abs(v),

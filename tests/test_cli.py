@@ -226,6 +226,16 @@ def test_transform_bargmann(capsys):
         assert abs(float(r["re"]) - want) <= 1e-9
 
 
+@pytest.mark.parametrize("order", [48, 256])
+def test_transform_bargmann_at_the_alpha_cap(capsys, order):
+    code, out, _ = run_cli(capsys, "transform", "--l", "0", "0", "0", "--to", "bargmann",
+                           "--grid-min", "-10", "--grid-max", "10", "--samples", "41",
+                           "--order", str(order))
+    assert code == 0
+    for r in parse_csv(out):
+        assert abs(float(r["abs"]) - float(r["abs_closed_form"])) <= 1e-13
+
+
 @pytest.mark.parametrize("to, level, order", [
     ("momentum", 40, 32), ("momentum", 32, 32), ("bargmann", 48, 48)])
 def test_transform_level_not_below_order_is_usage_error(capsys, to, level, order):

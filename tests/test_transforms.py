@@ -338,6 +338,22 @@ def test_bargmann_alpha_guard():
         bargmann_transform(lambda xi: phi_1d(0, om, xi), 0.0, om, rule, sign=2)
 
 
+@pytest.mark.parametrize("im", [0.0, 2.5])
+def test_bargmann_holds_out_to_the_alpha_cap(im):
+    # summed about 0 alone, rounding in the coefficients would grow by up to
+    # max_l |alpha|^l / sqrt(l!) (3e21 at |alpha| = 10); the series about
+    # Re(alpha) keeps the real axis, and a strip around it, at rounding level
+    alpha = np.sqrt(100.0 - im ** 2) * np.linspace(-1.0, 1.0, 41) + 1j * im
+    for order in (8, 48, 64, 256):
+        rule = gauss_hermite(order)
+        for l in (0, 1, 5, min(order - 1, 48)):
+            for om in (0.7, 1.3):
+                got = bargmann_transform(lambda xi: phi_1d(l, om, xi), alpha, om, rule)
+                want = alpha ** l / math.sqrt(math.factorial(l))
+                err = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+                assert err <= (1e-13 if l <= 5 else 1e-11), (order, l, om, err)
+
+
 def test_bargmann_product_matches_state_representation():
     om = 1.2
     rule = gauss_hermite(48)
