@@ -30,11 +30,16 @@ def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
     FourVector or a (..., 4) array; the result has shape (..., 3), float64
     for a real w and complex128 for a complex one.
     """
-    P = sys.P
+    return _coordinates(w, sys.P, sys.M0)
+
+
+def _coordinates(w, P, M0) -> np.ndarray:
+    """constraint_coordinates for stacked systems, P (..., 4) and M0 (...) broadcasting
+    against w; each row has the bits of its own BoundSystem's map."""
     w = _components(w)
-    num = minkowski_dot(P, w) - sys.M0 * w[..., 3][()]
-    den = sys.M0 * (sys.M0 + P.c4)
-    return w[..., :3] + P.spatial * _over_real(num, den)[..., None]
+    num = minkowski_dot(P, w) - M0 * w[..., 3][()]
+    P = _components(P)
+    return w[..., :3] + P[..., :3] * _over_real(num, M0 * (M0 + P[..., 3]))[..., None]
 
 
 def xi_jacobian(sys: BoundSystem) -> np.ndarray:

@@ -117,17 +117,25 @@ def minkowski_dot(a, b):
     return a1 * b1 + a2 * b2 + a3 * b3 - a4 * b4
 
 
-def _lorentz(v) -> tuple[np.ndarray, float]:
-    """A finite, subluminal velocity as a float 3-vector, and its gamma factor."""
+def _all(mask) -> bool:
+    """mask.all(), without numpy's reduction (microseconds a call) for one value."""
+    return bool(mask.all() if mask.ndim else mask)
+
+
+def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
+    """Finite, subluminal velocities as a float (..., 3) array, and their gamma factors (...)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("velocity must be a 3-vector")
-    v2 = float(v @ v)
-    if not v2 < math.inf:
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise ValueError(f"velocities need a trailing axis of length 3, got shape {v.shape}")
+    # matmul gives each row of a stack the bits of v @ v (an elementwise sum need not);
+    # one velocity takes v @ v itself, which costs less per call
+    v2 = (v @ v if v.ndim == 1 else np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])[()]
+    if not _all(v2 < math.inf):
         raise ValueError(f"velocity must be finite, got {v.tolist()}")
-    if v2 >= _SPEED_LIMIT * _SPEED_LIMIT:
-        raise ValueError(f"superluminal or near-luminal velocity: |v| = {math.sqrt(v2):.17g}")
-    return v, 1.0 / math.sqrt(1.0 - v2)
+    if not _all(v2 < _SPEED_LIMIT * _SPEED_LIMIT):
+        raise ValueError("superluminal or near-luminal velocity: "
+                         f"|v| = {math.sqrt(np.max(v2)):.17g}")
+    return v, 1.0 / np.sqrt(1.0 - v2)
 
 
 def general_boost(x, v):
@@ -136,18 +144,18 @@ def general_boost(x, v):
     x'_i = x_i + gamma v_i (gamma v.x / (1 + gamma) - x4),
     x'_4 = gamma (x4 - v.x),  gamma = (1 - v^2)^(-1/2).
 
-    x is a FourVector, which gives a FourVector, or a real or complex
-    (..., 4) array, which gives an array of the same shape; v is real.
+    x is a FourVector or a real or complex (..., 4) array, v real of shape (3,)
+    or (..., 3), broadcasting against x; one FourVector and one v give a FourVector.
     """
     v, g = _lorentz(v)
     w = _components(x)
     w1, w2, w3, w4 = _parts(w)
-    vx = v[0] * w1 + v[1] * w2 + v[2] * w3
+    vx = v[..., 0] * w1 + v[..., 1] * w2 + v[..., 2] * w3
     shift = g * vx / (1.0 + g) - w4
-    out = np.empty_like(w)
-    out[..., :3] = w[..., :3] + g * v * shift[..., None]
-    out[..., 3] = g * (w4 - vx)
-    return FourVector.from_components(out.tolist()) if isinstance(x, FourVector) else out
+    out = np.concatenate((w[..., :3] + g[..., None] * v * shift[..., None],
+                          (g * (w4 - vx))[..., None]), axis=-1)
+    four = out.ndim == 1 and isinstance(x, FourVector)
+    return FourVector.from_components(out.tolist()) if four else out
 
 
 def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> float:
@@ -209,12 +217,32 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
     raise ValueError(f"eta weights cannot sum to one exactly for m1={m1!r}, m2={m2!r}, M0={M0!r}")
 
 
-def on_shell_momentum(M0: float, v) -> FourVector:
-    """Total momentum (gamma M0 v, gamma M0) of a system of mass M0 moving with v."""
-    if not 0.0 < M0 < math.inf:
-        raise ValueError(f"M0 must be positive and finite, got {M0!r}")
+def on_shell_momentum(M0, v):
+    """Total momentum (gamma M0 v, gamma M0) of a system of mass M0 moving with v:
+    a FourVector for one M0 and v, a (..., 4) array for M0 (...) and v (..., 3)."""
+    M0 = np.asarray(M0, dtype=float)[()]
+    if not _all((0.0 < M0) & (M0 < math.inf)):
+        raise ValueError(f"M0 must be positive and finite, got {M0.tolist()!r}")
     v, g = _lorentz(v)
-    return FourVector(g * M0 * v[0], g * M0 * v[1], g * M0 * v[2], g * M0)
+    gM0 = g * M0
+    if gM0.ndim == 0:  # one system: skip the array assembly, microseconds a call
+        return FourVector(*(gM0 * v).tolist(), gM0)
+    return np.concatenate((gM0[..., None] * v, gM0[..., None]), axis=-1)
+
+
+def _check_momentum(P, M0, rtol: float = ON_SHELL_RTOL):
+    """Raise ValueError unless each P, a FourVector or (..., 4) array, is a real,
+    positive-energy momentum with |P.P + M0^2| <= rtol M0^2 for its M0 (...)."""
+    M0, comps = np.asarray(M0)[()], _components(P)
+    if not _all((0.0 < M0) & (M0 < math.inf)):
+        raise ValueError("rest mass must be positive and finite")
+    if comps.dtype.kind == "c":
+        raise ValueError("total momentum P must be real")
+    if not _all(comps[..., 3][()] > 0):
+        raise ValueError("positive-energy branch requires P.c4 > 0")
+    miss = abs(minkowski_dot(P, P) + M0 * M0)
+    if not _all(miss <= rtol * M0 * M0):
+        raise ValueError(f"total momentum off shell: |P.P + M0^2| = {np.max(miss):.3e}")
 
 
 @dataclass(frozen=True)
@@ -235,20 +263,11 @@ class BoundSystem:
     P: FourVector
 
     def __post_init__(self):
-        pp = minkowski_dot(self.P, self.P)
-        if isinstance(pp, complex):  # some component of P is complex
-            raise ValueError("total momentum P must be real")
         if not (0.0 < self.m1 < math.inf and 0.0 < self.m2 < math.inf):
             raise ValueError("particle masses must be positive and finite")
-        if not 0.0 < self.M0 < math.inf:
-            raise ValueError("rest mass must be positive and finite")
-        if not self.P.c4 > 0:
-            raise ValueError("positive-energy branch requires P.c4 > 0")
         if self.eta1 + self.eta2 != 1.0:
             raise ValueError("eta weights must sum to one exactly")
-        miss = abs(pp + self.M0 * self.M0)
-        if not miss <= ON_SHELL_RTOL * self.M0 * self.M0:
-            raise ValueError(f"total momentum off shell: |P.P + M0^2| = {miss:.3e}")
+        _check_momentum(self.P, self.M0)
 
     @property
     def velocity(self) -> np.ndarray:
@@ -288,13 +307,14 @@ def momentum_cm_and_relative(p1: FourVector, p2: FourVector, sys: BoundSystem):
     return p1 + p2, sys.eta2 * p1 - sys.eta1 * p2
 
 
-def perp_projection(w: FourVector, P: FourVector, M0: float,
-                    rtol: float = ON_SHELL_RTOL) -> FourVector:
+def perp_projection(w, P, M0, rtol: float = ON_SHELL_RTOL):
     """Component of w orthogonal (Minkowski sense) to P: w + P (P.w)/M0^2.
 
-    Requires P on the mass shell of M0; the result satisfies P.w_perp = 0.
+    P must pass BoundSystem's checks for M0; the result satisfies P.w_perp = 0.
+    FourVectors w and P give a FourVector, else w, P (..., 4) and M0 (...) broadcast.
     """
-    miss = abs(minkowski_dot(P, P) + M0 * M0)
-    if not miss <= rtol * M0 * M0:
-        raise ValueError(f"P off shell for M0={M0!r}: |P.P + M0^2| = {miss:.3e}")
-    return w + (minkowski_dot(P, w) / (M0 * M0)) * P
+    _check_momentum(P, M0, rtol)
+    k = minkowski_dot(P, w) / (M0 * M0)
+    if isinstance(w, FourVector) and isinstance(P, FourVector):
+        return w + k * P
+    return _components(w) + np.asarray(k)[..., None] * _components(P)

@@ -58,7 +58,6 @@ class QuadratureRule:
         return P
 
 
-@lru_cache(maxsize=None, typed=True)
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule of the given order, an integer 1 <= order <= 256.
 
@@ -68,10 +67,17 @@ def gauss_hermite(order: int) -> QuadratureRule:
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) \
             or not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(int(order), nodes, weights)
+    return _gauss_hermite(int(order))
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(order: int) -> QuadratureRule:
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(order, nodes, weights)
+
+
+gauss_hermite.cache_info = _gauss_hermite.cache_info  # cache misses count rule builds
 
 
 def rescaled_nodes(rule: QuadratureRule, rate: float):

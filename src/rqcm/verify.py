@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constraint, minkowski, oscillator, transforms
-from .minkowski import (FourVector, _components, _over_real, bound_system, minkowski_dot,
+from .minkowski import (_components, _over_real, bound_system, eta_params, minkowski_dot,
                         reduced_mass, rest_mass)
 from .oscillator import (OscillatorState, ladder_apply, ladder_apply_explicit,
                          ladder_explicit_4d_value, ladder_explicit_value,
@@ -169,10 +169,9 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # random-case generation (shared conventions)
 
-def _draw_system(rng, vmax: float):
+def _draw_masses(rng):
     m1, m2 = rng.uniform(0.5, 3.0, 2)
-    sigma = rng.uniform(0.0, 0.5 * m1 * m2)
-    return bound_system(m1, m2, sigma, _draw_velocity(rng, vmax))
+    return m1, m2, rng.uniform(0.0, 0.5 * m1 * m2)
 
 
 def _draw_velocity(rng, vmax: float) -> np.ndarray:
@@ -184,9 +183,9 @@ def _draw_velocity(rng, vmax: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suites
 
-def _dot3(a, b) -> float:
-    """a[0] b[0] + a[1] b[1] + a[2] b[2] summed left to right; a @ b can round differently."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _count(name: str, n):
+    if not (isinstance(n, (int, np.integer)) and n > 0):
+        raise ValueError(f"{name} must be a positive integer")
 
 
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
@@ -196,31 +195,42 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     Each trial draws a system, a position, a momentum and a second boost;
     constraint coordinates computed in both frames must agree in their
     rotation-invariant combinations (tolerance 1e-9), and the projections
-    orthogonal to P must be orthogonal to it (tolerance 1e-10).
+    orthogonal to P must be orthogonal to it (tolerance 1e-10). The draws
+    run trial by trial; one boost, one map and one projection then serve
+    the stack of all trials, and P passes BoundSystem's checks in both frames.
     """
+    _count("trials", trials)
     if not 0.0 < vmax < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        m1, m2, sigma = _draw_masses(rng)
+        M0 = rest_mass(m1, m2, sigma)
+        eta_params(m1, m2, M0)  # raises unless eta1 + eta2 == 1
+        draws.append(([M0], _draw_velocity(rng, vmax), rng.uniform(-2.0, 2.0, (2, 4)),
+                      _draw_velocity(rng, vmax)))
+    M0, v_a, xp, v_b = map(np.array, zip(*draws))  # M0 (trials, 1), xp (trials, 2, 4)
+    P_a = minkowski.on_shell_momentum(M0, v_a[:, None])  # (trials, 1, 4)
+    frame_a = np.concatenate((P_a, xp), axis=1)  # P, x and p of each trial
+    frames = np.stack((frame_a, minkowski.general_boost(frame_a, v_b[:, None])))
+    P = frames[:, :, :1]  # in both frames, (2, trials, 1, 4)
+    minkowski._check_momentum(P, M0)
+    k = constraint._coordinates(frames[:, :, 1:], P, M0)
+    # row by row, the bits of a left-to-right sum and of np.linalg.norm; other orders can differ
+    dot3 = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    norm = lambda u: np.sqrt(np.matmul(u[..., None, :], u[..., :, None]))[..., 0, 0]
+    a, b = dot3(k[..., [0, 1, 0], :], k[..., [0, 1, 1], :]).tolist()  # xi.xi, pi.pi, xi.pi
+    perp = minkowski.perp_projection(xp, P_a, M0)
+    scale = np.maximum(norm(P_a) * norm(perp), 1.0)
+    ortho = (abs(minkowski_dot(P_a, perp)) / scale).tolist()
     cases = []
-    for trial in range(trials):
-        sys_a = _draw_system(rng, vmax)
-        xp = rng.uniform(-2.0, 2.0, (2, 4))  # a position, then a momentum
-        v = _draw_velocity(rng, vmax)
-        sys_b = sys_a.boosted(v)
-        xi_a, pi_a = constraint.constraint_coordinates(xp, sys_a).tolist()
-        xi_b, pi_b = constraint.constraint_coordinates(minkowski.general_boost(xp, v),
-                                                       sys_b).tolist()
-        for name, a, b in (("xi_sq", _dot3(xi_a, xi_a), _dot3(xi_b, xi_b)),
-                           ("pi_sq", _dot3(pi_a, pi_a), _dot3(pi_b, pi_b)),
-                           ("xi_dot_pi", _dot3(xi_a, pi_a), _dot3(xi_b, pi_b))):
-            cases.append(CaseRecord(name, {"trial": trial}, b, a,
+    for trial, (a_t, b_t, o_t) in enumerate(zip(a, b, ortho)):
+        for name, a_k, b_k in zip(("xi_sq", "pi_sq", "xi_dot_pi"), a_t, b_t):
+            cases.append(CaseRecord(name, {"trial": trial}, b_k, a_k,
                                     "frame-invariant combination", 1e-9))
-        for name, w in zip(("perp_x", "perp_p"), xp.tolist()):
-            perp = minkowski.perp_projection(FourVector.from_components(w), sys_a.P, sys_a.M0)
-            resid = abs(minkowski_dot(sys_a.P, perp))
-            scale = max(float(np.linalg.norm(sys_a.P.components))
-                        * float(np.linalg.norm(perp.components)), 1.0)
-            cases.append(CaseRecord(name, {"trial": trial}, resid / scale, 0.0,
+        for name, o_k in zip(("perp_x", "perp_p"), o_t):
+            cases.append(CaseRecord(name, {"trial": trial}, o_k, 0.0,
                                     "projection orthogonal to P", 1e-10))
     return VerificationReport("invariance", 1e-9, cases, [f"seed={seed}", f"vmax={vmax}"])
 
@@ -295,6 +305,7 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
     offsets the eigenvalue used in the residual; nonzero values are a
     deliberate failure control.
     """
+    _count("points", points)
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
     tol = 1e-10 if mode == "analytic" else 1e-5
@@ -379,6 +390,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     states moving with |v| < 0.9. Tolerances: 1e-5 for the explicit operators
     and the decomposition, 1e-8 for annihilation, 1e-12 for the coefficient algebra.
     """
+    _count("points", points)
     rng = np.random.default_rng(seed)
     cases = []
     states = _draw_states(rng, max_n, moving=True)
@@ -428,7 +440,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
             "4-space decomposition on eigenstates", state.omega, state.sys,
             xs, psi_position(state, xs), oscillator.psi_position_gradient(state, xs)))
     # decomposition on generic transversal fields, finite-difference gradients
-    sys = _draw_system(rng, 0.9)
+    sys = bound_system(*_draw_masses(rng), _draw_velocity(rng, 0.9))
     for k in range(20):
         fld = _constrained_test_field(sys, rng.uniform(-1.0, 1.0, 4))
         x = rng.uniform(-1.5, 1.5, 4)

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rqcm import constraint
 from rqcm.constraint import constraint_coordinates
-from rqcm.minkowski import FourVector, general_boost
+from rqcm.minkowski import (FourVector, bound_system, general_boost, on_shell_momentum,
+                            perp_projection)
 from rqcm.oscillator import (oscillator_state, psi_bargmann, psi_momentum, psi_position,
                              psi_position_gradient)
 from rqcm.verify import (box4, finite_difference_directional2, finite_difference_gradient4,
@@ -68,6 +70,100 @@ def test_general_boost_rows(v, real, cplx):
         got = general_boost(pts, v)
         assert got.shape == pts.shape and got.dtype == pts.dtype
         assert np.array_equal(got, rows(lambda w: general_boost(w, v).components, pts))
+
+
+@st.composite
+def stacked_frames(draw):
+    """n rows of 4-vectors and n velocities, n <= 5."""
+    pts = draw(batches())
+    return pts, draw(hnp.arrays(float, (len(pts), 3), elements=st.floats(-0.51, 0.51)))
+
+
+@st.composite
+def stacked_systems(draw):
+    """n BoundSystems, one per row of a stacked frame, and n real 4-vectors."""
+    pts, vs = draw(stacked_frames())
+    masses = st.floats(0.5, 3.0)
+    systems = []
+    for v in vs:
+        m1, m2 = draw(masses), draw(masses)
+        sigma = draw(st.floats(0.0, 0.5 * m1 * m2))
+        systems.append(bound_system(m1, m2, sigma, v))
+    return systems, pts
+
+
+def stack(systems):
+    return (np.array([s.P.components for s in systems]), np.array([s.M0 for s in systems]))
+
+
+@SETTINGS
+@given(stacked_frames(), complex_batches())
+def test_general_boost_stacked_velocities_rows(frames, cplx):
+    real, vs = frames
+    for pts in (real, cplx[:1].repeat(len(vs), axis=0)):
+        got = general_boost(pts, vs)
+        assert got.shape == pts.shape and got.dtype == pts.dtype
+        want = [general_boost(four(p), v).components for p, v in zip(pts, vs)]
+        assert np.array_equal(got, want)
+    # one 4-vector seen from every frame, and every row of a (1, n) stack
+    assert np.array_equal(general_boost(real[0], vs), [general_boost(four(real[0]), v).components
+                                                       for v in vs])
+    spread = general_boost(real[:, None], vs[None])
+    assert spread.shape == (len(real), len(vs), 4)
+    assert np.array_equal(spread[:, 0], [general_boost(four(p), vs[0]).components for p in real])
+
+
+@SETTINGS
+@given(stacked_systems(), complex_batches())
+def test_stacked_systems_rows(systems_pts, cplx):
+    systems, real = systems_pts
+    P, M0 = stack(systems)
+    for pts in (real, cplx[:1].repeat(len(systems), axis=0)):
+        got = constraint._coordinates(pts, P, M0)
+        want = [constraint_coordinates(four(p), s) for p, s in zip(pts, systems)]
+        assert got.dtype == pts.dtype and np.array_equal(got, want)
+    perp = perp_projection(real, P, M0)
+    assert np.array_equal(perp, [perp_projection(four(w), s.P, s.M0).components
+                                 for w, s in zip(real, systems)])
+
+
+@SETTINGS
+@given(stacked_frames(), st.floats(0.5, 4.0))
+def test_stacked_on_shell_momentum_rows(frames, M0):
+    _, vs = frames
+    masses = M0 * np.linspace(1.0, 2.0, len(vs))
+    got = on_shell_momentum(masses, vs)
+    want = [on_shell_momentum(m, v).components for m, v in zip(masses.tolist(), vs)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0.0, 0.0), (0.8, 0.8, 0.0), (np.nan, 0.0, 0.0),
+                                 (np.inf, 0.0, 0.0)])
+def test_one_bad_velocity_in_a_stack_raises(bad):
+    vs = np.array([(0.1, 0.2, 0.3), bad, (0.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="luminal|finite"):
+        general_boost(np.ones((3, 4)), vs)
+    with pytest.raises(ValueError, match="luminal|finite"):
+        on_shell_momentum(np.full(3, 2.0), vs)
+
+
+@pytest.mark.parametrize("x_shape, v_shape", [((3, 4), (2, 3)), ((2, 3, 4), (2, 3)),
+                                              ((2, 2, 4), (3, 1, 3))])
+def test_velocity_axes_that_do_not_broadcast_raise(x_shape, v_shape):
+    with pytest.raises(ValueError):
+        general_boost(np.ones(x_shape), np.full(v_shape, 0.1))
+
+
+def test_one_bad_momentum_row_raises():
+    P, M0 = stack([bound_system(1.0, 1.3, 0.2, v) for v in ((0.3, 0.0, 0.0), (0.0, -0.5, 0.1))])
+    assert perp_projection(np.ones((2, 4)), P, M0).shape == (2, 4)
+    off_shell, backwards = P.copy(), P.copy()
+    off_shell[1, 3] *= 1.0 + 1e-6
+    backwards[0, 3] *= -1.0
+    for bad, message in ((off_shell, "off shell"), (backwards, "positive-energy"),
+                         (P + 0j, "must be real")):
+        with pytest.raises(ValueError, match=message):
+            perp_projection(np.ones((2, 4)), bad, M0)
 
 
 @SETTINGS

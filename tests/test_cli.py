@@ -313,6 +313,19 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "--suite invariance --trials 0",
+    "--suite invariance --trials -3",
+    "--suite pde --points 0",
+    "--suite ladder --points 0",
+])
+def test_verify_empty_suite_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv.split())
+    assert code == 2
+    assert err.startswith("error:") and "must be a positive integer" in err
+    assert out == ""
+
+
 def test_verify_all_default_passes(tmp_path, capsys):
     report = tmp_path / "all.json"
     code, _, err = run_cli(capsys, "verify", "--report", str(report))

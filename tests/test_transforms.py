@@ -384,6 +384,9 @@ BAD_INPUTS = {
     "rescaled_nodes rate nan": (rescaled_nodes, (gauss_hermite(16), math.nan)),
     "gauss_hermite 32.5": (gauss_hermite, (32.5,)),
     "gauss_hermite True": (gauss_hermite, (True,)),
+    # unhashable: checked before the cache lookup, which would raise TypeError
+    "gauss_hermite list": (gauss_hermite, ([32],)),
+    "gauss_hermite dict": (gauss_hermite, ({32: 1},)),
 }
 
 
@@ -391,6 +394,13 @@ BAD_INPUTS = {
 def test_non_finite_and_mistyped_inputs_raise_value_error(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+def test_equal_orders_share_one_cached_rule():
+    assert gauss_hermite(np.int64(24)) is gauss_hermite(24)
+    before = gauss_hermite.cache_info().misses
+    gauss_hermite(24)
+    assert gauss_hermite.cache_info().misses == before
 
 
 # ---------------------------------------------------------------------------

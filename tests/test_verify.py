@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from rqcm.constraint import constraint_coordinates, xi_jacobian
-from rqcm.minkowski import FourVector, bound_system, on_shell_momentum
+from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
+                            on_shell_momentum, perp_projection)
 from rqcm.oscillator import oscillator_state
-from rqcm import verify
+from rqcm import minkowski, verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
                          finite_difference_directional2,
                          finite_difference_gradient4, run_invariance_suite,
@@ -134,6 +135,72 @@ def test_invariance_suite_zero_boost_is_machine_exact():
 def test_invariance_suite_validates_vmax():
     with pytest.raises(ValueError):
         run_invariance_suite(trials=1, vmax=1.5)
+
+
+def _velocity(rng, vmax):
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return rng.uniform(0.0, vmax) * direction
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def invariance_one_trial_at_a_time(trials, vmax, seed):
+    """The invariance suite through the per-system API: one BoundSystem, two
+    boosts, two maps and two FourVector projections per trial."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for trial in range(trials):
+        m1, m2 = rng.uniform(0.5, 3.0, 2)
+        sys_a = bound_system(m1, m2, rng.uniform(0.0, 0.5 * m1 * m2), _velocity(rng, vmax))
+        xp = rng.uniform(-2.0, 2.0, (2, 4))
+        v = _velocity(rng, vmax)
+        sys_b = sys_a.boosted(v)
+        xi_a, pi_a = constraint_coordinates(xp, sys_a).tolist()
+        xi_b, pi_b = constraint_coordinates(general_boost(xp, v), sys_b).tolist()
+        for name, a, b in (("xi_sq", _dot3(xi_a, xi_a), _dot3(xi_b, xi_b)),
+                           ("pi_sq", _dot3(pi_a, pi_a), _dot3(pi_b, pi_b)),
+                           ("xi_dot_pi", _dot3(xi_a, pi_a), _dot3(xi_b, pi_b))):
+            cases.append(CaseRecord(name, {"trial": trial}, b, a,
+                                    "frame-invariant combination", 1e-9))
+        for name, w in zip(("perp_x", "perp_p"), xp.tolist()):
+            perp = perp_projection(FourVector.from_components(w), sys_a.P, sys_a.M0)
+            resid = abs(minkowski_dot(sys_a.P, perp))
+            scale = max(float(np.linalg.norm(sys_a.P.components))
+                        * float(np.linalg.norm(perp.components)), 1.0)
+            cases.append(CaseRecord(name, {"trial": trial}, resid / scale, 0.0,
+                                    "projection orthogonal to P", 1e-10))
+    return VerificationReport("invariance", 1e-9, cases, [f"seed={seed}", f"vmax={vmax}"])
+
+
+@pytest.mark.parametrize("seed, vmax", [(0, 0.99), (1, 0.99), (2, 0.99), (3, 0.99),
+                                        (0, 1e-12)])
+def test_stacked_invariance_suite_matches_per_trial_loop(seed, vmax):
+    got = run_invariance_suite(trials=50, vmax=vmax, seed=seed).to_json()
+    assert got == invariance_one_trial_at_a_time(50, vmax, seed).to_json()
+
+
+@pytest.mark.parametrize("scale, message", [(1.01, "off shell"), (-1.0, "positive-energy")])
+def test_invariance_suite_checks_the_boosted_momenta(monkeypatch, scale, message):
+    boost = minkowski.general_boost
+    monkeypatch.setattr(minkowski, "general_boost", lambda x, v: scale * boost(x, v))
+    with pytest.raises(ValueError, match=message):
+        run_invariance_suite(trials=5)
+
+
+@pytest.mark.parametrize("suite, count, value", [
+    (run_invariance_suite, "trials", 0),
+    (run_invariance_suite, "trials", -3),
+    (run_invariance_suite, "trials", 2.0),
+    (run_pde_suite, "points", 0),
+    (run_ladder_suite, "points", 0),
+    (run_ladder_suite, "points", -1),
+])
+def test_empty_suites_raise(suite, count, value):
+    with pytest.raises(ValueError, match=f"{count} must be a positive integer"):
+        suite(**{count: value})
 
 
 def test_pde_suite_modes():
