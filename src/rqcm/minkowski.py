@@ -118,8 +118,9 @@ def minkowski_dot(a, b):
 
 
 def _all(mask) -> bool:
-    """mask.all(), without numpy's reduction (microseconds a call) for one value."""
-    return bool(mask.all() if mask.ndim else mask)
+    """mask.all(), without numpy's reduction (microseconds a call) for one value,
+    which may be a Python bool."""
+    return bool(mask.all() if getattr(mask, "ndim", 0) else mask)
 
 
 def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
@@ -232,15 +233,16 @@ def on_shell_momentum(M0, v):
 
 def _check_momentum(P, M0, rtol: float = ON_SHELL_RTOL):
     """Raise ValueError unless each P, a FourVector or (..., 4) array, is a real,
-    positive-energy momentum with |P.P + M0^2| <= rtol M0^2 for its M0 (...)."""
-    M0, comps = np.asarray(M0)[()], _components(P)
+    positive-energy momentum with |P.P + M0^2| <= rtol M0^2 for its M0, a
+    float or a (...) array. One FourVector and a float stay Python scalars."""
+    pp = minkowski_dot(P, P)
     if not _all((0.0 < M0) & (M0 < math.inf)):
         raise ValueError("rest mass must be positive and finite")
-    if comps.dtype.kind == "c":
+    if np.asarray(pp).dtype.kind == "c":
         raise ValueError("total momentum P must be real")
-    if not _all(comps[..., 3][()] > 0):
+    if not _all(_parts(P)[3] > 0):
         raise ValueError("positive-energy branch requires P.c4 > 0")
-    miss = abs(minkowski_dot(P, P) + M0 * M0)
+    miss = abs(pp + M0 * M0)
     if not _all(miss <= rtol * M0 * M0):
         raise ValueError(f"total momentum off shell: |P.P + M0^2| = {np.max(miss):.3e}")
 

@@ -14,7 +14,8 @@ sign^l alpha^l / sqrt(l!) (Segal-Bargmann, also summed about Re(alpha)).
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
-direct quadrature as the oracle; trust_momentum is its reach.
+direct quadrature as the oracle; trust_momentum is its reach. A product grid
+builds one table per distinct axis array, so (t, t, t) builds one.
 """
 from __future__ import annotations
 
@@ -170,17 +171,18 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     pts = None if grid else np.asarray(targets, dtype=float)
     if not grid and (pts.ndim == 0 or pts.shape[-1] != 3):
         raise ValueError("targets must be (..., 3) points or three 1D axis arrays")
-    tables = [_fourier_table(np.asarray(t, dtype=float), scale, rule.order, sign)
-              for t in (targets if grid else pts.reshape(-1, 3).T)]
+    axes = tuple(targets if grid else pts.reshape(-1, 3).T)  # held, so ids stay distinct
+    table = {k: _fourier_table(np.asarray(t, dtype=float), scale, rule.order, sign)
+             for k, t in {id(t): t for t in axes}.items()}  # one per axis object
     if callable(g):
         x = scale * rule.nodes
         G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
-        kernels = [A @ (math.sqrt(scale) * rule.projector) for A in tables]
-        out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a', *kernels, G,
-                        optimize=True)
+        kernel = {k: A @ (math.sqrt(scale) * rule.projector) for k, A in table.items()}
+        out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a',
+                        *(kernel[id(t)] for t in axes), G, optimize=True)
     elif len(g) == 3:
         out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
-                        *(A @ _coefficients(f, rule, scale) for f, A in zip(g, tables)))
+                        *(table[id(t)] @ _coefficients(f, rule, scale) for f, t in zip(g, axes)))
     else:
         raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
     if grid:

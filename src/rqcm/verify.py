@@ -22,9 +22,8 @@ import numpy as np
 from . import constraint, minkowski, oscillator, transforms
 from .minkowski import (_components, _over_real, bound_system, eta_params, minkowski_dot,
                         reduced_mass, rest_mass)
-from .oscillator import (OscillatorState, ladder_apply, ladder_apply_explicit,
-                         ladder_explicit_4d_value, ladder_explicit_value,
-                         oscillator_state, psi_position, states_up_to)
+from .oscillator import (OscillatorState, ladder_apply, ladder_explicit_4d_value,
+                         ladder_explicit_value, oscillator_state, psi_position, states_up_to)
 
 DEFAULT_H_FIRST = 1e-6
 DEFAULT_H_SECOND = 1e-5
@@ -389,47 +388,47 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     equality of the explicit operator with its flat 4-space decomposition, for
     states moving with |v| < 0.9. Tolerances: 1e-5 for the explicit operators
     and the decomposition, 1e-8 for annihilation, 1e-12 for the coefficient algebra.
+
+    Each state draws its six (points, 4) blocks, one per axis and direction
+    (lower, then raise), as one (6, points, 4) stack; the wave function and
+    its finite-difference gradient run once over the stack, the explicit
+    operator once per block, and each ladder_apply of the state serves every check.
     """
     _count("points", points)
     rng = np.random.default_rng(seed)
     cases = []
     states = _draw_states(rng, max_n, moving=True)
+    moves = [(axis, direction) for axis in (1, 2, 3) for direction in ("lower", "raise")]
     for idx, state in enumerate(states):
-        for axis in (1, 2, 3):
-            for direction in ("lower", "raise"):
-                coeff, new_state = ladder_apply(direction, axis, state)
-                xs = rng.uniform(-1.5, 1.5, (points, 4))
-                gots = ladder_apply_explicit(direction, axis, state, xs,
-                                             gradient=finite_difference_gradient4)
-                if new_state is None:
-                    for k, got in enumerate(gots):
-                        cases.append(CaseRecord("annihilation",
-                                                {"state": idx, "axis": axis, "point": k},
-                                                abs(got), 0.0,
-                                                "lowering the ground level gives zero",
-                                                1e-8))
-                else:
-                    wants = coeff * psi_position(new_state, xs)
-                    scale = max(max(abs(w) for w in wants), 1e-3)
-                    for k, (got, want) in enumerate(zip(gots, wants)):
-                        cases.append(CaseRecord(
-                            f"explicit_{direction}",
-                            {"state": idx, "axis": axis, "point": k},
-                            abs(got - want) / scale, 0.0,
-                            "explicit operator vs ladder coefficient", 1e-5))
-            # coefficient algebra, exact in integer arithmetic
-            c_low, lowered = ladder_apply("lower", axis, state)
-            down_up = c_low * (ladder_apply("raise", axis, lowered)[0] if lowered else 0.0)
-            c_up, raised = ladder_apply("raise", axis, state)
-            up_down = c_up * ladder_apply("lower", axis, raised)[0]
-            cases.append(CaseRecord("commutator", {"state": idx, "axis": axis},
-                                    down_up - up_down, -1.0,
-                                    "raise-lower minus lower-raise", 1e-12))
+        xs = rng.uniform(-1.5, 1.5, (len(moves), points, 4))
+        field = lambda pt: psi_position(state, pt)
+        values, grads = field(xs), finite_difference_gradient4(field, xs)
+        applied = {(a, d): ladder_apply(d, a, state) for a, d in moves}
         number = 0.0
-        for axis in (1, 2, 3):
-            c_low, lowered = ladder_apply("lower", axis, state)
-            if lowered is not None:
-                number += c_low * ladder_apply("raise", axis, lowered)[0]
+        for x, value, grad, (axis, direction) in zip(xs, values, grads, moves):
+            coeff, new_state = applied[axis, direction]
+            gots = ladder_explicit_value(direction, axis, state.omega, state.sys, x, value, grad)
+            # the values are complex with zero imaginary parts, so numpy's abs
+            # has the bits of Python's on each one
+            if new_state is None:
+                errs, tol = np.abs(gots), 1e-8
+                check, why = "annihilation", "lowering the ground level gives zero"
+            else:
+                wants = coeff * psi_position(new_state, x)
+                errs, tol = np.abs(gots - wants) / max(np.max(np.abs(wants)), 1e-3), 1e-5
+                check, why = f"explicit_{direction}", "explicit operator vs ladder coefficient"
+            for k, err in enumerate(errs.tolist()):
+                cases.append(CaseRecord(check, {"state": idx, "axis": axis, "point": k},
+                                        err, 0.0, why, tol))
+            if direction == "raise":
+                # coefficient algebra, exact in integer arithmetic
+                (c_low, lowered), (c_up, raised) = applied[axis, "lower"], applied[axis, "raise"]
+                down_up = c_low * (ladder_apply("raise", axis, lowered)[0] if lowered else 0.0)
+                up_down = c_up * ladder_apply("lower", axis, raised)[0]
+                number += down_up  # adds 0.0 where lowering annihilates
+                cases.append(CaseRecord("commutator", {"state": idx, "axis": axis},
+                                        down_up - up_down, -1.0,
+                                        "raise-lower minus lower-raise", 1e-12))
         cases.append(CaseRecord("eigenvalue_identity", {"state": idx},
                                 state.omega * (number + 1.5), state.sigma,
                                 "number operator plus zero point", 1e-12))

@@ -183,6 +183,29 @@ def test_fourier_forward_point_list_matches_grid():
         fourier_forward(pos[:2], pts, rule, om)
 
 
+def test_shared_grid_axis_gives_the_bits_of_copies():
+    # a grid whose axes are one array builds one table for all three; the
+    # result must keep the bits of three distinct, equal arrays
+    om = 1.1
+    rule = gauss_hermite(20)
+    st = oscillator_state((2, 0, 1), om, 1.0, 1.3)
+    t = np.linspace(-1.7, 2.1, 6)
+    pos = [lambda xi, l=l: phi_1d(l, om, xi) for l in st.q.as_tuple()]
+    mom = [lambda p, l=l: phi_1d_momentum(l, om, p) for l in st.q.as_tuple()]
+    for transform, factors, profile in ((fourier_forward, pos, position_profile(st)),
+                                        (fourier_inverse, mom, momentum_profile(st))):
+        for g in (factors, profile):  # the three-factor and the 3D-evaluator branch
+            shared = transform(g, (t, t, t), rule, om)
+            copies = transform(g, (t.copy(), t.copy(), t.copy()), rule, om)
+            assert np.array_equal(shared.view(float), copies.view(float))
+    # three different axes of one length: each gets its own table, and the
+    # grid is the outer product of the three 1D transforms
+    axes = (t, 0.5 * t, t[::-1].copy())
+    want = np.einsum('a,b,c->abc', *(fourier_forward1d(f, a, rule, om)
+                                     for f, a in zip(pos, axes)))
+    assert np.array_equal(fourier_forward(pos, axes, rule, om).view(float), want.view(float))
+
+
 def test_fourier_matches_momentum_representation():
     # the numeric transform reproduces the momentum-space wave function up
     # to the per-level eigenphase (-i)^n

@@ -7,7 +7,8 @@ import pytest
 from rqcm.constraint import constraint_coordinates, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
                             on_shell_momentum, perp_projection)
-from rqcm.oscillator import oscillator_state
+from rqcm.oscillator import (ladder_apply, ladder_apply_explicit, oscillator_state,
+                             psi_position, psi_position_gradient, quantum_numbers_at_level)
 from rqcm import minkowski, verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
                          finite_difference_directional2,
@@ -229,6 +230,72 @@ def test_ladder_suite_passes():
     assert {"explicit_lower", "explicit_raise", "annihilation", "commutator",
             "eigenvalue_identity", "decomposition_state",
             "decomposition_field"} <= checks
+
+
+def ladder_one_pair_at_a_time(max_n, points, seed):
+    """The ladder suite through the per-call API: one ladder_apply_explicit and
+    one psi_position of the new state per state, axis and direction."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    states = [oscillator_state(q, 1.0, 1.0, 1.3, _velocity(rng, 0.9))
+              for n in range(max_n + 1) for q in quantum_numbers_at_level(n)]
+    for idx, state in enumerate(states):
+        for axis in (1, 2, 3):
+            for direction in ("lower", "raise"):
+                coeff, new_state = ladder_apply(direction, axis, state)
+                xs = rng.uniform(-1.5, 1.5, (points, 4))
+                gots = ladder_apply_explicit(direction, axis, state, xs,
+                                             gradient=finite_difference_gradient4)
+                if new_state is None:
+                    for k, got in enumerate(gots):
+                        cases.append(CaseRecord("annihilation",
+                                                {"state": idx, "axis": axis, "point": k},
+                                                abs(got), 0.0,
+                                                "lowering the ground level gives zero", 1e-8))
+                else:
+                    wants = coeff * psi_position(new_state, xs)
+                    scale = max(max(abs(w) for w in wants), 1e-3)
+                    for k, (got, want) in enumerate(zip(gots, wants)):
+                        cases.append(CaseRecord(f"explicit_{direction}",
+                                                {"state": idx, "axis": axis, "point": k},
+                                                abs(got - want) / scale, 0.0,
+                                                "explicit operator vs ladder coefficient", 1e-5))
+            c_low, lowered = ladder_apply("lower", axis, state)
+            down_up = c_low * (ladder_apply("raise", axis, lowered)[0] if lowered else 0.0)
+            c_up, raised = ladder_apply("raise", axis, state)
+            up_down = c_up * ladder_apply("lower", axis, raised)[0]
+            cases.append(CaseRecord("commutator", {"state": idx, "axis": axis},
+                                    down_up - up_down, -1.0,
+                                    "raise-lower minus lower-raise", 1e-12))
+        number = 0.0
+        for axis in (1, 2, 3):
+            c_low, lowered = ladder_apply("lower", axis, state)
+            if lowered is not None:
+                number += c_low * ladder_apply("raise", axis, lowered)[0]
+        cases.append(CaseRecord("eigenvalue_identity", {"state": idx},
+                                state.omega * (number + 1.5), state.sigma,
+                                "number operator plus zero point", 1e-12))
+        xs = rng.uniform(-1.5, 1.5, (3, 4))
+        cases.extend(verify._decomposition_cases(
+            "decomposition_state", {"state": idx},
+            "4-space decomposition on eigenstates", state.omega, state.sys,
+            xs, psi_position(state, xs), psi_position_gradient(state, xs)))
+    sys = bound_system(*verify._draw_masses(rng), _velocity(rng, 0.9))
+    for k in range(20):
+        fld = verify._constrained_test_field(sys, rng.uniform(-1.0, 1.0, 4))
+        x = rng.uniform(-1.5, 1.5, 4)
+        cases.extend(verify._decomposition_cases(
+            "decomposition_field", {"field": k},
+            "4-space decomposition on test fields", 1.0, sys, x, fld(x),
+            finite_difference_gradient4(fld, x)))
+    return VerificationReport("ladder", 1e-5, cases, [f"seed={seed}", "vmax=0.9"])
+
+
+@pytest.mark.parametrize("max_n, points, seed", [(2, 5, 0), (2, 5, 1), (2, 5, 2), (2, 5, 3),
+                                                 (4, 20, 0)])
+def test_stacked_ladder_suite_matches_per_pair_loop(max_n, points, seed):
+    got = run_ladder_suite(max_n=max_n, points=points, seed=seed).to_json()
+    assert got == ladder_one_pair_at_a_time(max_n, points, seed).to_json()
 
 
 def test_nr_limit_suite_passes():
