@@ -17,12 +17,54 @@ import numpy as np
 
 from . import transforms, verify
 from .minkowski import general_boost, reduced_mass, rest_mass
-from .oscillator import (degeneracy, nr_spring_constant, oscillator_state,
+from .oscillator import (QuantumNumbers, degeneracy, nr_spring_constant, oscillator_state,
                          phi_1d, phi_1d_momentum, psi_bargmann, psi_momentum,
                          psi_position, sigma_n)
 
-_CONFIG_KEYS = ("m1", "m2", "omega", "l", "v", "grid", "representation",
-                "order", "seed", "format")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # an integer beyond the float range would raise OverflowError in float()
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
+def _three(test):
+    return lambda value: (isinstance(value, (list, tuple)) and len(value) == 3
+                          and all(test(c) for c in value))
+
+
+def _one_of(*choices):
+    return (lambda value: value in choices), " or ".join(map(repr, choices))
+
+
+_POSITIVE = (lambda x: _is_real(x) and 0.0 < x < math.inf, "a positive finite number")
+_FINITE = (lambda x: _is_real(x) and math.isfinite(x), "a finite number")
+
+# setting -> (default, test, what the test asks for). A setting comes from its
+# flag, else from the config file, else from its default, and flag and config
+# values pass the same test. The config file holds the grid settings in its
+# "grid" object, under the keys of _GRID_KEYS.
+_SETTINGS = {
+    "m1": (1.0, *_POSITIVE),
+    "m2": (1.0, *_POSITIVE),
+    "omega": (1.0, *_POSITIVE),
+    "l": ((0, 0, 0), _three(_is_int), "three integers"),
+    "v": ((0.0, 0.0, 0.0), lambda v: _three(_is_real)(v) and sum(c * c for c in v) < 1.0,
+          "three numbers with |v| below 1"),
+    "representation": ("position", *_one_of("position", "momentum", "bargmann")),
+    "grid_axis": (1, lambda a: _is_int(a) and 1 <= a <= 3, "1, 2 or 3"),
+    "grid_min": (-4.0, *_FINITE),
+    "grid_max": (4.0, *_FINITE),
+    "samples": (41, lambda n: _is_int(n) and n >= 2, "an integer >= 2"),
+    "order": (32, _is_int, "an integer"),
+    "seed": (0, _is_int, "an integer"),
+    "format": ("csv", *_one_of("csv", "json")),
+}
+_GRID_KEYS = {"axis": "grid_axis", "min": "grid_min", "max": "grid_max", "samples": "samples"}
+_CONFIG_KEYS = ("grid", *(key for key in _SETTINGS if key not in _GRID_KEYS.values()))
 
 # each `verify` option and the suites that take it; a suite gets it when it is set
 _VERIFY_OPTIONS = {
@@ -59,183 +101,106 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path):
         sys.stdout.write(text)
 
 
-def _load_config(path):
+def _load_config(path) -> dict:
+    """The config file's settings by name, its grid object flattened; {} for no file."""
     if not path:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - set(_CONFIG_KEYS)
+    grid = cfg.pop("grid", {})
+    if not isinstance(grid, dict):
+        raise ValueError("grid must be a JSON object")
+    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+    unknown += [f"grid.{key}" for key in grid if key not in _GRID_KEYS]
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+    return cfg | {_GRID_KEYS[key]: value for key, value in grid.items()}
 
 
-def _setting(args, cfg, key, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # an integer beyond the float range would raise OverflowError in float()
-    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
-
-
-def _typed_setting(args, cfg, key, default, is_type, kind):
-    value = _setting(args, cfg, key, default)
-    if value is not None and not is_type(value):
-        raise ValueError(f"{key} must be {kind}, got {value!r}")
+def _get(args, cfg, key):
+    """A setting from its flag, else the config, else its default, once it passes its test."""
+    default, test, wants = _SETTINGS[key]
+    value = getattr(args, key, None)
+    if value is None:
+        value = cfg.get(key, default)
+    if not test(value):
+        raise ValueError(f"{key} must be {wants}, got {value!r}")
     return value
 
 
-def _format_setting(args, cfg):
-    fmt = _setting(args, cfg, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unsupported format {fmt!r}")
-    return fmt
-
-
-def _grid_setting(args, cfg):
-    grid = cfg.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ValueError("grid must be a JSON object")
-    grid = dict(grid)
-    for key, flag in (("axis", "grid_axis"), ("min", "grid_min"),
-                      ("max", "grid_max"), ("samples", "samples")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            grid[key] = val
-    grid.setdefault("axis", 1)
-    grid.setdefault("min", -4.0)
-    grid.setdefault("max", 4.0)
-    grid.setdefault("samples", 41)
-    if not (_is_int(grid["axis"]) and _is_int(grid["samples"])):
-        raise ValueError("grid axis and samples must be integers")
-    if not all(_is_real(grid[k]) and math.isfinite(grid[k]) for k in ("min", "max")):
-        raise ValueError("grid min and max must be finite numbers")
-    if grid["samples"] < 2:
-        raise ValueError("grid samples must be >= 2")
-    if grid["axis"] not in (1, 2, 3):
-        raise ValueError("grid axis must be 1, 2 or 3")
-    return grid
-
-
-def _hbar_omega_note(args, m1, m2):
-    w = getattr(args, "hbar_omega", None)
-    if w is not None:
+def _physics(args, cfg):
+    """m1, m2 and omega as floats; --hbar-omega also prints the spring constant it maps to."""
+    m1, m2, omega = (float(_get(args, cfg, key)) for key in ("m1", "m2", "omega"))
+    if (w := args.hbar_omega) is not None:
         om = nr_spring_constant(m1, m2, w)
         print(f"# nonrelativistic mapping: Omega = m_r * omega = "
               f"{reduced_mass(m1, m2):.17g} * {w:.17g} = {om:.17g}", file=sys.stderr)
-
-
-def _common_physics(args, cfg):
-    m1, m2, omega = (float(_typed_setting(args, cfg, key, 1.0, _is_real, "a number"))
-                     for key in ("m1", "m2", "omega"))
-    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf and 0.0 < omega < math.inf):
-        raise ValueError("masses and omega must be positive and finite")
     return m1, m2, omega
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    m1, m2, omega = _common_physics(args, cfg)
-    _hbar_omega_note(args, m1, m2)
+def _grid(args, cfg):
+    """The grid axis (1, 2 or 3) and the coordinate values sampled along it."""
+    ts = np.linspace(_get(args, cfg, "grid_min"), _get(args, cfg, "grid_max"),
+                     _get(args, cfg, "samples"))
+    return _get(args, cfg, "grid_axis"), ts
+
+
+def cmd_spectrum(args, cfg) -> int:
+    m1, m2, omega = _physics(args, cfg)
     nmax = args.nmax if args.nmax is not None else 6
     rows = []
     for n in range(nmax + 1):
         s = sigma_n(omega, n)
         rows.append({"n": n, "degeneracy": degeneracy(n), "sigma": s,
                      "M0": rest_mass(m1, m2, s)})
-    fmt = _format_setting(args, cfg)
-    _emit(rows, ["n", "degeneracy", "sigma", "M0"], fmt, args.out)
+    _emit(rows, ["n", "degeneracy", "sigma", "M0"], _get(args, cfg, "format"), args.out)
     return 0
 
 
-def _parse_l(args, cfg):
-    raw = _setting(args, cfg, "l", [0, 0, 0])
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 3
-            and all(_is_int(v) for v in raw)):
-        raise ValueError("l must be three integers")
-    return tuple(raw)
-
-
-def _parse_v(args, cfg):
-    raw = _setting(args, cfg, "v", [0.0, 0.0, 0.0])
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 3
-            and all(_is_real(c) for c in raw)):
-        raise ValueError("v must be three numbers")
-    v = [float(c) for c in raw]
-    if not sum(c * c for c in v) < 1.0:
-        raise ValueError("v must be finite with |v| below 1")
-    return v
-
-
-def _sample_points(grid, velocity):
+def _sample_points(axis, ts, velocity):
     """4-space sample points whose constraint coordinate runs along one axis.
 
     Points are built in the rest frame on the requested axis and carried to
     the requested frame with the inverse boost, so the constraint
     coordinates are the grid values by construction.
     """
-    ts = np.linspace(grid["min"], grid["max"], grid["samples"])
     rest = np.zeros((ts.size, 4))
-    rest[:, grid["axis"] - 1] = ts
-    return ts, general_boost(rest, [-c for c in velocity])
+    rest[:, axis - 1] = ts
+    return general_boost(rest, [-c for c in velocity])
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    m1, m2, omega = _common_physics(args, cfg)
-    _hbar_omega_note(args, m1, m2)
-    ls = _parse_l(args, cfg)
-    velocity = _parse_v(args, cfg)
-    rep = _setting(args, cfg, "representation", "position")
-    if rep not in ("position", "momentum", "bargmann"):
-        raise ValueError(f"unsupported representation {rep!r}")
-    grid = _grid_setting(args, cfg)
-    state = oscillator_state(ls, omega, m1, m2, velocity)
-    ts, pts = _sample_points(grid, velocity)
+def cmd_eval(args, cfg) -> int:
+    m1, m2, omega = _physics(args, cfg)
+    velocity = [float(c) for c in _get(args, cfg, "v")]
     coord, psi = {"position": ("xi", psi_position), "momentum": ("pi", psi_momentum),
-                  "bargmann": ("alpha", psi_bargmann)}[rep]
+                  "bargmann": ("alpha", psi_bargmann)}[_get(args, cfg, "representation")]
+    state = oscillator_state(_get(args, cfg, "l"), omega, m1, m2, velocity)
+    axis, ts = _grid(args, cfg)
+    pts = _sample_points(axis, ts, velocity)
     rows = [{coord: t, "c1": c1, "c2": c2, "c3": c3, "c4": c4,
              "re_psi": val.real, "im_psi": val.imag, "abs2_psi": abs(val) ** 2}
             for t, (c1, c2, c3, c4), val in zip(ts.tolist(), pts.tolist(),
                                                 psi(state, pts).tolist())]
-    fmt = _format_setting(args, cfg)
     _emit(rows, [coord, "c1", "c2", "c3", "c4", "re_psi", "im_psi", "abs2_psi"],
-          fmt, args.out)
+          _get(args, cfg, "format"), args.out)
     return 0
 
 
-def cmd_transform(args) -> int:
-    cfg = _load_config(args.config)
-    m1, m2, omega = _common_physics(args, cfg)
-    ls = _parse_l(args, cfg)
+def cmd_transform(args, cfg) -> int:
+    _, _, omega = _physics(args, cfg)
+    ls = QuantumNumbers(*_get(args, cfg, "l")).as_tuple()
     # target -> (numeric transform of one factor, its closed form, coordinate column)
-    targets = {
+    transform, closed_form, coord = {
         "momentum": (transforms.fourier_forward1d, phi_1d_momentum, "pi"),
         "bargmann": (lambda g, t, rule, om: transforms.bargmann_transform(g, t, om, rule),
                      lambda l, om, t: t.astype(complex) ** l / math.sqrt(math.factorial(l)),
                      "alpha"),
-    }
-    if args.to not in targets:
-        raise ValueError(f"unsupported transform target {args.to!r}")
-    transform, closed_form, coord = targets[args.to]
-    order = _typed_setting(args, cfg, "order", 32, _is_int, "an integer")
-    rule = transforms.gauss_hermite(order)
-    state = oscillator_state(ls, omega, m1, m2)
-    grid = _grid_setting(args, cfg)
-    ts = np.linspace(grid["min"], grid["max"], grid["samples"])
-    l = ls[grid["axis"] - 1]
+    }[args.to]
+    rule = transforms.gauss_hermite(_get(args, cfg, "order"))
+    axis, ts = _grid(args, cfg)
+    l = ls[axis - 1]
     if why := transforms.unresolved([l], rule):
         raise ValueError(f"{why}; raise --order above {l}")
     vals = transform(lambda xi: phi_1d(l, omega, xi), ts, rule, omega)
@@ -243,16 +208,15 @@ def cmd_transform(args) -> int:
     rows = [{coord: float(t), "re": v.real, "im": v.imag, "abs": abs(v),
              "abs_closed_form": abs(a)}
             for t, v, a in zip(ts, np.atleast_1d(vals), np.atleast_1d(ana))]
-    fmt = _format_setting(args, cfg)
-    _emit(rows, [coord, "re", "im", "abs", "abs_closed_form"], fmt, args.out)
+    _emit(rows, [coord, "re", "im", "abs", "abs_closed_form"], _get(args, cfg, "format"),
+          args.out)
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _typed_setting(args, cfg, "seed", 0, _is_int, "an integer")
+def cmd_verify(args, cfg) -> int:
+    seed = _get(args, cfg, "seed")
     options = {key: getattr(args, key) for key in _VERIFY_OPTIONS}
-    options["order"] = _typed_setting(args, cfg, "order", None, _is_int, "an integer")
+    options["order"] = _get(args, cfg, "order")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = {}
     for name in names:
@@ -274,74 +238,72 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--m1", type=float)
-    parser.add_argument("--m2", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--format", choices=("csv", "json"), dest="format")
-    parser.add_argument("--out", help="write output here instead of stdout")
-    parser.add_argument("--hbar-omega", type=float, dest="hbar_omega",
-                        help="print the spring constant for this Schroedinger frequency")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rqcm",
         description="Relativistic oscillator in constraint-space coordinates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="level table: n, degeneracy, sigma_n, M0")
-    _add_common(sp)
+    def setting(group, flag, key=None, **kwargs):
+        """A flag of a _SETTINGS entry; its help says what the entry accepts."""
+        key = key or flag[2:].replace("-", "_")
+        default, _, wants = _SETTINGS[key]
+        group.add_argument(flag, dest=key, help=f"{wants}; default {default}", **kwargs)
+
+    # the flags that several commands share, declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file; flags override it")
+    table = argparse.ArgumentParser(add_help=False, parents=[config])
+    for key in ("m1", "m2", "omega"):
+        setting(table, f"--{key}", type=float)
+    setting(table, "--format")
+    table.add_argument("--out", help="write output here instead of stdout")
+    table.add_argument("--hbar-omega", type=float,
+                       help="print the spring constant for this Schroedinger frequency")
+    grid = argparse.ArgumentParser(add_help=False)
+    setting(grid, "--l", type=int, nargs=3, metavar=("L1", "L2", "L3"))
+    setting(grid, "--grid-axis", type=int)
+    setting(grid, "--grid-min", type=float)
+    setting(grid, "--grid-max", type=float)
+    setting(grid, "--samples", type=int)
+
+    sp = sub.add_parser("spectrum", parents=[table],
+                        help="level table: n, degeneracy, sigma_n, M0")
     sp.add_argument("--nmax", type=int)
     sp.set_defaults(func=cmd_spectrum)
 
-    ev = sub.add_parser("eval", help="sample a wave function along a constraint axis")
-    _add_common(ev)
-    ev.add_argument("--l", type=int, nargs=3, metavar=("L1", "L2", "L3"))
-    ev.add_argument("--v", type=float, nargs=3, metavar=("VX", "VY", "VZ"))
-    ev.add_argument("--rep", dest="representation",
-                    choices=("position", "momentum", "bargmann"))
-    ev.add_argument("--grid-axis", type=int, dest="grid_axis")
-    ev.add_argument("--grid-min", type=float, dest="grid_min")
-    ev.add_argument("--grid-max", type=float, dest="grid_max")
-    ev.add_argument("--samples", type=int, dest="samples")
+    ev = sub.add_parser("eval", parents=[table, grid],
+                        help="sample a wave function along a constraint axis")
+    setting(ev, "--v", type=float, nargs=3, metavar=("VX", "VY", "VZ"))
+    setting(ev, "--rep", "representation")
     ev.set_defaults(func=cmd_eval)
 
-    tr = sub.add_parser("transform", help="numeric transform of one axis profile")
-    _add_common(tr)
-    tr.add_argument("--l", type=int, nargs=3, metavar=("L1", "L2", "L3"))
+    tr = sub.add_parser("transform", parents=[table, grid],
+                        help="numeric transform of one axis profile")
     tr.add_argument("--to", choices=("momentum", "bargmann"), default="momentum")
-    tr.add_argument("--order", type=int)
-    tr.add_argument("--grid-axis", type=int, dest="grid_axis")
-    tr.add_argument("--grid-min", type=float, dest="grid_min")
-    tr.add_argument("--grid-max", type=float, dest="grid_max")
-    tr.add_argument("--samples", type=int, dest="samples")
+    setting(tr, "--order", type=int)
     tr.set_defaults(func=cmd_transform)
 
-    vf = sub.add_parser("verify", help="run verification suites, exit 1 on failure")
-    vf.add_argument("--suite", default="all",
-                    choices=tuple(verify.SUITES) + ("all",))
-    vf.add_argument("--config")
-    vf.add_argument("--seed", type=int)
+    vf = sub.add_parser("verify", parents=[config],
+                        help="run verification suites, exit 1 on failure")
+    vf.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
+    setting(vf, "--seed", type=int)
     vf.add_argument("--trials", type=int)
     vf.add_argument("--points", type=int)
-    vf.add_argument("--max-n", type=int, dest="max_n",
+    vf.add_argument("--max-n", type=int,
                     help="highest level n of the transforms suite (other suites ignore it)")
-    vf.add_argument("--order", type=int)
-    vf.add_argument("--sigma-perturb", type=float, dest="sigma_perturb")
-    vf.add_argument("--bargmann-sign", type=int, dest="bargmann_sign",
-                    choices=(-1, 1))
+    setting(vf, "--order", type=int)
+    vf.add_argument("--sigma-perturb", type=float)
+    vf.add_argument("--bargmann-sign", type=int, choices=(-1, 1))
     vf.add_argument("--report", help="write the JSON report to this path")
     vf.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,9 +231,9 @@ def on_shell_momentum(M0, v):
     return np.concatenate((gM0[..., None] * v, gM0[..., None]), axis=-1)
 
 
-def _check_momentum(P, M0, rtol: float = ON_SHELL_RTOL):
+def _check_momentum(P, M0):
     """Raise ValueError unless each P, a FourVector or (..., 4) array, is a real,
-    positive-energy momentum with |P.P + M0^2| <= rtol M0^2 for its M0, a
+    positive-energy momentum with |P.P + M0^2| <= ON_SHELL_RTOL M0^2 for its M0, a
     float or a (...) array. One FourVector and a float stay Python scalars."""
     pp = minkowski_dot(P, P)
     if not _all((0.0 < M0) & (M0 < math.inf)):
@@ -243,7 +243,7 @@ def _check_momentum(P, M0, rtol: float = ON_SHELL_RTOL):
     if not _all(_parts(P)[3] > 0):
         raise ValueError("positive-energy branch requires P.c4 > 0")
     miss = abs(pp + M0 * M0)
-    if not _all(miss <= rtol * M0 * M0):
+    if not _all(miss <= ON_SHELL_RTOL * M0 * M0):
         raise ValueError(f"total momentum off shell: |P.P + M0^2| = {np.max(miss):.3e}")
 
 
@@ -309,13 +309,13 @@ def momentum_cm_and_relative(p1: FourVector, p2: FourVector, sys: BoundSystem):
     return p1 + p2, sys.eta2 * p1 - sys.eta1 * p2
 
 
-def perp_projection(w, P, M0, rtol: float = ON_SHELL_RTOL):
+def perp_projection(w, P, M0):
     """Component of w orthogonal (Minkowski sense) to P: w + P (P.w)/M0^2.
 
     P must pass BoundSystem's checks for M0; the result satisfies P.w_perp = 0.
     FourVectors w and P give a FourVector, else w, P (..., 4) and M0 (...) broadcast.
     """
-    _check_momentum(P, M0, rtol)
+    _check_momentum(P, M0)
     k = minkowski_dot(P, w) / (M0 * M0)
     if isinstance(w, FourVector) and isinstance(P, FourVector):
         return w + k * P

@@ -12,6 +12,7 @@ the admitted range l <= 64.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -318,10 +319,14 @@ def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState,
     return ladder_explicit_value(direction, axis, state.omega, state.sys, x, value, grad4)
 
 
+def _factors(factor, state: OscillatorState):
+    """The state's three 1D factors, one per axis, whose product is its profile."""
+    return [functools.partial(factor, l, state.omega) for l in state.q.as_tuple()]
+
+
 def _profile(factor, state: OscillatorState):
-    ls = state.q.as_tuple()
-    om = state.omega
-    return lambda x1, x2, x3: factor(ls[0], om, x1) * factor(ls[1], om, x2) * factor(ls[2], om, x3)
+    f1, f2, f3 = _factors(factor, state)
+    return lambda x1, x2, x3: f1(x1) * f2(x2) * f3(x3)
 
 
 def position_profile(state: OscillatorState):

@@ -14,8 +14,8 @@ sign^l alpha^l / sqrt(l!) (Segal-Bargmann, also summed about Re(alpha)).
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
-direct quadrature as the oracle; trust_momentum is its reach. A product grid
-builds one table per distinct axis array, so (t, t, t) builds one.
+direct quadrature as the oracle; trust_momentum is its reach. Equal axes
+share one table, so (t, t, t) and (t, t.copy(), t.copy()) build one.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .oscillator import OscillatorState, _hermite_levels, phi_1d
+from .oscillator import OscillatorState, _factors, _hermite_levels, phi_1d
 
 MAX_ORDER = 256
 
@@ -171,18 +171,19 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     pts = None if grid else np.asarray(targets, dtype=float)
     if not grid and (pts.ndim == 0 or pts.shape[-1] != 3):
         raise ValueError("targets must be (..., 3) points or three 1D axis arrays")
-    axes = tuple(targets if grid else pts.reshape(-1, 3).T)  # held, so ids stay distinct
-    table = {k: _fourier_table(np.asarray(t, dtype=float), scale, rule.order, sign)
-             for k, t in {id(t): t for t in axes}.items()}  # one per axis object
+    axes = [np.asarray(t, dtype=float) for t in (targets if grid else pts.reshape(-1, 3).T)]
+    keys = [t.tobytes() for t in axes]  # equal axes share one table
+    table = {k: _fourier_table(t, scale, rule.order, sign)
+             for k, t in dict(zip(keys, axes)).items()}
     if callable(g):
         x = scale * rule.nodes
         G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
         kernel = {k: A @ (math.sqrt(scale) * rule.projector) for k, A in table.items()}
         out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a',
-                        *(kernel[id(t)] for t in axes), G, optimize=True)
+                        *(kernel[k] for k in keys), G, optimize=True)
     elif len(g) == 3:
         out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
-                        *(table[id(t)] @ _coefficients(f, rule, scale) for f, t in zip(g, axes)))
+                        *(table[k] @ _coefficients(f, rule, scale) for f, k in zip(g, keys)))
     else:
         raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
     if grid:
@@ -256,11 +257,6 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule, sign: int =
     return out.reshape(a.shape) if a.ndim else complex(out[0])
 
 
-def _position_factors(state: OscillatorState):
-    """The three 1D position factors whose product is the state's profile."""
-    return [lambda xi, l=l: phi_1d(l, state.omega, xi) for l in state.q.as_tuple()]
-
-
 def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule,
                       sign: int = +1) -> complex:
     """Segal-Bargmann transform of a state's position profile at constraint
@@ -269,11 +265,11 @@ def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule,
         raise ValueError("need three alpha values")
     _warn_unresolved(state, rule)
     return math.prod(bargmann_transform(g, a, state.omega, rule, sign)
-                     for g, a in zip(_position_factors(state), alphas))
+                     for g, a in zip(_factors(phi_1d, state), alphas))
 
 
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):
     """Forward transform of a state's position profile (phase omitted): its
     momentum profile times (-i)^n."""
     _warn_unresolved(state, rule)
-    return fourier_forward(_position_factors(state), targets, rule, state.omega)
+    return fourier_forward(_factors(phi_1d, state), targets, rule, state.omega)

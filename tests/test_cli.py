@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import rqcm
 from rqcm import verify
-from rqcm.cli import main
+from rqcm.cli import build_parser, main
 from rqcm.minkowski import rest_mass
 from rqcm.oscillator import sigma_n
 
@@ -383,3 +384,47 @@ def test_hbar_omega_helper(capsys):
                            "--hbar-omega", "2.0")
     assert code == 0
     assert "Omega = m_r * omega" in err and "1" in err
+
+
+# Every option of every subcommand as flag -> (dest, default). Flags and config
+# keys share the dests, so a renamed dest or a changed default shows here.
+_TABLE_FLAGS = {
+    "--config": ("config", None), "--m1": ("m1", None), "--m2": ("m2", None),
+    "--omega": ("omega", None), "--format": ("format", None), "--out": ("out", None),
+    "--hbar-omega": ("hbar_omega", None),
+}
+_GRID_FLAGS = {
+    "--l": ("l", None), "--grid-axis": ("grid_axis", None), "--grid-min": ("grid_min", None),
+    "--grid-max": ("grid_max", None), "--samples": ("samples", None),
+}
+FROZEN_OPTIONS = {
+    "spectrum": {**_TABLE_FLAGS, "--nmax": ("nmax", None)},
+    "eval": {**_TABLE_FLAGS, **_GRID_FLAGS, "--v": ("v", None),
+             "--rep": ("representation", None)},
+    "transform": {**_TABLE_FLAGS, **_GRID_FLAGS, "--to": ("to", "momentum"),
+                  "--order": ("order", None)},
+    "verify": {"--suite": ("suite", "all"), "--config": ("config", None),
+               "--seed": ("seed", None), "--trials": ("trials", None),
+               "--points": ("points", None), "--max-n": ("max_n", None),
+               "--order": ("order", None), "--sigma-perturb": ("sigma_perturb", None),
+               "--bargmann-sign": ("bargmann_sign", None), "--report": ("report", None)},
+}
+
+
+def test_subcommand_options_are_frozen():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FROZEN_OPTIONS)
+    for name, subparser in sub.choices.items():
+        got = {flag: (action.dest, action.default) for action in subparser._actions
+               for flag in action.option_strings if action.dest != "help"}
+        assert got == FROZEN_OPTIONS[name], name
+
+
+# test_hbar_omega_helper covers spectrum
+@pytest.mark.parametrize("command", ["eval --samples 3", "transform --samples 3"])
+def test_hbar_omega_note_on_eval_and_transform(capsys, command):
+    code, _, err = run_cli(capsys, *command.split(), "--m1", "1", "--m2", "1",
+                           "--hbar-omega", "2.0")
+    assert code == 0
+    assert err == "# nonrelativistic mapping: Omega = m_r * omega = 0.5 * 2 = 1\n"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rqcm import verify
+from rqcm import transforms, verify
 from rqcm.minkowski import FourVector
 from rqcm.oscillator import (oscillator_state, phi_1d, phi_1d_momentum,
                              position_profile, momentum_profile, psi_bargmann,
@@ -183,7 +183,7 @@ def test_fourier_forward_point_list_matches_grid():
         fourier_forward(pos[:2], pts, rule, om)
 
 
-def test_shared_grid_axis_gives_the_bits_of_copies():
+def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
     # a grid whose axes are one array builds one table for all three; the
     # result must keep the bits of three distinct, equal arrays
     om = 1.1
@@ -204,6 +204,13 @@ def test_shared_grid_axis_gives_the_bits_of_copies():
     want = np.einsum('a,b,c->abc', *(fourier_forward1d(f, a, rule, om)
                                      for f, a in zip(pos, axes)))
     assert np.array_equal(fourier_forward(pos, axes, rule, om).view(float), want.view(float))
+    # equal axes share one table, whether or not they are one array
+    builds = []
+    table = transforms._fourier_table
+    monkeypatch.setattr(transforms, "_fourier_table",
+                        lambda t, *rest: builds.append(t) or table(t, *rest))
+    fourier_forward(pos, (t, t.copy(), t.copy()), rule, om)
+    assert len(builds) == 1
 
 
 def test_fourier_matches_momentum_representation():
