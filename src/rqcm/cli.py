@@ -148,8 +148,9 @@ def _grid(args, cfg):
 
 
 def cmd_spectrum(args, cfg) -> int:
+    if (nmax := 6 if args.nmax is None else args.nmax) < 0:
+        raise ValueError(f"nmax must be an integer >= 0, got {nmax!r}")
     m1, m2, omega = _physics(args, cfg)
-    nmax = args.nmax if args.nmax is not None else 6
     rows = []
     for n in range(nmax + 1):
         s = sigma_n(omega, n)

@@ -81,6 +81,8 @@ def sigma_n(omega: float, n: int) -> float:
 
 def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
     """Map a Schroedinger angular frequency to the covariant spring constant, Omega = m_r omega."""
+    if not 0.0 < omega_nr < math.inf:
+        raise ValueError(f"Schroedinger frequency must be positive and finite, got {omega_nr!r}")
     return reduced_mass(m1, m2) * omega_nr
 
 

@@ -100,16 +100,14 @@ def box4(field, x, h: float = DEFAULT_H_SECOND):
 # ---------------------------------------------------------------------------
 # reports
 
-def _plain(value):
-    if isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 @dataclass
 class CaseRecord:
+    """One verification case, or a block of them.
+
+    Any field, and any value in inputs, may be an array. They broadcast to
+    one shape, whose entries in C order are the cases; abs_err and rel_err
+    take that shape, elementwise, so each case has the bits it has alone.
+    """
     check: str
     inputs: dict
     observed: float
@@ -120,44 +118,58 @@ class CaseRecord:
     rel_err: float = field(init=False)
 
     def __post_init__(self):
-        self.observed = float(self.observed)
-        self.expected = float(self.expected)
-        self.tol = float(self.tol)
-        self.abs_err = abs(self.observed - self.expected)
-        scale = max(abs(self.observed), abs(self.expected), 1.0)
-        self.rel_err = self.abs_err / scale
+        self.observed, self.expected, self.tol = (
+            np.asarray(v, dtype=float)[()] for v in (self.observed, self.expected, self.tol))
+        shape = np.broadcast(self.check, self.observed, self.expected, self.provenance, self.tol,
+                             *self.inputs.values()).shape
+        abs_err = abs(self.observed - self.expected)
+        rel_err = abs_err / np.maximum(np.maximum(abs(self.observed), abs(self.expected)), 1.0)
+        self.abs_err, self.rel_err = (e if np.shape(e) == shape else np.broadcast_to(e, shape)
+                                      for e in (abs_err, rel_err))
 
-    def to_dict(self) -> dict:
-        return {"check": self.check,
-                "inputs": {k: _plain(v) for k, v in self.inputs.items()},
-                "observed": self.observed, "expected": self.expected,
-                "provenance": self.provenance, "tol": self.tol,
-                "abs_err": self.abs_err, "rel_err": self.rel_err}
+    def rows(self) -> list:
+        """The cases as dicts of plain Python values, in C order."""
+        shape = np.shape(self.abs_err)
+        # one value for all cases is repeated; an array is broadcast unless it has the shape
+        col = lambda a: (a.ravel().tolist() * math.prod(shape) if a.ndim == 0 else
+                         (a if a.shape == shape else np.broadcast_to(a, shape)).ravel().tolist())
+        fields = (self.check, self.observed, self.expected, self.provenance, self.tol,
+                  self.abs_err, self.rel_err, *self.inputs.values())
+        return [{"check": c, "inputs": dict(zip(self.inputs, ins)), "observed": o,
+                 "expected": e, "provenance": p, "tol": t, "abs_err": a, "rel_err": r}
+                for c, o, e, p, t, a, r, *ins in zip(*(col(np.asarray(v)) for v in fields))]
 
 
 @dataclass
 class VerificationReport:
+    """A suite's records, each one case or a block, and its verdict over all cases."""
     suite: str
     tolerance: float
-    cases: list
+    records: list
     notes: list
     max_abs_err: float = field(init=False)
     max_rel_err: float = field(init=False)
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        if self.cases:
-            self.max_abs_err = max(c.abs_err for c in self.cases)
-            # worst error on the headline-tolerance scale
-            self.max_rel_err = max(c.rel_err / c.tol for c in self.cases) * self.tolerance
-        else:
-            self.max_abs_err = 0.0
-            self.max_rel_err = 0.0
+        # over every case, 0.0 for none; np.max keeps a NaN wherever it sits
+        worst = lambda err: float(np.max(np.concatenate(
+            [[0.0], *(np.ravel(err(r)) for r in self.records)])))
+        self.max_abs_err = worst(lambda r: r.abs_err)
+        # worst error on the headline-tolerance scale
+        self.max_rel_err = worst(lambda r: r.rel_err / r.tol) * self.tolerance
         self.passed = self.max_rel_err <= self.tolerance
+
+    @property
+    def cases(self) -> list:
+        """Every case as a CaseRecord of its own, the blocks expanded in row order."""
+        return [CaseRecord(row["check"], row["inputs"], row["observed"], row["expected"],
+                           row["provenance"], row["tol"])
+                for record in self.records for row in record.rows()]
 
     def to_dict(self) -> dict:
         return {"suite": self.suite, "tolerance": self.tolerance,
-                "cases": [c.to_dict() for c in self.cases],
+                "cases": [row for record in self.records for row in record.rows()],
                 "max_abs_err": self.max_abs_err, "max_rel_err": self.max_rel_err,
                 "pass": self.passed, "notes": list(self.notes)}
 
@@ -182,9 +194,14 @@ def _draw_velocity(rng, vmax: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suites
 
-def _count(name: str, n):
-    if not (isinstance(n, (int, np.integer)) and n > 0):
-        raise ValueError(f"{name} must be a positive integer")
+def _count(name: str, n, least: int = 1):
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+
+
+def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row by row u @ w, with the bits of a 1D u @ w; a sum over the last axis can differ."""
+    return np.matmul(u[..., None, :], w[..., :, None])[..., 0, 0]
 
 
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
@@ -216,22 +233,19 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     P = frames[:, :, :1]  # in both frames, (2, trials, 1, 4)
     minkowski._check_momentum(P, M0)
     k = constraint._coordinates(frames[:, :, 1:], P, M0)
-    # row by row, the bits of a left-to-right sum and of np.linalg.norm; other orders can differ
+    # row by row, the bits of a left-to-right sum; other orders can differ
     dot3 = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-    norm = lambda u: np.sqrt(np.matmul(u[..., None, :], u[..., :, None]))[..., 0, 0]
-    a, b = dot3(k[..., [0, 1, 0], :], k[..., [0, 1, 1], :]).tolist()  # xi.xi, pi.pi, xi.pi
+    a, b = dot3(k[..., [0, 1, 0], :], k[..., [0, 1, 1], :])  # xi.xi, pi.pi, xi.pi
     perp = minkowski.perp_projection(xp, P_a, M0)
-    scale = np.maximum(norm(P_a) * norm(perp), 1.0)
-    ortho = (abs(minkowski_dot(P_a, perp)) / scale).tolist()
-    cases = []
-    for trial, (a_t, b_t, o_t) in enumerate(zip(a, b, ortho)):
-        for name, a_k, b_k in zip(("xi_sq", "pi_sq", "xi_dot_pi"), a_t, b_t):
-            cases.append(CaseRecord(name, {"trial": trial}, b_k, a_k,
-                                    "frame-invariant combination", 1e-9))
-        for name, o_k in zip(("perp_x", "perp_p"), o_t):
-            cases.append(CaseRecord(name, {"trial": trial}, o_k, 0.0,
-                                    "projection orthogonal to P", 1e-10))
-    return VerificationReport("invariance", 1e-9, cases, [f"seed={seed}", f"vmax={vmax}"])
+    scale = np.maximum(np.sqrt(_dot(P_a, P_a)) * np.sqrt(_dot(perp, perp)), 1.0)
+    ortho = abs(minkowski_dot(P_a, perp)) / scale
+    # one case per trial (row) and check (column)
+    record = CaseRecord(["xi_sq", "pi_sq", "xi_dot_pi", "perp_x", "perp_p"],
+                        {"trial": np.arange(trials)[:, None]},
+                        np.hstack((b, ortho)), np.hstack((a, np.zeros_like(ortho))),
+                        ["frame-invariant combination"] * 3 + ["projection orthogonal to P"] * 2,
+                        [1e-9] * 3 + [1e-10] * 2)
+    return VerificationReport("invariance", 1e-9, [record], [f"seed={seed}", f"vmax={vmax}"])
 
 
 def _phi_second(l: int, omega: float, xi):
@@ -251,9 +265,7 @@ def _phi_second(l: int, omega: float, xi):
 def _internal_residual(om: float, xi, lap_xi, psi, sigma_used: float):
     """(-sum d2/dxi2 + Omega^2 xi^2 - 2 sigma) psi from the Laplacian and
     the value at xi (..., 3); returns (residual, |2 sigma psi|), each (...)."""
-    # rounds as xi @ xi does for one point; a sum over the last axis need not
-    xi2 = np.matmul(xi[..., None, :], xi[..., :, None])[..., 0, 0]
-    resid = -lap_xi + om * om * xi2 * psi - 2.0 * sigma_used * psi
+    resid = -lap_xi + om * om * _dot(xi, xi) * psi - 2.0 * sigma_used * psi
     return resid, np.abs(2.0 * sigma_used * psi)
 
 
@@ -305,6 +317,9 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
     deliberate failure control.
     """
     _count("points", points)
+    _count("max_n", max_n, 0)
+    if not math.isfinite(sigma_perturb):
+        raise ValueError("sigma_perturb must be finite")
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
     tol = 1e-10 if mode == "analytic" else 1e-5
@@ -312,45 +327,41 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
     if states is None:
         states = _draw_states(rng, max_n, moving=mode == "fd")
     residual = _internal_residual_analytic if mode == "analytic" else _internal_residual_fd
-    cases = []
+    records = []
     for idx, state in enumerate(states):
         sys = state.sys
         sigma_used = state.sigma + sigma_perturb * state.omega
         resids, scales = residual(state, rng.uniform(-1.5, 1.5, (points, 4)), sigma_used)
-        scale = max(np.max(scales), 1e-30)
-        for k, r in enumerate(resids):
-            cases.append(CaseRecord("internal_equation",
-                                    {"state": idx, "point": k, "mode": mode},
-                                    r / scale, 0.0, "internal oscillator equation", tol))
+        records.append(CaseRecord("internal_equation",
+                                  {"state": idx, "point": np.arange(points), "mode": mode},
+                                  resids / max(np.max(scales), 1e-30), 0.0,
+                                  "internal oscillator equation", tol))
         # centre-of-mass wave equation
         if mode == "analytic":
-            cases.append(CaseRecord("cm_wave", {"state": idx},
-                                    -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
-                                    "plane-wave phase, exact", tol))
+            records.append(CaseRecord("cm_wave", {"state": idx},
+                                      -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
+                                      "plane-wave phase, exact", tol))
         else:
             base = psi_position(state, rng.uniform(-1.0, 1.0, 4))
             phase_fn = lambda X: np.exp(1j * minkowski_dot(sys.P, X)) * base
             X0 = rng.uniform(-2.0, 2.0, 4)
             lap = box4(phase_fn, X0, 1e-4)
             want = sys.M0 ** 2 * phase_fn(X0)
-            cases.append(CaseRecord("cm_wave", {"state": idx},
-                                    abs(lap - want) / max(abs(want), 1.0), 0.0,
-                                    "plane-wave phase, finite differences", tol))
+            records.append(CaseRecord("cm_wave", {"state": idx},
+                                      abs(lap - want) / max(abs(want), 1.0), 0.0,
+                                      "plane-wave phase, finite differences", tol))
         # transversality of the internal factor
         xs = rng.uniform(-1.5, 1.5, (3, 4))
         if mode == "analytic":
             grads = oscillator.psi_position_gradient(state, xs).real
         else:
             grads = finite_difference_gradient4(lambda pt: psi_position(state, pt).real, xs)
-        for k, grad in enumerate(grads):
-            contraction = float(sys.P.spatial @ grad[:3] + sys.P.c4 * grad[3])
-            scale = max(float(np.linalg.norm(sys.P.components))
-                        * float(np.linalg.norm(grad)), 1e-3)
-            cases.append(CaseRecord("transversality", {"state": idx, "axis": k + 1},
-                                    contraction / scale, 0.0,
-                                    "P^mu d_mu psi = 0", tol))
+        contraction = _dot(grads[:, :3], sys.P.spatial) + sys.P.c4 * grads[:, 3]
+        scale = np.maximum(np.linalg.norm(sys.P.components) * np.sqrt(_dot(grads, grads)), 1e-3)
+        records.append(CaseRecord("transversality", {"state": idx, "axis": np.arange(1, 4)},
+                                  contraction / scale, 0.0, "P^mu d_mu psi = 0", tol))
     notes = [f"seed={seed}", f"mode={mode}", f"sigma_perturb={sigma_perturb}"]
-    return VerificationReport("pde", tol, cases, notes)
+    return VerificationReport("pde", tol, records, notes)
 
 
 def _constrained_test_field(sys, coeffs):
@@ -371,16 +382,14 @@ def _constrained_test_field(sys, coeffs):
 def _decomposition_cases(check: str, inputs: dict, provenance: str, omega: float,
                          sys, x, value, grad):
     """The explicit ladder operator against its flat 4-space decomposition at
-    one point or a batch (n, 4), one case per point, axis and direction
-    (tolerance 1e-5)."""
+    one point or a batch (n, 4), as a list of one record: one case per point
+    (row) and axis and direction (column; tolerance 1e-5)."""
     diffs = [np.reshape(ladder_explicit_value(direction, axis, omega, sys, x, value, grad)
                         - ladder_explicit_4d_value(direction, axis, omega, sys, x, value, grad),
                         -1)
              for axis in (1, 2, 3) for direction in ("lower", "raise")]
-    for row in zip(*diffs):
-        for j, diff in enumerate(row):
-            yield CaseRecord(check, {**inputs, "axis": j // 2 + 1}, abs(diff), 0.0,
-                             provenance, 1e-5)
+    return [CaseRecord(check, {**inputs, "axis": np.repeat([1, 2, 3], 2)},
+                       np.abs(np.stack(diffs, axis=-1)), 0.0, provenance, 1e-5)]
 
 
 def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> VerificationReport:
@@ -395,8 +404,9 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     operator once per block, and each ladder_apply of the state serves every check.
     """
     _count("points", points)
+    _count("max_n", max_n, 0)
     rng = np.random.default_rng(seed)
-    cases = []
+    records = []
     states = _draw_states(rng, max_n, moving=True)
     moves = [(axis, direction) for axis in (1, 2, 3) for direction in ("lower", "raise")]
     for idx, state in enumerate(states):
@@ -417,24 +427,23 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
                 wants = coeff * psi_position(new_state, x)
                 errs, tol = np.abs(gots - wants) / max(np.max(np.abs(wants)), 1e-3), 1e-5
                 check, why = f"explicit_{direction}", "explicit operator vs ladder coefficient"
-            for k, err in enumerate(errs.tolist()):
-                cases.append(CaseRecord(check, {"state": idx, "axis": axis, "point": k},
-                                        err, 0.0, why, tol))
+            records.append(CaseRecord(check, {"state": idx, "axis": axis,
+                                              "point": np.arange(points)}, errs, 0.0, why, tol))
             if direction == "raise":
                 # coefficient algebra, exact in integer arithmetic
                 (c_low, lowered), (c_up, raised) = applied[axis, "lower"], applied[axis, "raise"]
                 down_up = c_low * (ladder_apply("raise", axis, lowered)[0] if lowered else 0.0)
                 up_down = c_up * ladder_apply("lower", axis, raised)[0]
                 number += down_up  # adds 0.0 where lowering annihilates
-                cases.append(CaseRecord("commutator", {"state": idx, "axis": axis},
-                                        down_up - up_down, -1.0,
-                                        "raise-lower minus lower-raise", 1e-12))
-        cases.append(CaseRecord("eigenvalue_identity", {"state": idx},
-                                state.omega * (number + 1.5), state.sigma,
-                                "number operator plus zero point", 1e-12))
+                records.append(CaseRecord("commutator", {"state": idx, "axis": axis},
+                                          down_up - up_down, -1.0,
+                                          "raise-lower minus lower-raise", 1e-12))
+        records.append(CaseRecord("eigenvalue_identity", {"state": idx},
+                                  state.omega * (number + 1.5), state.sigma,
+                                  "number operator plus zero point", 1e-12))
         # decomposition into flat 4-space ladder components, on the state itself
         xs = rng.uniform(-1.5, 1.5, (3, 4))
-        cases.extend(_decomposition_cases(
+        records.extend(_decomposition_cases(
             "decomposition_state", {"state": idx},
             "4-space decomposition on eigenstates", state.omega, state.sys,
             xs, psi_position(state, xs), oscillator.psi_position_gradient(state, xs)))
@@ -443,12 +452,10 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     for k in range(20):
         fld = _constrained_test_field(sys, rng.uniform(-1.0, 1.0, 4))
         x = rng.uniform(-1.5, 1.5, 4)
-        value = fld(x)
-        grad = finite_difference_gradient4(fld, x)
-        cases.extend(_decomposition_cases(
-            "decomposition_field", {"field": k},
-            "4-space decomposition on test fields", 1.0, sys, x, value, grad))
-    return VerificationReport("ladder", 1e-5, cases, [f"seed={seed}", "vmax=0.9"])
+        records.extend(_decomposition_cases(
+            "decomposition_field", {"field": k}, "4-space decomposition on test fields",
+            1.0, sys, x, fld(x), finite_difference_gradient4(fld, x)))
+    return VerificationReport("ladder", 1e-5, records, [f"seed={seed}", "vmax=0.9"])
 
 
 def run_nr_limit_suite(mass_pairs=None, seed: int = 0) -> VerificationReport:
@@ -460,21 +467,21 @@ def run_nr_limit_suite(mass_pairs=None, seed: int = 0) -> VerificationReport:
     if mass_pairs is None:
         mass_pairs = [tuple(rng.uniform(0.5, 3.0, 2)) for _ in range(20)]
     sigma0 = 1e-3
-    cases = []
+    records = []
     for k, (m1, m2) in enumerate(mass_pairs):
         mr = reduced_mass(m1, m2)
         err = lambda s: abs(rest_mass(m1, m2, s) - (m1 + m2 + s / mr))
         ratio = err(sigma0) / err(sigma0 / 2.0)
-        cases.append(CaseRecord("quadratic_convergence", {"pair": k, "ratio": ratio},
-                                ratio - 4.0, 0.0,
-                                "halving the separation constant", 0.5))
-        cases.append(CaseRecord("free_particle", {"pair": k},
-                                rest_mass(m1, m2, 0.0), m1 + m2,
-                                "sigma = 0 rest mass", 1e-12))
+        records.append(CaseRecord("quadratic_convergence", {"pair": k, "ratio": ratio},
+                                  ratio - 4.0, 0.0,
+                                  "halving the separation constant", 0.5))
+        records.append(CaseRecord("free_particle", {"pair": k},
+                                  rest_mass(m1, m2, 0.0), m1 + m2,
+                                  "sigma = 0 rest mass", 1e-12))
     # small-sigma energy for the equal-mass reference point
-    cases.append(CaseRecord("nr_energy", {"m1": 1.0, "m2": 1.0, "sigma": sigma0},
-                            rest_mass(1.0, 1.0, sigma0) - (2.0 + sigma0 / 0.5), 0.0,
-                            "small-sigma rest mass expansion", 5e-6))
+    records.append(CaseRecord("nr_energy", {"m1": 1.0, "m2": 1.0, "sigma": sigma0},
+                              rest_mass(1.0, 1.0, sigma0) - (2.0 + sigma0 / 0.5), 0.0,
+                              "small-sigma rest mass expansion", 5e-6))
     # rest-frame ladder operator equals the Schroedinger form with Omega = m_r w
     m1, m2, w_nr = 1.0, 1.3, 0.7
     om = oscillator.nr_spring_constant(m1, m2, w_nr)
@@ -482,15 +489,14 @@ def run_nr_limit_suite(mass_pairs=None, seed: int = 0) -> VerificationReport:
     xs = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (5, 4))
     values = psi_position(state, xs)
     grads = oscillator.psi_position_gradient(state, xs)
-    diffs = {direction: ladder_explicit_value(direction, 1, om, state.sys, xs, values, grads)
+    diffs = [ladder_explicit_value(direction, 1, om, state.sys, xs, values, grads)
              - (-sgn * grads[:, 0] + om * xs[:, 0] * values) / math.sqrt(2.0 * om)
-             for direction, sgn in (("raise", +1), ("lower", -1))}
-    for k in range(len(xs)):
-        for direction, diff in diffs.items():
-            cases.append(CaseRecord("schrodinger_form", {"point": k, "direction": direction},
-                                    abs(diff[k]), 0.0,
-                                    "rest-frame operator vs Schroedinger ladder", 1e-12))
-    return VerificationReport("nr-limit", 0.5, cases, [f"seed={seed}", f"sigma0={sigma0}"])
+             for direction, sgn in (("raise", +1), ("lower", -1))]
+    records.append(CaseRecord("schrodinger_form", {"point": np.arange(len(xs))[:, None],
+                                                   "direction": ["raise", "lower"]},
+                              np.abs(np.stack(diffs, axis=-1)), 0.0,
+                              "rest-frame operator vs Schroedinger ladder", 1e-12))
+    return VerificationReport("nr-limit", 0.5, records, [f"seed={seed}", f"sigma0={sigma0}"])
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +527,10 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     round trip and Parseval, 1e-9 for the monomials l <= 8 (order 48), 1e-10
     for the norms up to level 6 and orthogonality, 1e-12 for the kernel.
     """
+    _count("max_n", max_n, 0)
     omega, m1, m2, tol = 1.1, 1.0, 1.3, 1e-8
     rng = np.random.default_rng(seed)
     notes = [f"seed={seed}", f"order={order}"]
-    cases = []
     rule = transforms.gauss_hermite(order)
     rule_rt = transforms.gauss_hermite(64)
     rule_bg = transforms.gauss_hermite(48)
@@ -533,18 +539,16 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     axis_targets = np.linspace(-reach, reach, 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for idx, state in enumerate(states):
-            num = transforms.fourier_of_state(state, (axis_targets,) * 3, rule)
-            prof = oscillator.momentum_profile(state)
-            ana = prof(axis_targets[:, None, None], axis_targets[None, :, None],
-                       axis_targets[None, None, :])
-            err = float(np.max(np.abs(np.abs(num) - np.abs(ana))))
-            cases.append(CaseRecord("fourier_modulus", {"state": idx}, err, 0.0,
-                                    "numeric transform vs closed momentum form", tol))
+        cube = np.ix_(axis_targets, axis_targets, axis_targets)
+        errs = [np.max(np.abs(np.abs(transforms.fourier_of_state(state, (axis_targets,) * 3, rule))
+                              - np.abs(oscillator.momentum_profile(state)(*cube))))
+                for state in states]
+        records = [CaseRecord("fourier_modulus", {"state": np.arange(len(states))}, errs, 0.0,
+                              "numeric transform vs closed momentum form", tol)]
         # forward eigenphase, measured with the direct quadrature; recorded, not asserted
+        factors = [lambda xi, l=l: oscillator.phi_1d(l, omega, xi) for l in range(9)]
         phases = []
-        for l in range(5):
-            g = lambda xi, l=l: oscillator.phi_1d(l, omega, xi)
+        for l, g in enumerate(factors[:5]):
             num = complex(_direct_fourier(g, 0.6 * math.sqrt(omega), rule, omega)[0])
             ana = oscillator.phi_1d_momentum(l, omega, 0.6 * math.sqrt(omega))
             phases.append(num / ana)
@@ -556,73 +560,65 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         for idx, state in enumerate(states[:: max(1, len(states) // 7)]):
             g = oscillator.position_profile(state)
 
-            def fwd(p1, p2, p3, state=state):
+            def fwd(*grid, state=state):
                 # the inverse samples a product grid; ravel back to axes so the
                 # forward runs on a product grid, one axis at a time
-                axes = (np.asarray(p1, dtype=float).ravel(),
-                        np.asarray(p2, dtype=float).ravel(),
-                        np.asarray(p3, dtype=float).ravel())
+                axes = tuple(np.asarray(p, dtype=float).ravel() for p in grid)
                 return transforms.fourier_of_state(state, axes, rule_rt)
 
             back = transforms.fourier_inverse(fwd, (rt_targets,) * 3, rule_rt, omega)
-            truth = g(rt_targets[:, None, None], rt_targets[None, :, None],
-                      rt_targets[None, None, :])
-            cases.append(CaseRecord("roundtrip", {"state": idx},
-                                    float(np.max(np.abs(back - truth))), 0.0,
-                                    "inverse of forward is the identity", tol))
+            truth = g(*np.ix_(rt_targets, rt_targets, rt_targets))
+            records.append(CaseRecord("roundtrip", {"state": idx},
+                                      np.max(np.abs(back - truth)), 0.0,
+                                      "inverse of forward is the identity", tol))
             fnum = transforms.fourier_of_state(state, (ppts,) * 3, rule_rt)
             w3 = peff[:, None, None] * peff[None, :, None] * peff[None, None, :]
-            pval = float(np.sum(w3 * np.abs(fnum) ** 2))
-            cases.append(CaseRecord("parseval", {"state": idx}, pval, 1.0,
-                                    "momentum norm equals position norm", tol))
+            records.append(CaseRecord("parseval", {"state": idx}, np.sum(w3 * np.abs(fnum) ** 2),
+                                      1.0, "momentum norm equals position norm", tol))
         # Segal-Bargmann monomials over a complex grid
         grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
                          for b in (-2.0, -1.0, 0.0, 1.0, 2.0)])
-        for l in range(9):
-            g = lambda xi, l=l: oscillator.phi_1d(l, omega, xi)
-            got = transforms.bargmann_transform(g, grid, omega, rule_bg, bargmann_sign)
-            want = grid ** l / math.sqrt(math.factorial(l))
-            cases.append(CaseRecord("bargmann_monomial", {"l": l},
-                                    float(np.max(np.abs(got - want))), 0.0,
-                                    "transform of the l-th factor", 1e-9))
+        errs = [np.max(np.abs(transforms.bargmann_transform(g, grid, omega, rule_bg, bargmann_sign)
+                              - grid ** l / math.sqrt(math.factorial(l))))
+                for l, g in enumerate(factors)]
+        records.append(CaseRecord("bargmann_monomial", {"l": np.arange(9)}, errs, 0.0,
+                                  "transform of the l-th factor", 1e-9))
         # normalisation across levels
-        for idx, state in enumerate(states_up_to(6, omega, m1, m2)):
-            val = transforms.normalization_integral(state, rule)
-            cases.append(CaseRecord("normalization", {"state": idx}, val, 1.0,
-                                    "unit norm over the constraint space", 1e-10))
+        norms = [transforms.normalization_integral(state, rule)
+                 for state in states_up_to(6, omega, m1, m2)]
+        records.append(CaseRecord("normalization", {"state": np.arange(len(norms))}, norms, 1.0,
+                                  "unit norm over the constraint space", 1e-10))
         # orthogonality spot checks
         base = states_up_to(2, omega, m1, m2)
-        for _ in range(6):
-            i, j = rng.integers(0, len(base), 2)
-            if base[i].q == base[j].q:
-                continue
-            val = transforms.overlap_integral(base[i], base[j], rule)
-            cases.append(CaseRecord("orthogonality", {"i": int(i), "j": int(j)},
-                                    val, 0.0, "distinct states are orthogonal", 1e-10))
+        pairs = [rng.integers(0, len(base), 2) for _ in range(6)]
+        pairs = np.reshape([(i, j) for i, j in pairs if base[i].q != base[j].q], (-1, 2))
+        overlaps = [transforms.overlap_integral(base[i], base[j], rule) for i, j in pairs]
+        records.append(CaseRecord("orthogonality", {"i": pairs[:, 0], "j": pairs[:, 1]},
+                                  overlaps, 0.0, "distinct states are orthogonal", 1e-10))
         # the kernel against the direct quadratures on levels l <= 8 and on a
         # non-eigenfunction, at momenta within 3/4 of the order-64 trust limit,
         # where the direct quadrature holds to ~1e-15 on these integrands
         momenta = 0.75 * transforms.trust_momentum(rule_rt, omega) * rng.uniform(-1.0, 1.0, 8)
         alphas = rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(-2.0, 2.0, 8)
-        integrands = [(f"phi_{l}", lambda xi, l=l: oscillator.phi_1d(l, omega, xi))
-                      for l in range(9)]
+        integrands = [(f"phi_{l}", g) for l, g in enumerate(factors)]
         integrands.append(("gauss_cos",
                            lambda xi: np.exp(-0.5 * omega * xi ** 2) * np.cos(1.7 * xi)))
-        for name, g in integrands:
+        errs = []
+        for _, g in integrands:
             fourier = (transforms.fourier_forward1d(g, momenta, rule_rt, omega)
                        - _direct_fourier(g, momenta, rule_rt, omega))
             bargmann = (transforms.bargmann_transform(g, alphas, omega, rule_bg, bargmann_sign)
                         - _direct_bargmann(g, alphas, omega, rule_bg, bargmann_sign))
-            for kind, diff in (("fourier", fourier), ("bargmann", bargmann)):
-                cases.append(CaseRecord("kernel_oracle", {"transform": kind, "integrand": name},
-                                        np.max(np.abs(diff)), 0.0,
-                                        "spectral kernel vs direct quadrature", 1e-12))
+            errs.append([np.max(np.abs(fourier)), np.max(np.abs(bargmann))])
+        records.append(CaseRecord("kernel_oracle", {"transform": ["fourier", "bargmann"],
+                                                    "integrand": [[n] for n, _ in integrands]},
+                                  errs, 0.0, "spectral kernel vs direct quadrature", 1e-12))
     for w in caught:
         if issubclass(w.category, transforms.InsufficientOrderWarning):
             note = f"insufficient order: {w.message}"
             if note not in notes:
                 notes.append(note)
-    return VerificationReport("transforms", tol, cases, notes)
+    return VerificationReport("transforms", tol, records, notes)
 
 
 SUITES = {

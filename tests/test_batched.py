@@ -2,7 +2,9 @@
 
 Every function that takes stacked 4-vectors must give, row for row, the
 same bits as calling it on one FourVector at a time (np.array_equal, no
-tolerance), for random moving states (|v| < 0.9).
+tolerance), for random moving states (|v| < 0.9). The same strategies
+drive the boost, Jacobian and ladder identities at the end, which hold to
+rounding.
 """
 import numpy as np
 import pytest
@@ -11,11 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rqcm import constraint
-from rqcm.constraint import constraint_coordinates
-from rqcm.minkowski import (FourVector, bound_system, general_boost, on_shell_momentum,
-                            perp_projection)
-from rqcm.oscillator import (oscillator_state, psi_bargmann, psi_momentum, psi_position,
-                             psi_position_gradient)
+from rqcm.constraint import constraint_coordinates, xi_directional_derivative, xi_jacobian
+from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
+                            on_shell_momentum, perp_projection)
+from rqcm.oscillator import (MAX_LEVEL, ladder_apply, oscillator_state, psi_bargmann,
+                             psi_momentum, psi_position, psi_position_gradient)
 from rqcm.verify import (box4, finite_difference_directional2, finite_difference_gradient4,
                          finite_difference_second4)
 
@@ -283,3 +285,44 @@ def test_trailing_axis_other_than_four_raises(shape):
     for call in calls:
         with pytest.raises(ValueError, match="trailing axis of length 4"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# identities that hold to rounding
+
+@SETTINGS
+@given(stacked_frames())
+def test_boost_round_trip_and_invariant_interval(frames):
+    pts, vs = frames
+    boosted = general_boost(pts, vs)
+    np.testing.assert_allclose(general_boost(boosted, -vs), pts, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(minkowski_dot(boosted, boosted), minkowski_dot(pts, pts),
+                               rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(states, batches())
+def test_xi_derivative_of_a_coordinate_field_is_the_kronecker_delta(state, pts):
+    sys = state.sys
+    jac = xi_jacobian(sys)
+    for j in range(3):
+        # exact partials of xi_j, and finite differences of the field at every point
+        fd = finite_difference_gradient4(lambda pt: constraint_coordinates(pt, sys)[..., j], pts)
+        for i in (1, 2, 3):
+            delta = float(i - 1 == j)
+            assert abs(xi_directional_derivative(jac[j], i, sys) - delta) <= 1e-12
+            np.testing.assert_allclose(xi_directional_derivative(fd, i, sys), delta,
+                                       rtol=0, atol=1e-8)
+
+
+@SETTINGS
+@given(st.tuples(*[st.integers(0, MAX_LEVEL - 1)] * 3), st.floats(0.5, 2.0), velocities)
+def test_ladder_commutator_is_one_at_every_level(levels, omega, v):
+    state = oscillator_state(levels, omega, 1.0, 1.3, v)
+    for axis in (1, 2, 3):
+        c_up, raised = ladder_apply("raise", axis, state)
+        c_low, lowered = ladder_apply("lower", axis, state)
+        # [a, a+] = a a+ - a+ a, with a+ a = 0 where lowering annihilates
+        a_adag = c_up * ladder_apply("lower", axis, raised)[0]
+        adag_a = c_low * ladder_apply("raise", axis, lowered)[0] if lowered else 0.0
+        assert abs(a_adag - adag_a - 1.0) <= 1e-12, (levels, axis)

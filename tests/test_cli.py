@@ -145,6 +145,9 @@ def test_eval_rejects_superluminal(capsys):
     ("transform", "--omega", "nan"),
     ("eval", "--grid-min", "nan", "--samples", "3"),
     ("transform", "--grid-max", "inf", "--samples", "3"),
+    ("spectrum", "--hbar-omega", "nan"),
+    ("eval", "--hbar-omega", "inf"),
+    ("verify", "--suite", "pde", "--sigma-perturb", "inf"),
 ], ids=" ".join)
 def test_non_finite_inputs_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -324,6 +327,18 @@ def test_verify_empty_suite_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv.split())
     assert code == 2
     assert err.startswith("error:") and "must be a positive integer" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum --hbar-omega -2", "Schroedinger frequency must be positive and finite, got -2.0"),
+    ("spectrum --nmax -1", "nmax must be an integer >= 0, got -1"),
+    ("verify --suite transforms --max-n -1", "max_n must be a non-negative integer"),
+], ids=["hbar-omega -2", "nmax -1", "max-n -1"])
+def test_negative_inputs_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert err == f"error: {message}\n"
     assert out == ""
 
 

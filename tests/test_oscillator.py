@@ -280,6 +280,12 @@ def test_ladder_validation():
         ladder_apply("raise", 4, st)
 
 
+@pytest.mark.parametrize("w", [0.0, -2.0, math.nan, math.inf])
+def test_nr_spring_constant_needs_a_positive_finite_frequency(w):
+    with pytest.raises(ValueError, match="positive and finite"):
+        nr_spring_constant(1.0, 1.3, w)
+
+
 def test_ladder_explicit_rest_frame_is_schrodinger_form():
     # with P = 0 and Omega = m_r w the operator coefficients match the
     # Schroedinger ladder exactly

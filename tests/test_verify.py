@@ -99,6 +99,29 @@ def test_report_pass_iff_within_tolerance():
     assert not rep.passed and rep.max_rel_err > rep.tolerance
 
 
+def test_report_fails_on_a_nan_case_in_any_position():
+    good = CaseRecord("a", {}, 1.0, 1.0, "p", 1e-9)
+    nan_case = CaseRecord("b", {}, math.nan, 1.0, "p", 1e-9)
+    block = CaseRecord("c", {"k": np.arange(3)}, [1.0, math.nan, 1.0], 1.0, "p", 1e-9)
+    for records in ([good, nan_case], [nan_case, good], [good, block]):
+        rep = VerificationReport("demo", 1e-9, records, [])
+        assert not rep.passed
+        assert math.isnan(rep.max_rel_err)
+
+
+def test_block_record_expands_to_its_cases_in_c_order():
+    observed = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    block = CaseRecord(["a", "b"], {"row": np.arange(3)[:, None], "tag": "t"},
+                       observed, 2.5, "p", [0.1, 0.2])
+    singles = [CaseRecord(check, {"row": row, "tag": "t"}, observed[row, col], 2.5, "p", tol)
+               for row in range(3) for col, (check, tol) in enumerate((("a", 0.1), ("b", 0.2)))]
+    rep = VerificationReport("demo", 0.1, [block], [])
+    assert rep.to_json() == VerificationReport("demo", 0.1, singles, []).to_json()
+    assert [(c.check, c.inputs["row"], c.observed) for c in rep.cases] == [
+        (c.check, c.inputs["row"], c.observed) for c in singles]
+    assert np.shape(block.rel_err) == (3, 2)
+
+
 def test_report_serialization_schema():
     rep = run_nr_limit_suite(mass_pairs=[(1.0, 1.0), (2.0, 0.7)])
     data = json.loads(rep.to_json())
@@ -202,6 +225,28 @@ def test_invariance_suite_checks_the_boosted_momenta(monkeypatch, scale, message
 def test_empty_suites_raise(suite, count, value):
     with pytest.raises(ValueError, match=f"{count} must be a positive integer"):
         suite(**{count: value})
+
+
+@pytest.mark.parametrize("max_n", [-1, 1.5])
+@pytest.mark.parametrize("suite", [run_pde_suite, run_ladder_suite, run_transform_suite])
+def test_negative_or_fractional_max_n_raises(suite, max_n):
+    with pytest.raises(ValueError, match="max_n must be a non-negative integer"):
+        suite(max_n=max_n)
+
+
+def test_max_n_0_runs_the_ground_state():
+    for rep in (run_pde_suite(max_n=0, points=3), run_ladder_suite(max_n=0, points=3)):
+        assert rep.passed
+        assert {c.inputs["state"] for c in rep.cases if "state" in c.inputs} == {0}
+    rep = run_transform_suite(max_n=0)
+    assert rep.passed
+    assert [c.inputs["state"] for c in rep.cases if c.check == "fourier_modulus"] == [0]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_pde_suite_rejects_non_finite_sigma_perturb(value):
+    with pytest.raises(ValueError, match="sigma_perturb must be finite"):
+        run_pde_suite(sigma_perturb=value)
 
 
 def test_pde_suite_modes():
@@ -334,3 +379,42 @@ def test_run_all_aggregates():
                              transforms={"max_n": 1})
     assert set(reports) == set(verify.SUITES)
     assert all(r.passed for r in reports.values())
+
+
+# Check names, case counts and worst margins (rel_err / tol) of each suite at
+# seed 0. A margin pinned at 1e-6 or more may move by a factor of 2 either
+# way. A smaller one is rounding on an identity that holds exactly, whose
+# value depends on the BLAS and the order of summation, so it need only
+# stay below 1e-6.
+DRIFT_TABLE = {
+    "invariance": {"xi_sq": (1000, 1.06e-05), "pi_sq": (1000, 2.06e-05),
+                   "xi_dot_pi": (1000, 2.12e-05), "perp_x": (1000, 2.36e-05),
+                   "perp_p": (1000, 2.02e-05)},
+    "pde": {"internal_equation": (700, 0.255), "cm_wave": (35, 0.0576),
+            "transversality": (105, 5.92e-05)},
+    "ladder": {"annihilation": (900, 0.00559), "explicit_raise": (2100, 4.2e-05),
+               "commutator": (105, 0.000888), "eigenvalue_identity": (35, 0.000161),
+               "decomposition_state": (630, 8.33e-12), "explicit_lower": (1200, 3.29e-05),
+               "decomposition_field": (120, 9.83e-08)},
+    "nr-limit": {"quadratic_convergence": (20, 0.0154), "free_particle": (20, 0.000197),
+                 "nr_energy": (1, 0.2), "schrodinger_form": (10, 0.0)},
+    "transforms": {"fourier_modulus": (35, 2.78e-08), "roundtrip": (7, 1.5e-07),
+                   "parseval": (7, 4.11e-07), "bargmann_monomial": (9, 4.04e-05),
+                   "normalization": (84, 8.88e-06), "orthogonality": (5, 0.0),
+                   "kernel_oracle": (20, 0.00533)},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DRIFT_TABLE))
+def test_suite_checks_counts_and_margins_at_seed_0(suite):
+    margins = {}
+    for c in verify.SUITES[suite](seed=0).cases:
+        margins.setdefault(c.check, []).append(c.rel_err / c.tol)
+    assert ({check: len(m) for check, m in margins.items()}
+            == {check: n for check, (n, _) in DRIFT_TABLE[suite].items()})
+    for check, (_, pinned) in DRIFT_TABLE[suite].items():
+        worst = np.max(margins[check])
+        if pinned >= 1e-6:
+            assert pinned / 2 <= worst <= 2 * pinned, (check, worst)
+        else:
+            assert worst <= 1e-6, (check, worst)
