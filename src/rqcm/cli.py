@@ -219,11 +219,11 @@ def cmd_verify(args, cfg) -> int:
     options = {key: getattr(args, key) for key in _VERIFY_OPTIONS}
     options["order"] = _get(args, cfg, "order")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports = {}
-    for name in names:
-        kwargs = {key: value for key, value in options.items()
-                  if value is not None and name in _VERIFY_OPTIONS[key]}
-        reports[name] = verify.SUITES[name](seed=seed, **kwargs)
+    kwargs = {name: {key: value for key, value in options.items()
+                     if value is not None and name in _VERIFY_OPTIONS[key]} for name in names}
+    for name in names:  # every option, before the first suite runs
+        verify._check_options(**kwargs[name])
+    reports = {name: verify.SUITES[name](seed=seed, **kwargs[name]) for name in names}
     payload = {name: rep.to_dict() for name, rep in reports.items()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.report:

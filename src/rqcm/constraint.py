@@ -9,17 +9,15 @@ their lengths and mutual angles are the same for all observers (components
 rotate between observers by a Wigner rotation, so the frame-independent API
 is dot products).
 
-Index bookkeeping: the stored tuples are contravariant, and every
-contraction written here is the proper pairing P^mu d_mu = sum of spatial
-products plus P4 times the time partial. With that reading the chain rule
-reproduces the Kronecker-delta Jacobian exactly; reading the contraction
-as a signed Minkowski dot of raw partial tuples does not.
+Index bookkeeping: a gradient (d1, d2, d3, d4) of plain partials is raised
+to (d1, d2, d3, -d4) before it goes through the map; then the map's P.w is
+the pairing P^mu d_mu, and the chain rule gives the Kronecker delta.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import BoundSystem, FourVector, _components, _over_real, _parts, minkowski_dot
+from .minkowski import BoundSystem, FourVector, _components, _over_real, minkowski_dot
 
 
 def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
@@ -45,16 +43,9 @@ def _coordinates(w, P, M0) -> np.ndarray:
 def xi_jacobian(sys: BoundSystem) -> np.ndarray:
     """Partial derivatives d xi_i / d x_mu of the coordinate map, shape (3, 4).
 
-    The map is linear, so the Jacobian depends only on the system.
+    The map is linear, so column mu is the image of the unit vector e_mu.
     """
-    P = sys.P
-    M0 = sys.M0
-    c = 1.0 / (M0 * (M0 + P.c4))
-    sp = P.spatial
-    jac = np.empty((3, 4))
-    jac[:, :3] = np.eye(3) + c * np.outer(sp, sp)
-    jac[:, 3] = -sp / M0
-    return jac
+    return constraint_coordinates(np.eye(4), sys).T
 
 
 def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):
@@ -62,19 +53,17 @@ def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):
 
     grad4 holds the plain partials (df/dc1, ..., df/dc4) with respect to
     the stored contravariant components, as a FourVector or a (..., 4)
-    array; axis is 1-based. Applied to the coordinate field xi_j this
-    returns the Kronecker delta, and on fields obeying the transversality
-    condition P^mu d_mu f = 0 it agrees with the reduced two-term form used
-    by the explicit ladder operators.
+    array; axis is 1-based. The result is that component of the map of the
+    raised gradient (df/dc1, df/dc2, df/dc3, -df/dc4). Applied to the
+    coordinate field xi_j this returns the Kronecker delta, and on fields
+    obeying the transversality condition P^mu d_mu f = 0 it agrees with the
+    reduced two-term form used by the explicit ladder operators.
     """
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
-    g = _parts(grad4)
-    P = sys.P
-    sp = P.spatial
-    i = axis - 1
-    radial = sp[0] * g[0] + sp[1] * g[1] + sp[2] * g[2]
-    return g[i] + (sp[i] / sys.M0) * (radial / (sys.M0 + P.c4) + g[3])
+    g = _components(grad4)
+    raised = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
+    return constraint_coordinates(raised, sys)[..., axis - 1][()]
 
 
 def invariant_norm(w: FourVector, sys: BoundSystem) -> float:

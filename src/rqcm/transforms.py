@@ -115,18 +115,26 @@ def normalization_integral(state: OscillatorState, rule: QuadratureRule) -> floa
     This is overlap_integral of the state with itself: exact up to rounding
     once the order exceeds every level, else InsufficientOrderWarning.
     """
-    _warn_unresolved(state, rule)
     return overlap_integral(state, state, rule)
 
 
 def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
                      rule: QuadratureRule) -> float:
-    """Constraint-space overlap of two states sharing a spring constant."""
+    """Constraint-space overlap of two states sharing a spring constant.
+
+    An order-N rule is exact on an axis with levels la and lb only when
+    la + lb <= 2N - 1; past that it warns with InsufficientOrderWarning.
+    """
     if state_a.omega != state_b.omega:
         raise ValueError("overlap requires a common spring constant")
+    levels = list(zip(state_a.q.as_tuple(), state_b.q.as_tuple()))
+    top = max(la + lb for la, lb in levels)
+    if top >= 2 * rule.order:
+        warnings.warn(f"level sum {top} exceeds 2 * order - 1 = {2 * rule.order - 1}: "
+                      "the result is not exact", InsufficientOrderWarning, stacklevel=2)
     pts, eff = rescaled_nodes(rule, state_a.omega)
     total = 1.0
-    for la, lb in zip(state_a.q.as_tuple(), state_b.q.as_tuple()):
+    for la, lb in levels:
         fa = phi_1d(la, state_a.omega, pts)
         fb = fa if lb == la else phi_1d(lb, state_b.omega, pts)
         total *= float(np.sum(eff * fa * fb))
@@ -166,11 +174,11 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
 
 def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
-    grid = isinstance(targets, (tuple, list)) and len(targets) == 3 \
+    grid = isinstance(targets, tuple) and len(targets) == 3 \
         and all(np.ndim(t) == 1 for t in targets)
     pts = None if grid else np.asarray(targets, dtype=float)
     if not grid and (pts.ndim == 0 or pts.shape[-1] != 3):
-        raise ValueError("targets must be (..., 3) points or three 1D axis arrays")
+        raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
     axes = [np.asarray(t, dtype=float) for t in (targets if grid else pts.reshape(-1, 3).T)]
     keys = [t.tobytes() for t in axes]  # equal axes share one table
     table = {k: _fourier_table(t, scale, rule.order, sign)
@@ -196,7 +204,8 @@ def fourier_forward(g, targets, rule: QuadratureRule, omega: float):
 
     g is an evaluator g(xi1, xi2, xi3) broadcastable over arrays, or three 1D
     evaluators whose product is the integrand, transformed one axis at a time.
-    targets are points of shape (..., 3) or a product grid of three 1D axes.
+    targets are a product grid, given as a tuple of three 1D axes, or else
+    points of shape (..., 3), also when given as a list.
     Level l maps to (-i)^l phi_l^mom per axis, exactly once the order exceeds
     every level of g.
     """

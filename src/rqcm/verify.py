@@ -22,7 +22,7 @@ import numpy as np
 from . import constraint, minkowski, oscillator, transforms
 from .minkowski import (_components, _over_real, bound_system, eta_params, minkowski_dot,
                         reduced_mass, rest_mass)
-from .oscillator import (OscillatorState, ladder_apply, ladder_explicit_4d_value,
+from .oscillator import (OscillatorState, _ladder_step, ladder_apply, ladder_explicit_4d_value,
                          ladder_explicit_value, oscillator_state, psi_position, states_up_to)
 
 DEFAULT_H_FIRST = 1e-6
@@ -195,8 +195,23 @@ def _draw_velocity(rng, vmax: float) -> np.ndarray:
 # suites
 
 def _count(name: str, n, least: int = 1):
-    if not (isinstance(n, (int, np.integer)) and n >= least):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= least):
         raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+
+
+def _check_options(trials=1, points=1, max_n=0, sigma_perturb=0.0, order=None,
+                   bargmann_sign=1):
+    """Raise ValueError for a bad value of any option the suites take; each
+    suite checks its own, and a caller can check all before running any."""
+    _count("trials", trials)
+    _count("points", points)
+    _count("max_n", max_n, 0)
+    if not math.isfinite(sigma_perturb):
+        raise ValueError("sigma_perturb must be finite")
+    if order is not None:
+        transforms.gauss_hermite(order)  # raises for a bad order
+    if bargmann_sign not in (+1, -1):
+        raise ValueError("bargmann_sign must be +1 or -1")
 
 
 def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -215,7 +230,7 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     run trial by trial; one boost, one map and one projection then serve
     the stack of all trials, and P passes BoundSystem's checks in both frames.
     """
-    _count("trials", trials)
+    _check_options(trials=trials)
     if not 0.0 < vmax < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -316,10 +331,7 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
     offsets the eigenvalue used in the residual; nonzero values are a
     deliberate failure control.
     """
-    _count("points", points)
-    _count("max_n", max_n, 0)
-    if not math.isfinite(sigma_perturb):
-        raise ValueError("sigma_perturb must be finite")
+    _check_options(points=points, max_n=max_n, sigma_perturb=sigma_perturb)
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
     tol = 1e-10 if mode == "analytic" else 1e-5
@@ -342,8 +354,8 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
                                       -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
                                       "plane-wave phase, exact", tol))
         else:
-            base = psi_position(state, rng.uniform(-1.0, 1.0, 4))
-            phase_fn = lambda X: np.exp(1j * minkowski_dot(sys.P, X)) * base
+            x0 = rng.uniform(-1.0, 1.0, 4)
+            phase_fn = lambda X: psi_position(state, x0, X)
             X0 = rng.uniform(-2.0, 2.0, 4)
             lap = box4(phase_fn, X0, 1e-4)
             want = sys.M0 ** 2 * phase_fn(X0)
@@ -372,9 +384,7 @@ def _constrained_test_field(sys, coeffs):
     def value(x):
         k = constraint.constraint_coordinates(x, sys)
         poly = c0 + c1 * k[..., 0] + c2 * k[..., 1] * k[..., 2] + c3 * k[..., 0] * k[..., 2]
-        # math.exp per point keeps the report bits; np.exp can differ in the last ulp
-        gauss = [math.exp(-0.5 * float(kk @ kk)) for kk in k.reshape(-1, 3)]
-        return np.reshape(gauss, np.shape(poly)) * poly
+        return np.exp(-0.5 * _dot(k, k)) * poly
 
     return value
 
@@ -403,8 +413,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     its finite-difference gradient run once over the stack, the explicit
     operator once per block, and each ladder_apply of the state serves every check.
     """
-    _count("points", points)
-    _count("max_n", max_n, 0)
+    _check_options(points=points, max_n=max_n)
     rng = np.random.default_rng(seed)
     records = []
     states = _draw_states(rng, max_n, moving=True)
@@ -432,8 +441,8 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
             if direction == "raise":
                 # coefficient algebra, exact in integer arithmetic
                 (c_low, lowered), (c_up, raised) = applied[axis, "lower"], applied[axis, "raise"]
-                down_up = c_low * (ladder_apply("raise", axis, lowered)[0] if lowered else 0.0)
-                up_down = c_up * ladder_apply("lower", axis, raised)[0]
+                down_up = c_low * (_ladder_step("raise", axis, lowered.q)[0] if lowered else 0.0)
+                up_down = c_up * _ladder_step("lower", axis, raised.q)[0]
                 number += down_up  # adds 0.0 where lowering annihilates
                 records.append(CaseRecord("commutator", {"state": idx, "axis": axis},
                                           down_up - up_down, -1.0,
@@ -527,14 +536,17 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     round trip and Parseval, 1e-9 for the monomials l <= 8 (order 48), 1e-10
     for the norms up to level 6 and orthogonality, 1e-12 for the kernel.
     """
-    _count("max_n", max_n, 0)
+    _check_options(max_n=max_n, bargmann_sign=bargmann_sign)
     omega, m1, m2, tol = 1.1, 1.0, 1.3, 1e-8
     rng = np.random.default_rng(seed)
     notes = [f"seed={seed}", f"order={order}"]
     rule = transforms.gauss_hermite(order)
     rule_rt = transforms.gauss_hermite(64)
     rule_bg = transforms.gauss_hermite(48)
-    states = states_up_to(max_n, omega, m1, m2)
+    # levels come in order, so every set of states used below is a prefix of the pool
+    pool = states_up_to(max(max_n, 6), omega, m1, m2)
+    up_to = lambda n: [state for state in pool if state.q.n <= n]
+    states = up_to(max_n)
     reach = min(3.5 * math.sqrt(omega), 0.95 * transforms.trust_momentum(rule, omega))
     axis_targets = np.linspace(-reach, reach, 5)
     with warnings.catch_warnings(record=True) as caught:
@@ -585,11 +597,11 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
                                   "transform of the l-th factor", 1e-9))
         # normalisation across levels
         norms = [transforms.normalization_integral(state, rule)
-                 for state in states_up_to(6, omega, m1, m2)]
+                 for state in up_to(6)]
         records.append(CaseRecord("normalization", {"state": np.arange(len(norms))}, norms, 1.0,
                                   "unit norm over the constraint space", 1e-10))
         # orthogonality spot checks
-        base = states_up_to(2, omega, m1, m2)
+        base = up_to(2)
         pairs = [rng.integers(0, len(base), 2) for _ in range(6)]
         pairs = np.reshape([(i, j) for i, j in pairs if base[i].q != base[j].q], (-1, 2))
         overlaps = [transforms.overlap_integral(base[i], base[j], rule) for i, j in pairs]

@@ -18,6 +18,7 @@ from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_d
                             on_shell_momentum, perp_projection)
 from rqcm.oscillator import (MAX_LEVEL, ladder_apply, oscillator_state, psi_bargmann,
                              psi_momentum, psi_position, psi_position_gradient)
+from rqcm.transforms import MAX_ORDER, gauss_hermite, normalization_integral
 from rqcm.verify import (box4, finite_difference_directional2, finite_difference_gradient4,
                          finite_difference_second4)
 
@@ -326,3 +327,27 @@ def test_ladder_commutator_is_one_at_every_level(levels, omega, v):
         a_adag = c_up * ladder_apply("lower", axis, raised)[0]
         adag_a = c_low * ladder_apply("raise", axis, lowered)[0] if lowered else 0.0
         assert abs(a_adag - adag_a - 1.0) <= 1e-12, (levels, axis)
+
+
+@SETTINGS
+@given(states, batches(), batches(), velocities)
+def test_invariants_agree_in_a_boosted_frame(state, x, p, v):
+    n = min(len(x), len(p))
+    frame = np.stack((np.broadcast_to(state.sys.P.components, (n, 4)), x[:n], p[:n]))
+
+    def invariants(P, x, p):
+        xi, pi = (constraint._coordinates(w, P, state.sys.M0) for w in (x, p))
+        return np.stack([np.sum(xi * xi, -1), np.sum(pi * pi, -1), np.sum(xi * pi, -1)])
+
+    a, b = invariants(*frame), invariants(*general_boost(frame, v))
+    # relative to max(|a|, |b|, 1), to the invariance suite's 1e-9
+    assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(np.maximum(abs(a), abs(b)), 1.0))
+
+
+@SETTINGS
+@given(st.tuples(*[st.integers(0, MAX_LEVEL)] * 3), st.floats(0.5, 2.0), velocities, st.data())
+def test_unit_norm_at_every_exact_order(levels, omega, v, data):
+    # every order above the top level is exact, up to the largest rule
+    order = data.draw(st.integers(max(levels) + 1, MAX_ORDER))
+    state = oscillator_state(levels, omega, 1.0, 1.3, v)
+    assert abs(normalization_integral(state, gauss_hermite(order)) - 1.0) <= 1e-12

@@ -342,6 +342,21 @@ def test_negative_inputs_are_usage_errors(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--max-n -1", "max_n must be a non-negative integer"),
+    ("--order 0", "order must be an integer in [1, 256], got 0"),
+    ("--sigma-perturb nan", "sigma_perturb must be finite"),
+    ("--points 0", "points must be a positive integer"),
+])
+def test_verify_checks_every_option_before_any_suite_runs(capsys, monkeypatch, argv, message):
+    def never(**kwargs):
+        raise AssertionError("a suite ran before the options were checked")
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, never)
+    code, out, err = run_cli(capsys, "verify", *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_all_default_passes(tmp_path, capsys):
     report = tmp_path / "all.json"
     code, _, err = run_cli(capsys, "verify", "--report", str(report))

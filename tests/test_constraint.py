@@ -104,6 +104,25 @@ def test_alpha_exact_rational_oracle():
             assert abs(val - float(exact)) < 5e-16, (part, i)
 
 
+def _closed_form_jacobian(sys):
+    """d xi_i / d x_mu written out: I + c P_s P_s^T in space, -P_s / M0 in time,
+    with c = 1 / (M0 (M0 + P4))."""
+    P, M0 = sys.P, sys.M0
+    sp = P.spatial
+    jac = np.empty((3, 4))
+    jac[:, :3] = np.eye(3) + np.outer(sp, sp) / (M0 * (M0 + P.c4))
+    jac[:, 3] = -sp / M0
+    return jac
+
+
+def test_jacobian_matches_its_closed_form():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        sys = _random_system(rng)
+        np.testing.assert_allclose(xi_jacobian(sys), _closed_form_jacobian(sys),
+                                   rtol=0, atol=1e-14)
+
+
 def test_directional_derivative_is_kronecker_delta():
     rng = np.random.default_rng(13)
     for _ in range(30):

@@ -118,6 +118,17 @@ def test_normalization_insufficient_order_warns():
     assert abs(normalization_integral(st, gauss_hermite(3)) - 1.0) <= 1e-13
 
 
+def test_overlap_warns_past_the_exact_order():
+    # order N is exact on an axis only when la + lb <= 2N - 1
+    rule = gauss_hermite(4)
+    st = {l: oscillator_state((l, 0, 0), 1.0, 1.0, 1.0) for l in (3, 4, 5)}
+    for a, b in ((3, 5), (4, 4), (5, 3)):
+        with pytest.warns(InsufficientOrderWarning, match="level sum 8 exceeds"):
+            overlap_integral(st[a], st[b], rule)
+    assert abs(overlap_integral(st[3], st[4], rule)) <= 1e-15
+    assert abs(overlap_integral(st[4], st[4], gauss_hermite(5)) - 1.0) <= 1e-13
+
+
 def test_overlap_orthogonality():
     rule = gauss_hermite(32)
     a = oscillator_state((1, 0, 2), 1.1, 1.0, 1.2)
@@ -154,6 +165,17 @@ def test_fourier_forward_excited_modulus_and_phase():
         np.testing.assert_allclose(np.abs(got), np.abs(want), atol=1e-9)
         # measured forward eigenphase: (-i)^l per axis
         np.testing.assert_allclose(got, (-1j) ** l * want, atol=1e-9)
+
+
+def test_a_list_of_three_points_is_not_a_grid():
+    # only a tuple of three 1D axes is a product grid
+    st = oscillator_state((1, 0, 2), 1.1, 1.0, 1.0)
+    rule = gauss_hermite(16)
+    pts = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+    got = fourier_of_state(st, pts, rule)
+    assert got.shape == (3,)
+    assert np.array_equal(got, fourier_of_state(st, np.array(pts), rule))
+    assert fourier_of_state(st, tuple(np.array(pts)), rule).shape == (3, 3, 3)
 
 
 def test_fourier_forward_point_list_matches_grid():

@@ -221,13 +221,20 @@ def test_invariance_suite_checks_the_boosted_momenta(monkeypatch, scale, message
     (run_pde_suite, "points", 0),
     (run_ladder_suite, "points", 0),
     (run_ladder_suite, "points", -1),
+    (run_invariance_suite, "trials", True),  # a bool is an int, but not a count
+    (run_ladder_suite, "points", True),
 ])
 def test_empty_suites_raise(suite, count, value):
     with pytest.raises(ValueError, match=f"{count} must be a positive integer"):
         suite(**{count: value})
 
 
-@pytest.mark.parametrize("max_n", [-1, 1.5])
+def test_transform_suite_checks_its_sign_before_running():
+    with pytest.raises(ValueError, match="bargmann_sign must be"):
+        run_transform_suite(bargmann_sign=0)
+
+
+@pytest.mark.parametrize("max_n", [-1, 1.5, True])
 @pytest.mark.parametrize("suite", [run_pde_suite, run_ladder_suite, run_transform_suite])
 def test_negative_or_fractional_max_n_raises(suite, max_n):
     with pytest.raises(ValueError, match="max_n must be a non-negative integer"):
