@@ -14,7 +14,7 @@ from .minkowski import (FourVector, BoundSystem,
 from .constraint import (constraint_coordinates, xi_jacobian,
                          xi_directional_derivative, invariant_norm)
 from .oscillator import (QuantumNumbers, OscillatorState, phi_1d,
-                         phi_1d_momentum, phi_1d_derivative, sigma_n,
+                         phi_1d_momentum, phi_1d_bargmann, phi_1d_derivative, sigma_n,
                          nr_spring_constant, degeneracy, quantum_numbers_at_level,
                          oscillator_state, states_up_to, psi_position,
                          psi_momentum, psi_bargmann, psi_position_gradient,

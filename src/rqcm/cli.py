@@ -18,8 +18,8 @@ import numpy as np
 from . import transforms, verify
 from .minkowski import general_boost, reduced_mass, rest_mass
 from .oscillator import (QuantumNumbers, degeneracy, nr_spring_constant, oscillator_state,
-                         phi_1d, phi_1d_momentum, psi_bargmann, psi_momentum,
-                         psi_position, sigma_n)
+                         phi_1d, phi_1d_bargmann, phi_1d_momentum, psi_bargmann,
+                         psi_momentum, psi_position, sigma_n)
 
 
 def _is_int(value) -> bool:
@@ -196,8 +196,7 @@ def cmd_transform(args, cfg) -> int:
     transform, closed_form, coord = {
         "momentum": (transforms.fourier_forward1d, phi_1d_momentum, "pi"),
         "bargmann": (lambda g, t, rule, om: transforms.bargmann_transform(g, t, om, rule),
-                     lambda l, om, t: t.astype(complex) ** l / math.sqrt(math.factorial(l)),
-                     "alpha"),
+                     phi_1d_bargmann, "alpha"),
     }[args.to]
     rule = transforms.gauss_hermite(_get(args, cfg, "order"))
     axis, ts = _grid(args, cfg)

@@ -275,10 +275,6 @@ class BoundSystem:
     def velocity(self) -> np.ndarray:
         return self.P.spatial / self.P.c4
 
-    @property
-    def reduced_mass(self) -> float:
-        return reduced_mass(self.m1, self.m2)
-
     def with_sigma(self, sigma: float) -> "BoundSystem":
         """Same constituents and velocity, new separation constant."""
         return bound_system(self.m1, self.m2, sigma, self.velocity)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,30 +40,44 @@ def _hermite_levels(top: int, y) -> list:
     return levels
 
 
-def _check_1d_args(l: int, omega: float):
-    if not 0 <= l <= MAX_LEVEL:
-        raise ValueError(f"quantum number must be in [0, {MAX_LEVEL}], got {l}")
+def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
+    """value as an int: integral (2.0 reads as 2), not a bool, in [0, top]."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                   or value % 1 != 0) or not 0 <= value <= top:
+        raise ValueError(f"{name} must be an integer in [0, {top}], got {value!r}")
+    return int(value)
+
+
+def _check_1d_args(l: int, omega: float) -> int:
     if not 0.0 < omega < math.inf:
         raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
+    return _level(l, "quantum number")
 
 
 def phi_1d(l: int, omega: float, xi):
     """Position-space factor (Omega/pi)^(1/4)/sqrt(2^l l!) H_l(sqrt(Omega) xi) exp(-Omega xi^2/2)."""
-    _check_1d_args(l, omega)
+    l = _check_1d_args(l, omega)
     out = omega ** 0.25 * _hermite_levels(l, math.sqrt(omega) * np.asarray(xi, dtype=float))[l]
     return out if out.ndim else float(out)
 
 
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
-    _check_1d_args(l, omega)
+    l = _check_1d_args(l, omega)
     out = omega ** -0.25 * _hermite_levels(l, np.asarray(pi_, dtype=float) / math.sqrt(omega))[l]
     return out if out.ndim else float(out)
 
 
+def phi_1d_bargmann(l: int, omega: float, alpha):
+    """Bargmann-space factor alpha^l / sqrt(l!), complex; Omega is checked, not used."""
+    l = _check_1d_args(l, omega)
+    out = np.asarray(alpha, dtype=complex) ** l / math.sqrt(math.factorial(l))
+    return out if out.ndim else complex(out)
+
+
 def phi_1d_derivative(l: int, omega: float, xi):
     """d/dxi of phi_1d: sqrt(Omega) (sqrt(l/2) phi_{l-1} - sqrt((l+1)/2) phi_{l+1})."""
-    _check_1d_args(l, omega)
+    l = _check_1d_args(l, omega)
     h = _hermite_levels(l + 1, math.sqrt(omega) * np.asarray(xi, dtype=float))
     lower = math.sqrt(l / 2.0) * h[l - 1] if l > 0 else 0.0
     upper = math.sqrt((l + 1) / 2.0) * h[l + 1]
@@ -74,9 +89,7 @@ def sigma_n(omega: float, n: int) -> float:
     """Separation-constant eigenvalue Omega (3/2 + n) of the level n."""
     if not 0.0 < omega < math.inf:
         raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    return omega * (1.5 + n)
+    return omega * (1.5 + _level(n, top=math.inf))
 
 
 def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
@@ -88,13 +101,13 @@ def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
 
 def degeneracy(n: int) -> int:
     """Number of (l1, l2, l3) triples with l1 + l2 + l3 = n."""
-    if n < 0:
-        raise ValueError("level must be non-negative")
+    n = _level(n, top=math.inf)
     return (n + 1) * (n + 2) // 2
 
 
 def quantum_numbers_at_level(n: int):
     """All QuantumNumbers with total n, in lexicographic order."""
+    n = _level(n, top=math.inf)
     return [QuantumNumbers(l1, l2, n - l1 - l2)
             for l1 in range(n + 1) for l2 in range(n - l1 + 1)]
 
@@ -109,12 +122,7 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for name in ("l1", "l2", "l3"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not 0 <= value <= MAX_LEVEL:
-                raise ValueError(f"{name} must be an integer in [0, {MAX_LEVEL}], got {value!r}")
-            if int(value) != value:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _level(getattr(self, name), name))
 
     @property
     def n(self) -> int:
@@ -166,7 +174,8 @@ def states_up_to(max_n: int, omega: float, m1: float, m2: float,
                  velocity=(0.0, 0.0, 0.0)) -> list[OscillatorState]:
     """All eigenstates with total quantum number <= max_n, deterministic order."""
     return [oscillator_state(q, omega, m1, m2, velocity)
-            for n in range(max_n + 1) for q in quantum_numbers_at_level(n)]
+            for n in range(_level(max_n, "max_n", math.inf) + 1)
+            for q in quantum_numbers_at_level(n)]
 
 
 # Each psi_* takes FourVectors, which give a Python complex, or (..., 4)
@@ -183,7 +192,7 @@ def _product(a, b):
     """a * b, multiplying two complex operands by the textbook formula:
     numpy's vectorised complex multiply may fuse a multiply and an add, and
     then a batch differs from its rows, and from Python, in the last ulp."""
-    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+    if not np.asarray(a).dtype.kind == np.asarray(b).dtype.kind == "c":
         return a * b
     return _complex(np.real(a) * np.real(b) - np.imag(a) * np.imag(b),
                     np.real(a) * np.imag(b) + np.imag(a) * np.real(b))
@@ -196,7 +205,8 @@ def _scalar(value):
 
 def _separable(factor, state: OscillatorState, w, X):
     c = constraint_coordinates(w, state.sys)
-    return _scalar(_profile(factor, state)(c[..., 0], c[..., 1], c[..., 2]) * _phase(state, X))
+    return _scalar(_product(_profile(factor, state)(c[..., 0], c[..., 1], c[..., 2]),
+                            _phase(state, X)))
 
 
 def psi_position(state: OscillatorState, x, X=None):
@@ -210,12 +220,8 @@ def psi_momentum(state: OscillatorState, p, X=None):
 
 
 def psi_bargmann(state: OscillatorState, a, X=None):
-    """Bargmann-representation wave function alpha1^l1 alpha2^l2 alpha3^l3 / sqrt(l1! l2! l3!) exp(i P.X)."""
-    al = constraint_coordinates(a, state.sys)
-    q = state.q
-    norm = math.sqrt(math.factorial(q.l1) * math.factorial(q.l2) * math.factorial(q.l3))
-    mono = _product(_product(al[..., 0] ** q.l1, al[..., 1] ** q.l2), al[..., 2] ** q.l3)
-    return _scalar(_product(mono / norm, _phase(state, X)))
+    """Bargmann-representation wave function, the product of Bargmann factors times exp(i P.X)."""
+    return _separable(phi_1d_bargmann, state, a, X)
 
 
 def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
@@ -331,7 +337,7 @@ def _factors(factor, state: OscillatorState):
 
 def _profile(factor, state: OscillatorState):
     f1, f2, f3 = _factors(factor, state)
-    return lambda x1, x2, x3: f1(x1) * f2(x2) * f3(x3)
+    return lambda x1, x2, x3: _product(_product(f1(x1), f2(x2)), f3(x3))
 
 
 def position_profile(state: OscillatorState):

@@ -172,14 +172,22 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
     return out.reshape(t.shape) if t.ndim else complex(out[0])
 
 
+def _targets(targets, dtype):
+    """Three 1D axes, whether they span a product grid, and what shapes the result:
+    a tuple of three 1D axes is a grid, and anything else is (..., 3) points, of
+    which one alone gives a Python complex."""
+    if isinstance(targets, tuple) and len(targets) == 3 and all(np.ndim(t) == 1 for t in targets):
+        return [np.asarray(t, dtype=dtype) for t in targets], True, lambda out: out
+    pts = np.asarray(targets, dtype=dtype)
+    if pts.ndim == 0 or pts.shape[-1] != 3:
+        raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
+    shaped = lambda out: out.reshape(pts.shape[:-1]) if pts.ndim > 1 else complex(out[0])
+    return list(pts.reshape(-1, 3).T), False, shaped
+
+
 def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
-    grid = isinstance(targets, tuple) and len(targets) == 3 \
-        and all(np.ndim(t) == 1 for t in targets)
-    pts = None if grid else np.asarray(targets, dtype=float)
-    if not grid and (pts.ndim == 0 or pts.shape[-1] != 3):
-        raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
-    axes = [np.asarray(t, dtype=float) for t in (targets if grid else pts.reshape(-1, 3).T)]
+    axes, grid, shaped = _targets(targets, float)
     keys = [t.tobytes() for t in axes]  # equal axes share one table
     table = {k: _fourier_table(t, scale, rule.order, sign)
              for k, t in dict(zip(keys, axes)).items()}
@@ -194,9 +202,7 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
                         *(table[k] @ _coefficients(f, rule, scale) for f, k in zip(g, keys)))
     else:
         raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
-    if grid:
-        return out
-    return out.reshape(pts.shape[:-1]) if pts.ndim > 1 else complex(out[0])
+    return shaped(out)
 
 
 def fourier_forward(g, targets, rule: QuadratureRule, omega: float):
@@ -266,15 +272,16 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule, sign: int =
     return out.reshape(a.shape) if a.ndim else complex(out[0])
 
 
-def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule,
-                      sign: int = +1) -> complex:
-    """Segal-Bargmann transform of a state's position profile at constraint
-    coordinates alphas (three complex values), one axis at a time."""
-    if len(alphas) != 3:
-        raise ValueError("need three alpha values")
+def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule, sign: int = +1):
+    """Segal-Bargmann transform of a state's position profile at complex constraint
+    coordinates alphas, one axis at a time; alphas are read as fourier_forward reads
+    its targets: a product grid or (..., 3) points."""
+    axes, grid, shaped = _targets(alphas, complex)
     _warn_unresolved(state, rule)
-    return math.prod(bargmann_transform(g, a, state.omega, rule, sign)
-                     for g, a in zip(_factors(phi_1d, state), alphas))
+    out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
+                    *(bargmann_transform(g, a, state.omega, rule, sign)
+                      for g, a in zip(_factors(phi_1d, state), axes)))
+    return shaped(out)
 
 
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):

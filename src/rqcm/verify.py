@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -162,10 +163,9 @@ class VerificationReport:
 
     @property
     def cases(self) -> list:
-        """Every case as a CaseRecord of its own, the blocks expanded in row order."""
-        return [CaseRecord(row["check"], row["inputs"], row["observed"], row["expected"],
-                           row["provenance"], row["tol"])
-                for record in self.records for row in record.rows()]
+        """Every case, the blocks expanded in row order: the rows of the JSON, read
+        by CaseRecord's field names (case.check, case.rel_err, ...)."""
+        return [SimpleNamespace(**row) for record in self.records for row in record.rows()]
 
     def to_dict(self) -> dict:
         return {"suite": self.suite, "tolerance": self.tolerance,
@@ -547,7 +547,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     pool = states_up_to(max(max_n, 6), omega, m1, m2)
     up_to = lambda n: [state for state in pool if state.q.n <= n]
     states = up_to(max_n)
-    reach = min(3.5 * math.sqrt(omega), 0.95 * transforms.trust_momentum(rule, omega))
+    reach = 3.5 * math.sqrt(omega)
     axis_targets = np.linspace(-reach, reach, 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -591,7 +591,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
                          for b in (-2.0, -1.0, 0.0, 1.0, 2.0)])
         errs = [np.max(np.abs(transforms.bargmann_transform(g, grid, omega, rule_bg, bargmann_sign)
-                              - grid ** l / math.sqrt(math.factorial(l))))
+                              - oscillator.phi_1d_bargmann(l, omega, grid)))
                 for l, g in enumerate(factors)]
         records.append(CaseRecord("bargmann_monomial", {"l": np.arange(9)}, errs, 0.0,
                                   "transform of the l-th factor", 1e-9))

@@ -8,7 +8,7 @@ from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
 from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, degeneracy,
                              ladder_apply, ladder_apply_explicit,
                              ladder_explicit_4d_value, ladder_explicit_value,
-                             nr_spring_constant, oscillator_state, phi_1d,
+                             nr_spring_constant, oscillator_state, phi_1d, phi_1d_bargmann,
                              phi_1d_derivative, phi_1d_momentum, psi_bargmann,
                              psi_momentum, psi_position, psi_position_gradient,
                              quantum_numbers_at_level, sigma_n, states_up_to)
@@ -132,12 +132,24 @@ _INVALID_INPUTS = {
     "sigma_n_omega_nan": lambda: sigma_n(_NAN, 0),
     "phi_omega_nan": lambda: phi_1d(0, _NAN, 0.3),
     "phi_momentum_omega_inf": lambda: phi_1d_momentum(0, _INF, 0.3),
+    "phi_bargmann_omega_zero": lambda: phi_1d_bargmann(0, 0.0, 0.3),
     "quantum_bool": lambda: QuantumNumbers(True, 0, 0),
     "quantum_numpy_bool": lambda: QuantumNumbers(0, np.True_, 0),
     "quantum_inf": lambda: QuantumNumbers(0, _INF, 0),
     "quantum_nan": lambda: QuantumNumbers(0, 0, _NAN),
+    "quantum_string": lambda: QuantumNumbers("1", 0, 0),
+    "quantum_complex": lambda: QuantumNumbers(0, 1 + 0j, 0),
+    "phi_level_string": lambda: phi_1d("2", 1.0, 0.3),
+    "sigma_n_level_list": lambda: sigma_n(1.0, [1]),
     "complex_P": lambda: BoundSystem(1, 1, 0, 2, 0.5, 0.5, FourVector(0, 0, 0, 2 + 0j)),
     "nan_P": lambda: BoundSystem(1, 1, 0, 2, 0.5, 0.5, FourVector(_NAN, 0, 0, 2)),
+    **{f"{factor.__name__}_level_{tag}": (lambda factor=factor, l=l: factor(l, 1.0, 0.3))
+       for factor in (phi_1d, phi_1d_momentum, phi_1d_derivative, phi_1d_bargmann)
+       for tag, l in (("fractional", 1.5), ("bool", True), ("numpy_bool", np.True_))},
+    "sigma_n_fractional_level": lambda: sigma_n(1.0, 1.5),
+    "degeneracy_fractional_level": lambda: degeneracy(1.5),
+    "quantum_numbers_fractional_level": lambda: quantum_numbers_at_level(1.5),
+    "states_up_to_negative_level": lambda: states_up_to(-1, 1.0, 1.0, 1.0),
 }
 
 
@@ -145,6 +157,24 @@ _INVALID_INPUTS = {
 def test_invalid_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_an_integral_float_level_reads_as_that_level():
+    for factor in (phi_1d, phi_1d_momentum, phi_1d_derivative, phi_1d_bargmann):
+        assert factor(2.0, 1.3, 0.3) == factor(2, 1.3, 0.3)
+    assert sigma_n(1.0, 2.0) == sigma_n(1.0, 2) and degeneracy(2.0) == degeneracy(2) == 6
+
+
+def test_bargmann_factor_is_the_monomial_for_every_spring_constant():
+    alpha = np.array([0.3 + 0.4j, -1.2, 2.0j])
+    for l in range(9):
+        want = alpha ** l / math.sqrt(math.factorial(l))
+        for om in (0.4, 1.0, 2.7):
+            assert np.array_equal(phi_1d_bargmann(l, om, alpha), want)
+        single = phi_1d_bargmann(l, 1.0, 0.7 - 0.2j)
+        assert type(single) is complex and abs(single - (0.7 - 0.2j) ** l / math.sqrt(
+            math.factorial(l))) <= 1e-15 * max(1.0, abs(single))
+    assert phi_1d_bargmann(1, 1.0, 0.5) == 0.5 + 0j
 
 
 def test_degeneracy_matches_enumeration():

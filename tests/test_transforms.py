@@ -176,6 +176,11 @@ def test_a_list_of_three_points_is_not_a_grid():
     assert got.shape == (3,)
     assert np.array_equal(got, fourier_of_state(st, np.array(pts), rule))
     assert fourier_of_state(st, tuple(np.array(pts)), rule).shape == (3, 3, 3)
+    # Segal-Bargmann reads its targets the same way
+    got = bargmann_of_state(st, pts, rule)
+    assert got.shape == (3,)
+    assert np.array_equal(got, bargmann_of_state(st, np.array(pts), rule))
+    assert bargmann_of_state(st, tuple(np.array(pts)), rule).shape == (3, 3, 3)
 
 
 def test_fourier_forward_point_list_matches_grid():
@@ -415,6 +420,48 @@ def test_bargmann_product_matches_state_representation():
     a = FourVector(alphas[0], alphas[1], alphas[2], 0.0)
     want = psi_bargmann(st, a)
     assert abs(got - want) <= 1e-9
+
+
+BARGMANN_POINTS = [[0.1, 0.2j, 0.3], [0.4, 0.5, 0.6j], [0.7, 0.8, 0.9]]
+
+
+def test_bargmann_of_state_reads_an_array_as_points():
+    # a (3, 3) array is three points, not three axes: for l = (1, 0, 0) the
+    # value at a point is its first coordinate
+    st = oscillator_state((1, 0, 0), 1.1, 1.0, 1.3)
+    rule = gauss_hermite(32)
+    got = bargmann_of_state(st, BARGMANN_POINTS, rule)
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, [0.1, 0.4, 0.7], rtol=0, atol=1e-14)
+    singles = [bargmann_of_state(st, tuple(point), rule) for point in BARGMANN_POINTS]
+    assert all(type(value) is complex for value in singles)
+    np.testing.assert_allclose(got, singles, rtol=1e-14, atol=1e-15)
+    # at rest the constraint coordinates are the spatial components
+    a4 = np.concatenate([np.array(BARGMANN_POINTS), np.zeros((3, 1))], axis=1)
+    np.testing.assert_allclose(got, psi_bargmann(st, a4), rtol=1e-14, atol=1e-15)
+
+
+def test_bargmann_of_state_point_list_and_grid():
+    om = 1.2
+    rule = gauss_hermite(48)
+    st = oscillator_state((2, 1, 3), om, 1.0, 1.0)
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-1.5, 1.5, (7, 3)) + 1j * rng.uniform(-1.5, 1.5, (7, 3))
+    got = bargmann_of_state(st, pts, rule)
+    assert got.shape == (7,)
+    a4 = np.concatenate([pts, np.zeros((7, 1))], axis=1)
+    np.testing.assert_allclose(got, psi_bargmann(st, a4), rtol=1e-9, atol=1e-12)
+    assert bargmann_of_state(st, pts.reshape(7, 1, 3), rule).shape == (7, 1)
+    # a tuple of three complex axes is a product grid: the outer product of
+    # the three 1D transforms
+    axes = (pts[:4, 0], pts[:2, 1], pts[:5, 2])
+    grid = bargmann_of_state(st, axes, rule)
+    assert grid.shape == (4, 2, 5)
+    per_axis = [bargmann_transform(lambda xi, l=l: phi_1d(l, om, xi), t, om, rule)
+                for l, t in zip((2, 1, 3), axes)]
+    assert np.array_equal(grid, np.einsum("a,b,c->abc", *per_axis))
+    with pytest.raises(ValueError):
+        bargmann_of_state(st, np.zeros((2, 4)), rule)
 
 
 # ---------------------------------------------------------------------------
