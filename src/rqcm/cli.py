@@ -223,13 +223,11 @@ def cmd_verify(args, cfg) -> int:
     for name in names:  # every option, before the first suite runs
         verify._check_options(**kwargs[name])
     reports = {name: verify.SUITES[name](seed=seed, **kwargs[name]) for name in names}
-    payload = {name: rep.to_dict() for name, rep in reports.items()}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(text)
+            fh.writelines(verify._reports_json(reports))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(verify._reports_json(reports))
     ok = all(rep.passed for rep in reports.values())
     for name, rep in sorted(reports.items()):
         print(f"# {name}: {'pass' if rep.passed else 'FAIL'} "

@@ -167,9 +167,18 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
 
     g is sampled at xi = y / sqrt(Omega); level l maps to (-i)^l phi_l^mom(pi).
     """
-    t, scale = np.asarray(targets, dtype=float), _scale(omega, -0.5)
+    t, scale = _array(targets, float), _scale(omega, -0.5)
     out = _fourier_table(t.reshape(-1), scale, rule.order, -1) @ _coefficients(g, rule, scale)
     return out.reshape(t.shape) if t.ndim else complex(out[0])
+
+
+def _array(targets, dtype):
+    """targets as an array of dtype: float for Fourier targets, which raise ValueError
+    when complex instead of losing their imaginary parts, complex for Segal-Bargmann."""
+    t = np.asarray(targets)
+    if dtype is float and np.iscomplexobj(t):
+        raise ValueError("Fourier targets must be real, got complex values")
+    return np.asarray(t, dtype=dtype)
 
 
 def _targets(targets, dtype):
@@ -177,8 +186,8 @@ def _targets(targets, dtype):
     a tuple of three 1D axes is a grid, and anything else is (..., 3) points, of
     which one alone gives a Python complex."""
     if isinstance(targets, tuple) and len(targets) == 3 and all(np.ndim(t) == 1 for t in targets):
-        return [np.asarray(t, dtype=dtype) for t in targets], True, lambda out: out
-    pts = np.asarray(targets, dtype=dtype)
+        return [_array(t, dtype) for t in targets], True, lambda out: out
+    pts = _array(targets, dtype)
     if pts.ndim == 0 or pts.shape[-1] != 3:
         raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
     shaped = lambda out: out.reshape(pts.shape[:-1]) if pts.ndim > 1 else complex(out[0])

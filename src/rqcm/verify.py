@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,15 @@ def box4(field, x, h: float = DEFAULT_H_SECOND):
 # ---------------------------------------------------------------------------
 # reports
 
+_BLOCK_CASES = 1000  # cases per piece of report text: the writer's memory bound
+
+
+def _json_values(values: list) -> list:
+    """Each value as json.dumps writes it, from one call of the C encoder; with
+    ensure_ascii no value's text holds a newline, so the split is exact."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+
+
 @dataclass
 class CaseRecord:
     """One verification case, or a block of them.
@@ -140,6 +150,40 @@ class CaseRecord:
                  "expected": e, "provenance": p, "tol": t, "abs_err": a, "rel_err": r}
                 for c, o, e, p, t, a, r, *ins in zip(*(col(np.asarray(v)) for v in fields))]
 
+    def _json_rows(self, pad: str):
+        """The rows as json.dumps(..., sort_keys=True, indent=2) writes them in the cases
+        of a report whose lines start with pad, each led by ',\\n', in pieces of at most
+        _BLOCK_CASES rows. A value shared by all cases is encoded once."""
+        shape = np.shape(self.abs_err)
+        if not (n := math.prod(shape)):
+            return
+        names = sorted(self.inputs)
+        arrays = [np.asarray(v) for v in (self.abs_err, self.check, self.expected,
+                                          *(self.inputs[k] for k in names), self.observed,
+                                          self.provenance, self.rel_err, self.tol)]
+        # one encoder call for the keys and the values shared by all cases
+        keys = _json_values([*names, *(a.item() for a in arrays if not a.ndim)])
+        shared = iter(keys[len(names):])
+        # the text between the values; no JSON text holds a NUL
+        q = f"\n{pad}      "
+        ins = "".join(f'{q}  {k}: \0,' for k in keys[:len(names)])
+        seps = (f',\n{pad}    {{{q}"abs_err": \0,{q}"check": \0,{q}"expected": \0,'
+                f'{q}"inputs": {{{ins[:-1]}{q if ins else ""}}},{q}"observed": \0,'
+                f'{q}"provenance": \0,{q}"rel_err": \0,{q}"tol": \0\n{pad}    }}').split("\0")
+        parts, text = [], seps[0]  # constant texts alternating with value columns
+        for a, sep in zip(arrays, seps[1:]):
+            if a.ndim:
+                parts += [text, a if a.shape == shape else np.broadcast_to(a, shape)]
+                text = sep
+            else:
+                text += next(shared) + sep
+        parts.append(text)
+        for i in range(0, n, _BLOCK_CASES):
+            m = min(_BLOCK_CASES, n - i)
+            yield "".join(map("".join, zip(*(
+                repeat(p, m) if isinstance(p, str) else _json_values(p.flat[i:i + m].tolist())
+                for p in parts))))
+
 
 @dataclass
 class VerificationReport:
@@ -174,7 +218,34 @@ class VerificationReport:
                 "pass": self.passed, "notes": list(self.notes)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """json.dumps(self.to_dict(), sort_keys=True, indent=2), written from the records."""
+        return "".join(self._json_blocks(""))
+
+    def _json_blocks(self, pad: str):
+        """to_json() in pieces of at most _BLOCK_CASES cases, every line after the
+        first indented by pad."""
+        head, tail = json.dumps(
+            {"suite": self.suite, "tolerance": self.tolerance, "cases": [],
+             "max_abs_err": self.max_abs_err, "max_rel_err": self.max_rel_err,
+             "pass": self.passed, "notes": list(self.notes)},
+            sort_keys=True, indent=2).replace("\n", "\n" + pad).split("[]", 1)  # "cases" is first
+        yield head + "["
+        empty = True
+        for record in self.records:
+            for text in record._json_rows(pad):
+                yield text[empty:]  # the first case has no comma before it
+                empty = False
+        yield ("]" if empty else f"\n{pad}  ]") + tail
+
+
+def _reports_json(reports: dict):
+    """The report of `rqcm verify`, json.dumps({name: report.to_dict()}, sort_keys=True,
+    indent=2) + '\\n', in pieces of at most _BLOCK_CASES cases."""
+    yield "{"
+    for i, name in enumerate(sorted(reports)):
+        yield f'{"," if i else ""}\n  {json.dumps(name)}: '
+        yield from reports[name]._json_blocks("  ")
+    yield "\n}\n" if reports else "}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,17 @@ def test_verify_reports_byte_identical_under_seed(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_report_bytes_are_json_dumps_of_the_data_view(tmp_path, capsys):
+    dumps = lambda reports: json.dumps({name: r.to_dict() for name, r in reports.items()},
+                                       sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "all.json"
+    assert run_cli(capsys, "verify", "--seed", "3", "--report", str(path))[0] == 0
+    assert path.read_bytes() == dumps(verify.run_all(seed=3)).encode()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "invariance", "--trials", "40")
+    assert code == 0
+    assert out == dumps({"invariance": verify.run_invariance_suite(trials=40)})
+
+
 VERIFY_ROUTES = [
     ("invariance", "--trials 5 --seed 2", {"trials": 5, "seed": 2}),
     ("invariance", "--trials 5 --points 2 --max-n 1", {"trials": 5}),

@@ -495,6 +495,38 @@ def test_non_finite_and_mistyped_inputs_raise_value_error(fn, args):
         fn(*args)
 
 
+# one complex coordinate, as an array of points, a list of points and a grid axis
+COMPLEX_TARGETS = {
+    "ndarray": np.array([[0.5j, 0.0, 0.0]]),
+    "list": [[0.5j, 0.0, 0.0]],
+    "grid axis": (np.array([0.5j]), np.zeros(1), np.zeros(1)),
+}
+LEVEL_100 = oscillator_state((1, 0, 0), 1.1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("targets", COMPLEX_TARGETS.values(), ids=COMPLEX_TARGETS.keys())
+@pytest.mark.parametrize("transform", [
+    lambda t: fourier_of_state(LEVEL_100, t, gauss_hermite(16)),
+    lambda t: fourier_inverse(momentum_profile(LEVEL_100), t, gauss_hermite(16), 1.1),
+], ids=["fourier_of_state", "fourier_inverse"])
+def test_complex_fourier_targets_raise(transform, targets):
+    with pytest.raises(ValueError, match="must be real"):
+        transform(targets)
+
+
+@pytest.mark.parametrize("targets", [np.array([0.5j, 0.1]), [0.5j, 0.1], 0.5j])
+def test_complex_fourier_forward1d_targets_raise(targets):
+    with pytest.raises(ValueError, match="must be real"):
+        fourier_forward1d(PHI0, targets, gauss_hermite(16), 1.0)
+
+
+@pytest.mark.parametrize("targets", COMPLEX_TARGETS.values(), ids=COMPLEX_TARGETS.keys())
+def test_bargmann_targets_stay_complex(targets):
+    # for l = (1, 0, 0) the value at a point is its first coordinate
+    got = bargmann_of_state(LEVEL_100, targets, gauss_hermite(16))
+    np.testing.assert_allclose(np.ravel(got), [0.5j], rtol=0, atol=1e-14)
+
+
 def test_equal_orders_share_one_cached_rule():
     assert gauss_hermite(np.int64(24)) is gauss_hermite(24)
     before = gauss_hermite.cache_info().misses

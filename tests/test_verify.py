@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rqcm.constraint import constraint_coordinates, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
@@ -132,6 +135,48 @@ def test_report_serialization_schema():
                                        "provenance", "tol", "abs_err", "rel_err"}
     # stable key order for golden-file diffs
     assert rep.to_json() == rep.to_json()
+
+
+# strings with quotes, backslashes, newlines and non-ASCII text; NaN and +-inf
+TEXTS = st.text(st.sampled_from('a"\\\n\té€😀') | st.characters(), max_size=5)
+FLOATS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats()
+INPUT_KINDS = [(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)), (float, FLOATS),
+               (bool, st.booleans()), (object, TEXTS)]
+
+
+@st.composite
+def case_records(draw):
+    """One record whose observed values fill a block, zero-size and larger than the
+    writer's piece included, and whose other fields are each one value or a block."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)
+                 | st.just((verify._BLOCK_CASES + 2,)))
+    field = lambda dtype, elements: draw(elements | hnp.arrays(dtype, shape, elements=elements))
+    inputs = {key: field(*draw(st.sampled_from(INPUT_KINDS)))
+              for key in draw(st.lists(TEXTS, max_size=3, unique=True))}
+    with np.errstate(all="ignore"):
+        return CaseRecord(field(object, TEXTS), inputs,
+                          draw(hnp.arrays(float, shape, elements=FLOATS)),
+                          field(float, FLOATS), field(object, TEXTS), field(float, FLOATS))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(case_records(), max_size=3), TEXTS, FLOATS, st.lists(TEXTS, max_size=3))
+def test_report_json_is_json_dumps_of_the_data_view(records, suite, tolerance, notes):
+    with np.errstate(all="ignore"):
+        rep = VerificationReport(suite, tolerance, records, notes)
+    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2)
+    both = {suite: rep, "other": VerificationReport("other", 1e-9, [], ["é"])}
+    assert "".join(verify._reports_json(both)) == json.dumps(
+        {name: r.to_dict() for name, r in both.items()}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1j, np.array([1.0, 2j])])
+def test_report_json_rejects_a_complex_input_as_json_dumps_does(value):
+    rep = VerificationReport("demo", 0.1, [CaseRecord("a", {"z": value}, 1.0, 1.0, "p", 0.1)], [])
+    with pytest.raises(TypeError):
+        json.dumps(rep.to_dict())
+    with pytest.raises(TypeError):
+        rep.to_json()
 
 
 def test_suites_deterministic_under_seed():
