@@ -52,8 +52,7 @@ _SETTINGS = {
     "m2": (1.0, *_POSITIVE),
     "omega": (1.0, *_POSITIVE),
     "l": ((0, 0, 0), _three(_is_int), "three integers"),
-    "v": ((0.0, 0.0, 0.0), lambda v: _three(_is_real)(v) and sum(c * c for c in v) < 1.0,
-          "three numbers with |v| below 1"),
+    "v": ((0.0, 0.0, 0.0), _three(_is_real), "three numbers"),  # the boost checks |v| < 1
     "representation": ("position", *_one_of("position", "momentum", "bargmann")),
     "grid_axis": (1, lambda a: _is_int(a) and 1 <= a <= 3, "1, 2 or 3"),
     "grid_min": (-4.0, *_FINITE),
@@ -84,6 +83,10 @@ def _fmt(value) -> str:
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out_path):
+    """Write the table, or raise ValueError before writing anything if it holds a NaN or inf."""
+    for row in rows:
+        if bad := [c for c in columns if isinstance(row[c], float) and not math.isfinite(row[c])]:
+            raise ValueError(f"the table holds the non-finite value {bad[0]} = {row[bad[0]]!r}")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -123,6 +123,14 @@ def _all(mask) -> bool:
     return bool(mask.all() if getattr(mask, "ndim", 0) else mask)
 
 
+def _positive(x, name: str):
+    """x once it is positive and finite, each entry of an array; else ValueError."""
+    # one float takes the chained comparison, which costs less than the array test
+    if not (0.0 < x < math.inf if isinstance(x, float) else _all((0.0 < x) & (x < math.inf))):
+        raise ValueError(f"{name} must be positive and finite, got {np.asarray(x).tolist()!r}")
+    return x
+
+
 def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
     """Finite, subluminal velocities as a float (..., 3) array, and their gamma factors (...)."""
     v = np.asarray(v, dtype=float)
@@ -169,8 +177,8 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
     and the correct Schroedinger limit. The "plus" branch keeps the inner
     addition for audits; it does neither for unequal masses.
     """
-    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf):
-        raise ValueError(f"particle masses must be positive and finite, got {m1!r}, {m2!r}")
+    _positive(m1, "m1")
+    _positive(m2, "m2")
     if not -math.inf < sigma < math.inf:
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if branch not in ("minus", "plus"):
@@ -191,7 +199,8 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
 
 
 def reduced_mass(m1: float, m2: float) -> float:
-    return m1 * m2 / (m1 + m2)
+    """m1 m2 / (m1 + m2) of two positive finite masses; ValueError if it overflows."""
+    return _positive(_positive(m1, "m1") * _positive(m2, "m2") / (m1 + m2), "reduced mass")
 
 
 def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
@@ -221,9 +230,7 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
 def on_shell_momentum(M0, v):
     """Total momentum (gamma M0 v, gamma M0) of a system of mass M0 moving with v:
     a FourVector for one M0 and v, a (..., 4) array for M0 (...) and v (..., 3)."""
-    M0 = np.asarray(M0, dtype=float)[()]
-    if not _all((0.0 < M0) & (M0 < math.inf)):
-        raise ValueError(f"M0 must be positive and finite, got {M0.tolist()!r}")
+    M0 = _positive(np.asarray(M0, dtype=float)[()], "M0")
     v, g = _lorentz(v)
     gM0 = g * M0
     if gM0.ndim == 0:  # one system: skip the array assembly, microseconds a call
@@ -236,8 +243,7 @@ def _check_momentum(P, M0):
     positive-energy momentum with |P.P + M0^2| <= ON_SHELL_RTOL M0^2 for its M0, a
     float or a (...) array. One FourVector and a float stay Python scalars."""
     pp = minkowski_dot(P, P)
-    if not _all((0.0 < M0) & (M0 < math.inf)):
-        raise ValueError("rest mass must be positive and finite")
+    _positive(M0, "rest mass")
     if np.asarray(pp).dtype.kind == "c":
         raise ValueError("total momentum P must be real")
     if not _all(_parts(P)[3] > 0):
@@ -265,8 +271,8 @@ class BoundSystem:
     P: FourVector
 
     def __post_init__(self):
-        if not (0.0 < self.m1 < math.inf and 0.0 < self.m2 < math.inf):
-            raise ValueError("particle masses must be positive and finite")
+        _positive(self.m1, "m1")
+        _positive(self.m2, "m2")
         if self.eta1 + self.eta2 != 1.0:
             raise ValueError("eta weights must sum to one exactly")
         _check_momentum(self.P, self.M0)

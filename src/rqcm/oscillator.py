@@ -16,12 +16,13 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
 from .constraint import constraint_coordinates, xi_jacobian
-from .minkowski import (BoundSystem, _complex, _components, bound_system, minkowski_dot,
-                        reduced_mass)
+from .minkowski import (BoundSystem, _complex, _components, _positive, bound_system,
+                        minkowski_dot, reduced_mass)
 
 # Highest admissible 1D quantum number.
 MAX_LEVEL = 64
@@ -45,12 +46,11 @@ def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
                                    or value % 1 != 0) or not 0 <= value <= top:
         raise ValueError(f"{name} must be an integer in [0, {top}], got {value!r}")
-    return int(value)
+    return value if type(value) is int else int(value)  # int() would return it, at a call's cost
 
 
 def _check_1d_args(l: int, omega: float) -> int:
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
+    _positive(omega, "spring constant")
     return _level(l, "quantum number")
 
 
@@ -86,17 +86,15 @@ def phi_1d_derivative(l: int, omega: float, xi):
 
 
 def sigma_n(omega: float, n: int) -> float:
-    """Separation-constant eigenvalue Omega (3/2 + n) of the level n."""
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
-    return omega * (1.5 + _level(n, top=math.inf))
+    """Separation-constant eigenvalue Omega (3/2 + n) of the level n, checked positive
+    and finite: that checks Omega, since 3/2 + n > 0, and catches an overflow."""
+    return _positive(omega * (1.5 + _level(n, "level", float_info.max)), "Omega (3/2 + n)")
 
 
 def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
     """Map a Schroedinger angular frequency to the covariant spring constant, Omega = m_r omega."""
-    if not 0.0 < omega_nr < math.inf:
-        raise ValueError(f"Schroedinger frequency must be positive and finite, got {omega_nr!r}")
-    return reduced_mass(m1, m2) * omega_nr
+    _positive(omega_nr, "Schroedinger frequency")
+    return _positive(reduced_mass(m1, m2) * omega_nr, "spring constant")
 
 
 def degeneracy(n: int) -> int:
@@ -150,8 +148,6 @@ class OscillatorState:
     sys: BoundSystem
 
     def __post_init__(self):
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"spring constant must be positive and finite, got {self.omega!r}")
         target = sigma_n(self.omega, self.q.n)
         if abs(self.sys.sigma - target) > 1e-12 * max(1.0, target):
             raise ValueError(

@@ -10,7 +10,7 @@ through one spectral kernel: the rule's projector takes a 1D factor sampled
 at y / sqrt(Omega) (position) or y sqrt(Omega) (momentum) to its
 coefficients on the levels l < order, and a synthesis table maps level l to
 (-i)^l phi_l^mom (forward Fourier), (+i)^l phi_l (inverse) or
-sign^l alpha^l / sqrt(l!) (Segal-Bargmann, also summed about Re(alpha)).
+alpha^l / sqrt(l!) (Segal-Bargmann, also summed about Re(alpha)).
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .minkowski import _positive
 from .oscillator import OscillatorState, _factors, _hermite_levels, phi_1d
 
 MAX_ORDER = 256
@@ -85,9 +86,7 @@ def rescaled_nodes(rule: QuadratureRule, rate: float):
     """Substitution y = sqrt(rate) xi: points = nodes / sqrt(rate) and weights
     eff = weights exp(nodes^2) / sqrt(rate), so that sum(eff * F(points)) is the
     integral of F over the line for integrands with envelope exp(-rate xi^2)."""
-    if not 0.0 < rate < math.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate!r}")
-    root = math.sqrt(rate)
+    root = math.sqrt(_positive(rate, "rate"))
     return rule.nodes / root, rule.weights * np.exp(rule.nodes ** 2) / root
 
 
@@ -143,9 +142,7 @@ def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
 
 def _scale(omega: float, power: float) -> float:
     """The sample scale omega**power, for a positive finite spring constant."""
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"spring constant must be positive and finite, got {omega!r}")
-    return omega ** power
+    return _positive(omega, "spring constant") ** power
 
 
 def _coefficients(g, rule: QuadratureRule, scale: float):
@@ -255,23 +252,19 @@ def _bargmann_series(g, a, rule: QuadratureRule, scale: float, c):
     return math.sqrt(scale) * val, err
 
 
-def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule, sign: int = +1):
+def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
     """One axis of the Segal-Bargmann transform of g at complex alpha.
 
-    (Omega/pi)^(1/4) integral g(xi) exp((-Omega xi^2 - alpha^2)/2)
-                                  exp(sign sqrt(2 Omega) alpha xi) dxi
+    (Omega/pi)^(1/4) integral g(xi) exp((-Omega xi^2 - alpha^2)/2 + sqrt(2 Omega) alpha xi) dxi
 
-    Level l of g maps to sign^l alpha^l / sqrt(l!): sign=+1 gives the stated
-    monomials, and the printed-kernel sign=-1 variant, kept for audits, an
-    extra (-1)^l. Of the series about 0 and about the integer nearest Re(alpha),
-    the one with the smaller rounding bound is kept. On phi_l, l <= 48, that
-    holds to 4e-12 relative on the real axis; off it rounding grows like
-    exp(Im(alpha)^2 / 2), to 1e-11 at |Im alpha| = 4 and 1e-7 at 6.
-    alpha is a scalar or an array with |alpha| finite and at most 10.
+    Level l of g maps to alpha^l / sqrt(l!); the kernel with the opposite sign
+    of alpha xi is this transform at -alpha. Of the series about 0 and about the
+    integer nearest Re(alpha), the one with the smaller rounding bound is kept.
+    On phi_l, l <= 48, that holds to 4e-12 relative on the real axis; off it
+    rounding grows like exp(Im(alpha)^2 / 2), to 1e-11 at |Im alpha| = 4 and
+    1e-7 at 6. alpha is a scalar or an array with |alpha| finite and at most 10.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    a = sign * np.asarray(alpha, dtype=complex)
+    a = np.asarray(alpha, dtype=complex)
     if not np.all(np.abs(a) <= 10.0):
         raise ValueError("|alpha| must be finite and at most 10")
     scale, flat = _scale(omega, -0.5), a.reshape(-1)
@@ -281,14 +274,14 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule, sign: int =
     return out.reshape(a.shape) if a.ndim else complex(out[0])
 
 
-def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule, sign: int = +1):
+def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
     """Segal-Bargmann transform of a state's position profile at complex constraint
     coordinates alphas, one axis at a time; alphas are read as fourier_forward reads
     its targets: a product grid or (..., 3) points."""
     axes, grid, shaped = _targets(alphas, complex)
     _warn_unresolved(state, rule)
     out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
-                    *(bargmann_transform(g, a, state.omega, rule, sign)
+                    *(bargmann_transform(g, a, state.omega, rule)
                       for g, a in zip(_factors(phi_1d, state), axes)))
     return shaped(out)
 

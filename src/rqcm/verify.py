@@ -211,11 +211,14 @@ class VerificationReport:
         by CaseRecord's field names (case.check, case.rel_err, ...)."""
         return [SimpleNamespace(**row) for record in self.records for row in record.rows()]
 
-    def to_dict(self) -> dict:
-        return {"suite": self.suite, "tolerance": self.tolerance,
-                "cases": [row for record in self.records for row in record.rows()],
+    def _head(self, cases: list) -> dict:
+        """The report as a dict around the given cases: to_dict and the writer share it."""
+        return {"suite": self.suite, "tolerance": self.tolerance, "cases": cases,
                 "max_abs_err": self.max_abs_err, "max_rel_err": self.max_rel_err,
                 "pass": self.passed, "notes": list(self.notes)}
+
+    def to_dict(self) -> dict:
+        return self._head([row for record in self.records for row in record.rows()])
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), sort_keys=True, indent=2), written from the records."""
@@ -224,11 +227,8 @@ class VerificationReport:
     def _json_blocks(self, pad: str):
         """to_json() in pieces of at most _BLOCK_CASES cases, every line after the
         first indented by pad."""
-        head, tail = json.dumps(
-            {"suite": self.suite, "tolerance": self.tolerance, "cases": [],
-             "max_abs_err": self.max_abs_err, "max_rel_err": self.max_rel_err,
-             "pass": self.passed, "notes": list(self.notes)},
-            sort_keys=True, indent=2).replace("\n", "\n" + pad).split("[]", 1)  # "cases" is first
+        head, tail = json.dumps(self._head([]), sort_keys=True, indent=2).replace(
+            "\n", "\n" + pad).split("[]", 1)  # "cases" is first
         yield head + "["
         empty = True
         for record in self.records:
@@ -590,11 +590,11 @@ def _direct_fourier(g, targets, rule, omega: float):
     return (kern @ (np.asarray(g(pts)) * eff)) / math.sqrt(2.0 * math.pi)
 
 
-def _direct_bargmann(g, alpha, omega: float, rule, sign: int):
+def _direct_bargmann(g, alpha, omega: float, rule):
     """bargmann_transform's integral with its kernel summed at the nodes for exp(-Omega xi^2)."""
     pts, eff = transforms.rescaled_nodes(rule, omega)
     a = alpha[:, None]
-    kern = np.exp(-0.5 * a ** 2 + sign * math.sqrt(2.0 * omega) * a * pts - 0.5 * omega * pts ** 2)
+    kern = np.exp(-0.5 * a ** 2 + math.sqrt(2.0 * omega) * a * pts - 0.5 * omega * pts ** 2)
     return (omega / math.pi) ** 0.25 * (kern @ (np.asarray(g(pts)) * eff))
 
 
@@ -606,6 +606,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     m2 = 1.3. Tolerances: 1e-8 for the Fourier modulus and (at order 64) the
     round trip and Parseval, 1e-9 for the monomials l <= 8 (order 48), 1e-10
     for the norms up to level 6 and orthogonality, 1e-12 for the kernel.
+    bargmann_sign=-1, a negative control, takes the Segal-Bargmann transform at -alpha.
     """
     _check_options(max_n=max_n, bargmann_sign=bargmann_sign)
     omega, m1, m2, tol = 1.1, 1.0, 1.3, 1e-8
@@ -661,7 +662,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         # Segal-Bargmann monomials over a complex grid
         grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
                          for b in (-2.0, -1.0, 0.0, 1.0, 2.0)])
-        errs = [np.max(np.abs(transforms.bargmann_transform(g, grid, omega, rule_bg, bargmann_sign)
+        errs = [np.max(np.abs(transforms.bargmann_transform(g, bargmann_sign * grid, omega, rule_bg)
                               - oscillator.phi_1d_bargmann(l, omega, grid)))
                 for l, g in enumerate(factors)]
         records.append(CaseRecord("bargmann_monomial", {"l": np.arange(9)}, errs, 0.0,
@@ -682,7 +683,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         # non-eigenfunction, at momenta within 3/4 of the order-64 trust limit,
         # where the direct quadrature holds to ~1e-15 on these integrands
         momenta = 0.75 * transforms.trust_momentum(rule_rt, omega) * rng.uniform(-1.0, 1.0, 8)
-        alphas = rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(-2.0, 2.0, 8)
+        alphas = bargmann_sign * (rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(-2.0, 2.0, 8))
         integrands = [(f"phi_{l}", g) for l, g in enumerate(factors)]
         integrands.append(("gauss_cos",
                            lambda xi: np.exp(-0.5 * omega * xi ** 2) * np.cos(1.7 * xi)))
@@ -690,8 +691,8 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         for _, g in integrands:
             fourier = (transforms.fourier_forward1d(g, momenta, rule_rt, omega)
                        - _direct_fourier(g, momenta, rule_rt, omega))
-            bargmann = (transforms.bargmann_transform(g, alphas, omega, rule_bg, bargmann_sign)
-                        - _direct_bargmann(g, alphas, omega, rule_bg, bargmann_sign))
+            bargmann = (transforms.bargmann_transform(g, alphas, omega, rule_bg)
+                        - _direct_bargmann(g, alphas, omega, rule_bg))
             errs.append([np.max(np.abs(fourier)), np.max(np.abs(bargmann))])
         records.append(CaseRecord("kernel_oracle", {"transform": ["fourier", "bargmann"],
                                                     "integrand": [[n] for n, _ in integrands]},

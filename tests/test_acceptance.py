@@ -139,7 +139,7 @@ def test_criterion_09_bargmann_monomials():
     from rqcm.oscillator import phi_1d
     for l in range(9):
         got = transforms.bargmann_transform(
-            lambda xi, l=l: phi_1d(l, omega, xi), grid, omega, rule, sign=+1)
+            lambda xi, l=l: phi_1d(l, omega, xi), grid, omega, rule)
         want = grid ** l / math.sqrt(math.factorial(l))
         worst = max(worst, float(np.max(np.abs(got - want))))
     _criterion(9, "Segal-Bargmann transform yields alpha^l/sqrt(l!) for l <= 8 "

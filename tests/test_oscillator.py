@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
-                            general_boost, minkowski_dot, rest_mass)
+                            general_boost, minkowski_dot, reduced_mass, rest_mass)
 from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, degeneracy,
                              ladder_apply, ladder_apply_explicit,
                              ladder_explicit_4d_value, ladder_explicit_value,
@@ -150,6 +150,13 @@ _INVALID_INPUTS = {
     "degeneracy_fractional_level": lambda: degeneracy(1.5),
     "quantum_numbers_fractional_level": lambda: quantum_numbers_at_level(1.5),
     "states_up_to_negative_level": lambda: states_up_to(-1, 1.0, 1.0, 1.0),
+    "reduced_mass_opposite_masses": lambda: reduced_mass(1.0, -1.0),
+    "reduced_mass_negative_m1": lambda: reduced_mass(-1.0, 2.0),
+    "reduced_mass_overflow": lambda: reduced_mass(1e200, 1e200),
+    "nr_spring_constant_negative_m1": lambda: nr_spring_constant(-1.0, 2.0, 1.0),
+    "nr_spring_constant_m2_nan": lambda: nr_spring_constant(1.0, _NAN, 1.0),
+    "sigma_n_level_beyond_float": lambda: sigma_n(1.0, 10 ** 400),
+    "sigma_n_overflow": lambda: sigma_n(1e308, 10),
 }
 
 

@@ -364,16 +364,16 @@ def test_bargmann_ground_state_is_unity():
 
 
 def test_bargmann_kernel_sign_sweep():
-    # the adopted sign (+1) maps the l-th factor to alpha^l/sqrt(l!); the
-    # printed-kernel sign (-1) produces an extra (-1)^l, so it cannot
-    # reproduce the stated monomials
+    # the kernel maps the l-th factor to alpha^l/sqrt(l!); the kernel of the
+    # opposite sign, the transform at -alpha, produces an extra (-1)^l, so it
+    # cannot reproduce the stated monomials
     om = 1.1
     rule = gauss_hermite(48)
     for l in range(9):
         g = lambda xi, l=l: phi_1d(l, om, xi)
         want = ALPHA_GRID ** l / math.sqrt(math.factorial(l))
-        plus = bargmann_transform(g, ALPHA_GRID, om, rule, sign=+1)
-        minus = bargmann_transform(g, ALPHA_GRID, om, rule, sign=-1)
+        plus = bargmann_transform(g, ALPHA_GRID, om, rule)
+        minus = bargmann_transform(g, -ALPHA_GRID, om, rule)
         np.testing.assert_allclose(plus, want, atol=1e-9)
         np.testing.assert_allclose(minus, (-1.0) ** l * want, atol=1e-9)
 
@@ -391,8 +391,6 @@ def test_bargmann_alpha_guard():
     rule = gauss_hermite(16)
     with pytest.raises(ValueError):
         bargmann_transform(lambda xi: phi_1d(0, om, xi), 11.0, om, rule)
-    with pytest.raises(ValueError):
-        bargmann_transform(lambda xi: phi_1d(0, om, xi), 0.0, om, rule, sign=2)
 
 
 @pytest.mark.parametrize("im", [0.0, 2.5])
@@ -595,7 +593,7 @@ def test_bargmann_of_level_sum_is_closed_form(spectrum, re, im, sign):
     rule, omega, coeffs = spectrum
     alpha = 2.5 * (re + 1j * im)
     got = bargmann_transform(lambda xi: level_sum(phi_1d, coeffs, omega, xi),
-                             alpha, omega, rule, sign)
+                             sign * alpha, omega, rule)
     monomials = [(sign * alpha) ** l / math.sqrt(math.factorial(l)) for l in range(len(coeffs))]
     want = sum(a * m for a, m in zip(coeffs, monomials))
     scale = max(1.0, float(np.sum(np.abs(coeffs) * np.max(np.abs(monomials), axis=-1))))
