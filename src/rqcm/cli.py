@@ -175,6 +175,14 @@ def _sample_points(axis, ts, velocity):
     return general_boost(rest, [-c for c in velocity])
 
 
+def _abs2(z: complex) -> float:
+    """abs(z) ** 2, or inf where that overflows, for _emit to refuse."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def cmd_eval(args, cfg) -> int:
     m1, m2, omega = _physics(args, cfg)
     velocity = [float(c) for c in _get(args, cfg, "v")]
@@ -184,7 +192,7 @@ def cmd_eval(args, cfg) -> int:
     axis, ts = _grid(args, cfg)
     pts = _sample_points(axis, ts, velocity)
     rows = [{coord: t, "c1": c1, "c2": c2, "c3": c3, "c4": c4,
-             "re_psi": val.real, "im_psi": val.imag, "abs2_psi": abs(val) ** 2}
+             "re_psi": val.real, "im_psi": val.imag, "abs2_psi": _abs2(val)}
             for t, (c1, c2, c3, c4), val in zip(ts.tolist(), pts.tolist(),
                                                 psi(state, pts).tolist())]
     _emit(rows, [coord, "c1", "c2", "c3", "c4", "re_psi", "im_psi", "abs2_psi"],

@@ -40,6 +40,13 @@ def _coordinates(w, P, M0) -> np.ndarray:
     return w[..., :3] + P[..., :3] * _over_real(num, M0 * (M0 + P[..., 3]))[..., None]
 
 
+def _axis(axis) -> int:
+    """The 0-based index of axis, an int or numpy integer 1, 2 or 3 (not a bool)."""
+    if (type(axis) is int or isinstance(axis, np.integer)) and 1 <= axis <= 3:
+        return int(axis) - 1
+    raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
+
+
 def xi_jacobian(sys: BoundSystem) -> np.ndarray:
     """Partial derivatives d xi_i / d x_mu of the coordinate map, shape (3, 4).
 
@@ -59,11 +66,10 @@ def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):
     obeying the transversality condition P^mu d_mu f = 0 it agrees with the
     reduced two-term form used by the explicit ladder operators.
     """
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
+    i = _axis(axis)
     g = _components(grad4)
     raised = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
-    return constraint_coordinates(raised, sys)[..., axis - 1][()]
+    return constraint_coordinates(raised, sys)[..., i][()]
 
 
 def invariant_norm(w: FourVector, sys: BoundSystem) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -23,6 +24,7 @@ _SPEED_LIMIT = 1.0 - 1e-12
 
 
 _COMPLEX = (complex, np.complexfloating)
+_MAX = float_info.max
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,20 @@ def _all(mask) -> bool:
 
 
 def _positive(x, name: str):
-    """x once it is positive and finite, each entry of an array; else ValueError."""
+    """x once it is positive and finite, each entry of an array; else ValueError.
+    The bound is the float maximum, not inf, so an int beyond the float range fails."""
     # one float takes the chained comparison, which costs less than the array test
-    if not (0.0 < x < math.inf if isinstance(x, float) else _all((0.0 < x) & (x < math.inf))):
+    if not (0.0 < x <= _MAX if isinstance(x, float) else _all((0.0 < x) & (x <= _MAX))):
         raise ValueError(f"{name} must be positive and finite, got {np.asarray(x).tolist()!r}")
     return x
+
+
+def _dot(u: np.ndarray, w: np.ndarray):
+    """Row by row u @ w, each row with the bits of a 1-D u @ w (a sum over the last
+    axis need not have them); 1-D u and w take u @ w itself, which costs less."""
+    if u.ndim == w.ndim == 1:
+        return u @ w
+    return np.matmul(u[..., None, :], w[..., :, None])[..., 0, 0]
 
 
 def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +147,7 @@ def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 3:
         raise ValueError(f"velocities need a trailing axis of length 3, got shape {v.shape}")
-    # matmul gives each row of a stack the bits of v @ v (an elementwise sum need not);
-    # one velocity takes v @ v itself, which costs less per call
-    v2 = (v @ v if v.ndim == 1 else np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])[()]
+    v2 = _dot(v, v)
     if not _all(v2 < math.inf):
         raise ValueError(f"velocity must be finite, got {v.tolist()}")
     if not _all(v2 < _SPEED_LIMIT * _SPEED_LIMIT):
@@ -179,7 +188,7 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
     """
     _positive(m1, "m1")
     _positive(m2, "m2")
-    if not -math.inf < sigma < math.inf:
+    if not -_MAX <= sigma <= _MAX:
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
@@ -191,11 +200,7 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
     outer = a + math.sqrt(inner)
     if outer < 0.0:
         raise ValueError(f"unbound system: negative outer radicand {outer:.17g}")
-    M0 = math.sqrt(outer)
-    if not 0.0 < M0 < math.inf:
-        raise ValueError(f"rest mass {M0!r} is not positive and finite for "
-                         f"m1={m1!r}, m2={m2!r}, sigma={sigma!r}")
-    return M0
+    return _positive(math.sqrt(outer), "rest mass M0")
 
 
 def reduced_mass(m1: float, m2: float) -> float:
@@ -211,9 +216,8 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
     holds. The nudge never moves eta2 more than one ulp from the printed
     formula's value.
     """
-    if not (M0 > 0.0 and 0.0 < M0 * M0 < math.inf):
-        raise ValueError(f"M0 and M0^2 must be positive and finite, got M0={M0!r}")
-    d = (m1 * m1 - m2 * m2) / (M0 * M0)
+    M0_sq = _positive(_positive(M0, "M0") * M0, "M0^2")
+    d = (_positive(m1, "m1") * m1 - _positive(m2, "m2") * m2) / M0_sq
     eta1 = 0.5 + d
     eta2 = 1.0 - eta1
     for _ in range(20):

@@ -20,8 +20,8 @@ from sys import float_info
 
 import numpy as np
 
-from .constraint import constraint_coordinates, xi_jacobian
-from .minkowski import (BoundSystem, _complex, _components, _positive, bound_system,
+from .constraint import _axis, constraint_coordinates, xi_jacobian
+from .minkowski import (BoundSystem, _all, _complex, _components, _positive, bound_system,
                         minkowski_dot, reduced_mass)
 
 # Highest admissible 1D quantum number.
@@ -71,7 +71,10 @@ def phi_1d_momentum(l: int, omega: float, pi_):
 def phi_1d_bargmann(l: int, omega: float, alpha):
     """Bargmann-space factor alpha^l / sqrt(l!), complex; Omega is checked, not used."""
     l = _check_1d_args(l, omega)
-    out = np.asarray(alpha, dtype=complex) ** l / math.sqrt(math.factorial(l))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(alpha, dtype=complex) ** l / math.sqrt(math.factorial(l))
+    if not _all(np.isfinite(out)):
+        raise ValueError(f"the Bargmann factor alpha^{l} / sqrt({l}!) is non-finite")
     return out if out.ndim else complex(out)
 
 
@@ -131,7 +134,7 @@ class QuantumNumbers:
 
     def replace_axis(self, axis: int, value: int) -> "QuantumNumbers":
         ls = list(self.as_tuple())
-        ls[axis - 1] = value
+        ls[_axis(axis)] = value
         return QuantumNumbers(*ls)
 
 
@@ -166,10 +169,9 @@ def oscillator_state(l, omega: float, m1: float, m2: float,
     return OscillatorState(q, float(omega), sys)
 
 
-def states_up_to(max_n: int, omega: float, m1: float, m2: float,
-                 velocity=(0.0, 0.0, 0.0)) -> list[OscillatorState]:
-    """All eigenstates with total quantum number <= max_n, deterministic order."""
-    return [oscillator_state(q, omega, m1, m2, velocity)
+def states_up_to(max_n: int, omega: float, m1: float, m2: float) -> list[OscillatorState]:
+    """All eigenstates at rest with total quantum number <= max_n, deterministic order."""
+    return [oscillator_state(q, omega, m1, m2)
             for n in range(_level(max_n, "max_n", math.inf) + 1)
             for q in quantum_numbers_at_level(n)]
 
@@ -234,21 +236,21 @@ def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
     return grad * np.asarray(_phase(state, X))[..., None]
 
 
-def _ladder_sign(direction: str, axis: int) -> int:
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
+def _ladder_sign(direction: str, axis: int) -> tuple[int, int]:
+    """The sign of a move, +1 to raise and -1 to lower, and the 0-based index of its axis."""
+    i = _axis(axis)
     if direction == "raise":
-        return +1
+        return +1, i
     if direction == "lower":
-        return -1
+        return -1, i
     raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
 def _ladder_step(direction: str, axis: int, q: QuantumNumbers):
     """The coefficient and the new level of one axis of q: sqrt(l) and l - 1 to
     lower (0.0 and None at l = 0), sqrt(l + 1) and l + 1 to raise."""
-    sign = _ladder_sign(direction, axis)
-    li = q.as_tuple()[axis - 1]
+    sign, i = _ladder_sign(direction, axis)
+    li = q.as_tuple()[i]
     if sign > 0:
         return math.sqrt(li + 1), li + 1
     return (math.sqrt(li), li - 1) if li else (0.0, None)
@@ -278,10 +280,9 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     Multiplicative part: Omega xi_i(x). Valid for fields satisfying
     P^mu d_mu f = 0; oscillator eigenfunctions do.
     """
-    sign = _ladder_sign(direction, axis)
+    sign, i = _ladder_sign(direction, axis)
     g = np.asarray(grad4)
     P = sys.P
-    i = axis - 1
     d_xi = g[..., i] + (P.spatial[i] / (sys.M0 + P.c4)) * g[..., 3]
     xi_i = constraint_coordinates(x, sys)[..., i]
     return (-sign * d_xi + omega * xi_i * value) / math.sqrt(2.0 * omega)
@@ -296,34 +297,23 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     combined with the constraint-coordinate map applied to the component
     values. Agrees with ladder_explicit_value on transversal fields.
     """
-    sign = _ladder_sign(direction, axis)
+    sign, i = _ladder_sign(direction, axis)
     g = np.asarray(grad4)
     d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
     a_mu = ((-sign * d_contra + omega * _components(x) * np.expand_dims(value, -1))
             / math.sqrt(2.0 * omega))
     P = sys.P
     pa = minkowski_dot(P, a_mu)
-    i = axis - 1
     return a_mu[..., i] + P.spatial[i] * (pa - sys.M0 * a_mu[..., 3]) / (sys.M0 * (sys.M0 + P.c4))
 
 
-def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState,
-                          x, X=None, gradient=None):
-    """Evaluate the explicit ladder operator on the state's wave function at x.
-
-    x is a FourVector or a (..., 4) array of points. gradient=None uses the
-    closed-form gradient; otherwise gradient must be a callable
-    (field, x) -> (..., 4) array of partials, e.g. the finite difference
-    engine from the verify module; field takes stacked points. The result
-    equals coefficient * psi_new(x) of ladder_apply, with the centre-of-mass
-    phase of the original state.
-    """
-    value = psi_position(state, x, X)
-    if gradient is None:
-        grad4 = psi_position_gradient(state, x, X)
-    else:
-        grad4 = gradient(lambda pt: psi_position(state, pt, X), x)
-    return ladder_explicit_value(direction, axis, state.omega, state.sys, x, value, grad4)
+def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState, x, X=None):
+    """The explicit ladder operator on the state's wave function at x, a FourVector
+    or a (..., 4) array of points: coefficient * psi_new(x) of ladder_apply, with the
+    original state's centre-of-mass phase. It takes the closed-form gradient; for
+    another, such as finite differences, call ladder_explicit_value."""
+    return ladder_explicit_value(direction, axis, state.omega, state.sys, x,
+                                 psi_position(state, x, X), psi_position_gradient(state, x, X))
 
 
 def _factors(factor, state: OscillatorState):

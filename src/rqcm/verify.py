@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import constraint, minkowski, oscillator, transforms
-from .minkowski import (_components, _over_real, bound_system, eta_params, minkowski_dot,
-                        reduced_mass, rest_mass)
+from .minkowski import (_components, _dot, _over_real, bound_system, eta_params,
+                        minkowski_dot, reduced_mass, rest_mass)
 from .oscillator import (OscillatorState, _ladder_step, ladder_apply, ladder_explicit_4d_value,
                          ladder_explicit_value, oscillator_state, psi_position, states_up_to)
 
@@ -285,11 +285,6 @@ def _check_options(trials=1, points=1, max_n=0, sigma_perturb=0.0, order=None,
         raise ValueError("bargmann_sign must be +1 or -1")
 
 
-def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row by row u @ w, with the bits of a 1D u @ w; a sum over the last axis can differ."""
-    return np.matmul(u[..., None, :], w[..., :, None])[..., 0, 0]
-
-
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
                          seed: int = 0) -> VerificationReport:
     """Frame equality of |xi|^2, |pi|^2 and xi.pi plus projection orthogonality.
@@ -368,12 +363,11 @@ def _internal_residual_analytic(state: OscillatorState, x, sigma_used: float):
     return _internal_residual(om, xi, lap, psi, sigma_used)
 
 
-def _internal_residual_fd(state: OscillatorState, x, sigma_used: float,
-                          h: float = DEFAULT_H_SECOND):
+def _internal_residual_fd(state: OscillatorState, x, sigma_used: float):
     """The residual with the constraint-space Laplacian reduced to 4-space
-    finite differences: sum d2/dxi2 = box - (P^mu d_mu / M0)^2. box4's
-    stencil and the directional one share their centre: one field call."""
-    sys = state.sys
+    finite differences at step DEFAULT_H_SECOND: sum d2/dxi2 = box - (P^mu d_mu / M0)^2.
+    box4's stencil and the directional one share their centre: one field call."""
+    sys, h = state.sys, DEFAULT_H_SECOND
     x = _components(x)
     directions = np.vstack([np.eye(4), sys.P.components / sys.M0])
     steps = np.concatenate([_axis_steps(x, h), _direction_step(x, h)], axis=-1)
@@ -391,10 +385,12 @@ def _draw_states(rng, max_n: int, moving: bool) -> list[OscillatorState]:
             for n in range(max_n + 1) for q in oscillator.quantum_numbers_at_level(n)]
 
 
-def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0,
+def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
                   sigma_perturb: float = 0.0, max_n: int = 4) -> VerificationReport:
     """Residuals of the centre-of-mass wave equation, the transversality
-    condition and the internal oscillator equation on random points.
+    condition and the internal oscillator equation on random points, for the
+    eigenstates up to level max_n at Omega = 1, m1 = 1, m2 = 1.3 that the suite
+    draws itself, so points is the first positional parameter.
 
     mode="analytic" evaluates closed-form derivatives in the rest frame
     (tolerance 1e-10); mode="fd" uses 4-space finite differences in frames
@@ -407,11 +403,9 @@ def run_pde_suite(states=None, points: int = 20, mode: str = "fd", seed: int = 0
         raise ValueError("mode must be 'analytic' or 'fd'")
     tol = 1e-10 if mode == "analytic" else 1e-5
     rng = np.random.default_rng(seed)
-    if states is None:
-        states = _draw_states(rng, max_n, moving=mode == "fd")
     residual = _internal_residual_analytic if mode == "analytic" else _internal_residual_fd
     records = []
-    for idx, state in enumerate(states):
+    for idx, state in enumerate(_draw_states(rng, max_n, moving=mode == "fd")):
         sys = state.sys
         sigma_used = state.sigma + sigma_perturb * state.omega
         resids, scales = residual(state, rng.uniform(-1.5, 1.5, (points, 4)), sigma_used)
@@ -538,14 +532,14 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     return VerificationReport("ladder", 1e-5, records, [f"seed={seed}", "vmax=0.9"])
 
 
-def run_nr_limit_suite(mass_pairs=None, seed: int = 0) -> VerificationReport:
+def run_nr_limit_suite(seed: int = 0) -> VerificationReport:
     """Quadratic approach of the rest mass to m1 + m2 + sigma/m_r, the
-    free-particle identity and the rest-frame ladder coefficients. Halving
+    free-particle identity and the rest-frame ladder coefficients, on 20 mass
+    pairs the suite draws from [0.5, 3), so seed is its only parameter. Halving
     sigma = 1e-3 must divide the error by 4 +- 0.5 (the ratio window [3.5, 4.5]);
     the small-sigma energy holds to 5e-6, the other identities to 1e-12."""
     rng = np.random.default_rng(seed)
-    if mass_pairs is None:
-        mass_pairs = [tuple(rng.uniform(0.5, 3.0, 2)) for _ in range(20)]
+    mass_pairs = [tuple(rng.uniform(0.5, 3.0, 2)) for _ in range(20)]
     sigma0 = 1e-3
     records = []
     for k, (m1, m2) in enumerate(mass_pairs):
@@ -714,11 +708,6 @@ SUITES = {
 }
 
 
-def run_all(seed: int = 0, **overrides) -> dict:
-    """Run every suite with shared seed; overrides are keyed by suite name."""
-    out = {}
-    for name, runner in SUITES.items():
-        kwargs = dict(overrides.get(name, {}))
-        kwargs.setdefault("seed", seed)
-        out[name] = runner(**kwargs)
-    return out
+def run_all(seed: int = 0) -> dict:
+    """Every suite's report at its defaults and the shared seed, keyed by suite name."""
+    return {name: runner(seed=seed) for name, runner in SUITES.items()}

@@ -157,12 +157,13 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv):
 
 
 # finite inputs whose tables overflow: alpha^64 before the division by sqrt(64!),
-# and the Hermite recurrence at |xi| near the float maximum
+# the Hermite recurrence at |xi| near the float maximum, and |psi|^2 of a finite psi
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     "eval --l 64 0 0 --rep bargmann --grid-min 1e10 --grid-max 2e10 --samples 3",
     "eval --l 64 0 0 --grid-min 1e300 --grid-max 1.7e308 --samples 3",
-], ids=["bargmann alpha^64", "position near the float maximum"])
+    "eval --l 64 0 0 --rep bargmann --grid-min 1e4 --grid-max 2e4 --samples 3",
+], ids=["bargmann alpha^64", "position near the float maximum", "abs2_psi overflow"])
 def test_a_non_finite_table_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2

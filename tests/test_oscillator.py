@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rqcm.constraint import xi_directional_derivative
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
                             general_boost, minkowski_dot, reduced_mass, rest_mass)
 from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, degeneracy,
@@ -111,6 +112,24 @@ def test_quantum_numbers_validation():
 
 
 _NAN, _INF = math.nan, math.inf
+# axis values that every axis entry point must refuse; a range test alone
+# refuses those in _ALREADY_REFUSED, except in replace_axis, which had none
+_BAD_AXES = {"bool": True, "numpy_bool": np.True_, "float": 1.0, "string": "1", "zero": 0,
+             "negative": -1, "four": 4}
+_ALREADY_REFUSED = ("string", "zero", "negative", "four")
+_AXIS_STATE = oscillator_state((1, 0, 1), 1.0, 1.0, 1.3, (0.1, 0.2, 0.0))
+_AXIS_CALLS = {
+    "ladder_apply": lambda axis: ladder_apply("raise", axis, _AXIS_STATE),
+    "ladder_explicit_value": lambda axis: ladder_explicit_value(
+        "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), 1.0, np.ones(4)),
+    "ladder_explicit_4d_value": lambda axis: ladder_explicit_4d_value(
+        "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), 1.0, np.ones(4)),
+    "ladder_apply_explicit": lambda axis: ladder_apply_explicit(
+        "raise", axis, _AXIS_STATE, np.zeros(4)),
+    "replace_axis": lambda axis: QuantumNumbers(1, 2, 3).replace_axis(axis, 5),
+    "xi_directional_derivative": lambda axis: xi_directional_derivative(
+        np.ones(4), axis, _AXIS_STATE.sys),
+}
 _INVALID_INPUTS = {
     "v_nan": lambda: bound_system(1, 1, 0, (_NAN, 0, 0)),
     "v_inf": lambda: bound_system(1, 1, 0, (_INF, 0, 0)),
@@ -157,6 +176,16 @@ _INVALID_INPUTS = {
     "nr_spring_constant_m2_nan": lambda: nr_spring_constant(1.0, _NAN, 1.0),
     "sigma_n_level_beyond_float": lambda: sigma_n(1.0, 10 ** 400),
     "sigma_n_overflow": lambda: sigma_n(1e308, 10),
+    **{f"{name}_axis_{tag}": (lambda call=call, axis=axis: call(axis))
+       for name, call in _AXIS_CALLS.items() for tag, axis in _BAD_AXES.items()
+       if name == "replace_axis" or tag not in _ALREADY_REFUSED},
+    "rest_mass_m1_beyond_float": lambda: rest_mass(10 ** 400, 1, 0),
+    "rest_mass_sigma_beyond_float": lambda: rest_mass(1, 1, 10 ** 400),
+    "bound_system_m1_beyond_float": lambda: bound_system(10 ** 400, 1),
+    "eta_m1_beyond_float": lambda: eta_params(10 ** 400, 1, 2.0),
+    "phi_bargmann_overflow": lambda: phi_1d_bargmann(64, 1.0, 1e10),
+    "psi_bargmann_overflow": lambda: psi_bargmann(oscillator_state((64, 0, 0), 1.0, 1.0, 1.3),
+                                                  FourVector(1e10, 0, 0, 0)),
 }
 
 
@@ -164,6 +193,22 @@ _INVALID_INPUTS = {
 def test_invalid_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_an_axis_is_1_2_or_3_and_may_be_a_numpy_integer():
+    for call in _AXIS_CALLS.values():
+        for tag in _ALREADY_REFUSED:
+            with pytest.raises(ValueError, match="axis must be 1, 2 or 3"):
+                call(_BAD_AXES[tag])
+    st = _AXIS_STATE
+    assert ladder_apply("raise", np.int64(2), st) == ladder_apply("raise", 2, st)
+    assert QuantumNumbers(1, 2, 3).replace_axis(np.int64(2), 5) == QuantumNumbers(1, 5, 3)
+    grad, x = np.array([0.3, -0.2, 0.7, 0.1]), np.array([0.4, 0.1, -0.5, 0.2])
+    assert xi_directional_derivative(grad, np.int64(3), st.sys) == \
+        xi_directional_derivative(grad, 3, st.sys)
+    for explicit in (ladder_explicit_value, ladder_explicit_4d_value):
+        assert explicit("lower", np.int64(1), 1.0, st.sys, x, 0.5, grad) == \
+            explicit("lower", 1, 1.0, st.sys, x, 0.5, grad)
 
 
 def test_an_integral_float_level_reads_as_that_level():
@@ -354,6 +399,14 @@ def test_ladder_explicit_matches_coefficients_boosted():
                 assert abs(got - want) <= 1e-12
 
 
+def ladder_finite_difference(direction, axis, state, x):
+    """The explicit ladder operator on the state's wave function at x, with the
+    finite-difference gradient in place of the closed form."""
+    field = lambda pt: psi_position(state, pt)
+    return ladder_explicit_value(direction, axis, state.omega, state.sys, x, field(x),
+                                 finite_difference_gradient4(field, x))
+
+
 def test_ladder_explicit_finite_difference_and_annihilation():
     rng = np.random.default_rng(36)
     ground = oscillator_state((0, 0, 0), 1.0, 1.0, 1.3, (0.0, 0.6, 0.0))
@@ -361,11 +414,9 @@ def test_ladder_explicit_finite_difference_and_annihilation():
     coeff, lowered = ladder_apply("lower", 1, excited)
     for _ in range(20):
         x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
-        got0 = ladder_apply_explicit("lower", 2, ground, x,
-                                     gradient=finite_difference_gradient4)
+        got0 = ladder_finite_difference("lower", 2, ground, x)
         assert abs(got0) <= 1e-8
-        got1 = ladder_apply_explicit("lower", 1, excited, x,
-                                     gradient=finite_difference_gradient4)
+        got1 = ladder_finite_difference("lower", 1, excited, x)
         want = coeff * psi_position(lowered, x)
         assert abs(got1 - want) <= 1e-5
 
