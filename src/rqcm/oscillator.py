@@ -218,8 +218,13 @@ def psi_momentum(state: OscillatorState, p, X=None):
 
 
 def psi_bargmann(state: OscillatorState, a, X=None):
-    """Bargmann-representation wave function, the product of Bargmann factors times exp(i P.X)."""
-    return _separable(phi_1d_bargmann, state, a, X)
+    """Bargmann-representation wave function, the product of Bargmann factors times exp(i P.X);
+    ValueError where that product of finite factors overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _separable(phi_1d_bargmann, state, a, X)
+    if not _all(np.isfinite(out)):
+        raise ValueError("the Bargmann wave function is non-finite")
+    return out
 
 
 def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:

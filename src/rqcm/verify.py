@@ -251,15 +251,16 @@ def _reports_json(reports: dict):
 # ---------------------------------------------------------------------------
 # random-case generation (shared conventions)
 
-def _draw_masses(rng):
-    m1, m2 = rng.uniform(0.5, 3.0, 2)
+def _draw_masses(rng, size=()):
+    m1, m2 = rng.uniform(0.5, 3.0, (2, *size))
     return m1, m2, rng.uniform(0.0, 0.5 * m1 * m2)
 
 
-def _draw_velocity(rng, vmax: float) -> np.ndarray:
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    return rng.uniform(0.0, vmax) * direction
+def _draw_velocity(rng, vmax: float, size=()) -> np.ndarray:
+    """(*size, 3) velocities, |v| < vmax, each row with the bits of its own single draw."""
+    direction = rng.normal(size=(*size, 3))
+    direction /= np.sqrt(_dot(direction, direction))[..., None]  # np.linalg.norm's bits
+    return rng.uniform(0.0, vmax, (*size, 1)) * direction
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +293,20 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     Each trial draws a system, a position, a momentum and a second boost;
     constraint coordinates computed in both frames must agree in their
     rotation-invariant combinations (tolerance 1e-9), and the projections
-    orthogonal to P must be orthogonal to it (tolerance 1e-10). The draws
-    run trial by trial; one boost, one map and one projection then serve
-    the stack of all trials, and P passes BoundSystem's checks in both frames.
+    orthogonal to P must be orthogonal to it (tolerance 1e-10). The masses, both
+    boosts and x and p come as blocks over all trials; one boost, one map and one
+    projection serve the stack, and P passes BoundSystem's checks in both frames.
     """
     _check_options(trials=trials)
     if not 0.0 < vmax < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        m1, m2, sigma = _draw_masses(rng)
-        M0 = rest_mass(m1, m2, sigma)
-        eta_params(m1, m2, M0)  # raises unless eta1 + eta2 == 1
-        draws.append(([M0], _draw_velocity(rng, vmax), rng.uniform(-2.0, 2.0, (2, 4)),
-                      _draw_velocity(rng, vmax)))
-    M0, v_a, xp, v_b = map(np.array, zip(*draws))  # M0 (trials, 1), xp (trials, 2, 4)
+    m1, m2, sigma = (m.tolist() for m in _draw_masses(rng, (trials,)))
+    M0 = np.array([[rest_mass(*ms)] for ms in zip(m1, m2, sigma)])  # (trials, 1)
+    for ms in zip(m1, m2, M0[:, 0].tolist()):
+        eta_params(*ms)  # raises unless eta1 + eta2 == 1
+    v_a, v_b = _draw_velocity(rng, vmax, (2, trials))
+    xp = rng.uniform(-2.0, 2.0, (trials, 2, 4))
     P_a = minkowski.on_shell_momentum(M0, v_a[:, None])  # (trials, 1, 4)
     frame_a = np.concatenate((P_a, xp), axis=1)  # P, x and p of each trial
     frames = np.stack((frame_a, minkowski.general_boost(frame_a, v_b[:, None])))
@@ -636,22 +635,17 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         rt_targets = np.linspace(-2.5 / math.sqrt(omega), 2.5 / math.sqrt(omega), 4)
         ppts, peff = transforms.rescaled_nodes(rule_rt, 1.0 / omega)
         for idx, state in enumerate(states[:: max(1, len(states) // 7)]):
-            g = oscillator.position_profile(state)
-
-            def fwd(*grid, state=state):
-                # the inverse samples a product grid; ravel back to axes so the
-                # forward runs on a product grid, one axis at a time
-                axes = tuple(np.asarray(p, dtype=float).ravel() for p in grid)
-                return transforms.fourier_of_state(state, axes, rule_rt)
-
+            # one axis at a time: the inverse of the factors' forward transforms,
+            # and (Fubini) the momentum norm as the product of the axes' norms
+            fwd = [lambda p, f=f: transforms.fourier_forward1d(f, p, rule_rt, omega)
+                   for f in oscillator._factors(oscillator.phi_1d, state)]
             back = transforms.fourier_inverse(fwd, (rt_targets,) * 3, rule_rt, omega)
-            truth = g(*np.ix_(rt_targets, rt_targets, rt_targets))
+            truth = oscillator.position_profile(state)(*np.ix_(rt_targets, rt_targets, rt_targets))
             records.append(CaseRecord("roundtrip", {"state": idx},
                                       np.max(np.abs(back - truth)), 0.0,
                                       "inverse of forward is the identity", tol))
-            fnum = transforms.fourier_of_state(state, (ppts,) * 3, rule_rt)
-            w3 = peff[:, None, None] * peff[None, :, None] * peff[None, None, :]
-            records.append(CaseRecord("parseval", {"state": idx}, np.sum(w3 * np.abs(fnum) ** 2),
+            records.append(CaseRecord("parseval", {"state": idx},
+                                      math.prod(np.sum(peff * np.abs(f(ppts)) ** 2) for f in fwd),
                                       1.0, "momentum norm equals position norm", tol))
         # Segal-Bargmann monomials over a complex grid
         grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -668,8 +662,8 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
                                   "unit norm over the constraint space", 1e-10))
         # orthogonality spot checks
         base = up_to(2)
-        pairs = [rng.integers(0, len(base), 2) for _ in range(6)]
-        pairs = np.reshape([(i, j) for i, j in pairs if base[i].q != base[j].q], (-1, 2))
+        pairs = rng.integers(0, len(base), (6, 2))
+        pairs = pairs[[base[i].q != base[j].q for i, j in pairs.tolist()]]
         overlaps = [transforms.overlap_integral(base[i], base[j], rule) for i, j in pairs]
         records.append(CaseRecord("orthogonality", {"i": pairs[:, 0], "j": pairs[:, 1]},
                                   overlaps, 0.0, "distinct states are orthogonal", 1e-10))

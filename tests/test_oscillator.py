@@ -186,6 +186,12 @@ _INVALID_INPUTS = {
     "phi_bargmann_overflow": lambda: phi_1d_bargmann(64, 1.0, 1e10),
     "psi_bargmann_overflow": lambda: psi_bargmann(oscillator_state((64, 0, 0), 1.0, 1.0, 1.3),
                                                   FourVector(1e10, 0, 0, 0)),
+    # finite factors, about 2.8e211 each, whose product overflows
+    "psi_bargmann_product_overflow": lambda: psi_bargmann(
+        oscillator_state((64, 64, 0), 1.0, 1.0, 1.3), FourVector(1e4, 1e4, 0, 0)),
+    "psi_bargmann_product_overflow_in_a_stack": lambda: psi_bargmann(
+        oscillator_state((64, 64, 0), 1.0, 1.0, 1.3),
+        np.array([[0.1, 0.2, 0.0, 0.0], [1e4, 1e4, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])),
 }
 
 

@@ -295,6 +295,11 @@ def test_parseval():
         w3 = peff[:, None, None] * peff[None, :, None] * peff[None, None, :]
         total = float(np.sum(w3 * np.abs(fnum) ** 2))
         assert abs(total - 1.0) <= 1e-8, ls
+        # by Fubini, the product of the per-axis norms: verify's Parseval check
+        per_axis = math.prod(
+            float(np.sum(peff * np.abs(fourier_forward1d(f, ppts, rule, om)) ** 2))
+            for f in (lambda xi, l=l: phi_1d(l, om, xi) for l in ls))
+        assert abs(per_axis - total) <= 1e-13, ls
 
 
 def test_fourier_linearity():

@@ -215,20 +215,42 @@ def _velocity(rng, vmax):
     return rng.uniform(0.0, vmax) * direction
 
 
+def test_velocity_draws_keep_the_bits_of_one_draw():
+    # a single draw is the formula above, and so are single masses; each row of a
+    # block is that formula on the row's own normals and speed, all normals first
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(verify._draw_velocity(rng, 0.9), _velocity(ref, 0.9))
+        m1, m2 = ref.uniform(0.5, 3.0, 2)
+        assert verify._draw_masses(rng) == (m1, m2, ref.uniform(0.0, 0.5 * m1 * m2))
+        n = seed % 7 + 1
+        block = verify._draw_velocity(rng, 0.9, (n,))
+        normals, speeds = ref.normal(size=(n, 3)), ref.uniform(0.0, 0.9, n)
+        assert block.shape == (n, 3)
+        for row, d, s in zip(block, normals, speeds):
+            assert np.array_equal(row, d / np.linalg.norm(d) * s)
+
+
 def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def invariance_one_trial_at_a_time(trials, vmax, seed):
-    """The invariance suite through the per-system API: one BoundSystem, two
-    boosts, two maps and two FourVector projections per trial."""
+    """The invariance suite through the per-system API: the suite's blocks of draws
+    (masses, then directions and speeds of both boosts, then x and p), and then one
+    BoundSystem, two boosts, two maps and two FourVector projections per trial."""
     rng = np.random.default_rng(seed)
+    m1s, m2s = rng.uniform(0.5, 3.0, (2, trials))
+    sigmas = rng.uniform(0.0, 0.5 * m1s * m2s)
+    directions = rng.normal(size=(2, trials, 3))
+    speeds = rng.uniform(0.0, vmax, (2, trials))
+    xps = rng.uniform(-2.0, 2.0, (trials, 2, 4))
     cases = []
     for trial in range(trials):
-        m1, m2 = rng.uniform(0.5, 3.0, 2)
-        sys_a = bound_system(m1, m2, rng.uniform(0.0, 0.5 * m1 * m2), _velocity(rng, vmax))
-        xp = rng.uniform(-2.0, 2.0, (2, 4))
-        v = _velocity(rng, vmax)
+        v_a, v = (d / np.linalg.norm(d) * s
+                  for d, s in zip(directions[:, trial], speeds[:, trial]))
+        sys_a = bound_system(m1s[trial], m2s[trial], sigmas[trial], v_a)
+        xp = xps[trial]
         sys_b = sys_a.boosted(v)
         xi_a, pi_a = constraint_coordinates(xp, sys_a).tolist()
         xi_b, pi_b = constraint_coordinates(general_boost(xp, v), sys_b).tolist()
@@ -434,9 +456,9 @@ def test_run_all_aggregates():
 # value depends on the BLAS and the order of summation, so it need only
 # stay below 1e-6.
 DRIFT_TABLE = {
-    "invariance": {"xi_sq": (1000, 1.06e-05), "pi_sq": (1000, 2.06e-05),
-                   "xi_dot_pi": (1000, 2.12e-05), "perp_x": (1000, 2.36e-05),
-                   "perp_p": (1000, 2.02e-05)},
+    "invariance": {"xi_sq": (1000, 5.38e-06), "pi_sq": (1000, 1.09e-05),
+                   "xi_dot_pi": (1000, 9.21e-05), "perp_x": (1000, 5.97e-06),
+                   "perp_p": (1000, 6.66e-06)},
     "pde": {"internal_equation": (700, 0.255), "cm_wave": (35, 0.0576),
             "transversality": (105, 5.92e-05)},
     "ladder": {"annihilation": (900, 0.00559), "explicit_raise": (2100, 4.2e-05),
