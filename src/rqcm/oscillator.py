@@ -181,9 +181,14 @@ def states_up_to(max_n: int, omega: float, m1: float, m2: float) -> list[Oscilla
 # (...) array; X = None omits the phase.
 
 def _phase(state: OscillatorState, X):
+    """exp(i P.X), or ValueError where P.X is not finite."""
     if X is None:
         return 1.0 + 0.0j
-    return np.exp(1j * minkowski_dot(state.sys.P, X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = minkowski_dot(state.sys.P, X)
+    if not _all(np.isfinite(px)):
+        raise ValueError("the centre-of-mass phase P.X is non-finite")
+    return np.exp(1j * px)
 
 
 def _product(a, b):

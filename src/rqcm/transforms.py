@@ -8,14 +8,16 @@ envelope exp(-c xi^2) into the weight (rescaled_nodes).
 Every transform is diagonal on the oscillator's Hermite levels and runs
 through one spectral kernel: the rule's projector takes a 1D factor sampled
 at y / sqrt(Omega) (position) or y sqrt(Omega) (momentum) to its
-coefficients on the levels l < order, and a synthesis table maps level l to
-(-i)^l phi_l^mom (forward Fourier), (+i)^l phi_l (inverse) or
-alpha^l / sqrt(l!) (Segal-Bargmann, also summed about Re(alpha)).
+coefficients on the levels l < order. Level l maps to (-i)^l phi_l^mom
+(forward Fourier), (+i)^l phi_l (inverse) or alpha^l / sqrt(l!)
+(Segal-Bargmann, also summed about Re(alpha)). A Fourier synthesis table
+holds the real Hermite levels at the targets; the phase (-i)^l or (+i)^l
+multiplies the coefficients instead, so no complex table is built.
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
-direct quadrature as the oracle; trust_momentum is its reach. Equal axes
-share one table, so (t, t, t) and (t, t.copy(), t.copy()) build one.
+direct quadrature as the oracle; trust_momentum is its reach. Tables are
+shared per distinct axis, so (t, t, t) and (t, t.copy(), t.copy()) build one.
 """
 from __future__ import annotations
 
@@ -150,13 +152,24 @@ def _coefficients(g, rule: QuadratureRule, scale: float):
     return math.sqrt(scale) * (rule.projector @ np.asarray(g(scale * rule.nodes)))
 
 
-def _fourier_table(t, scale: float, order: int, sign: int):
-    """(sign i)^l sqrt(scale) h_l(scale t), shape (len(t), order): the transform of
-    h_l(x / scale) / sqrt(scale) under the kernel exp(sign i t x) / sqrt(2 pi)."""
+def _level_table(t, scale: float, order: int):
+    """sqrt(scale) h_l(scale t), shape (order, len(t)), real: up to the phase (sign i)^l
+    that _synthesis puts on the coefficients, the transform of h_l(x / scale) / sqrt(scale)
+    under the kernel exp(sign i t x) / sqrt(2 pi)."""
     if not np.all(np.isfinite(t)):
         raise ValueError("targets must be finite")
-    phase = np.array([1, sign * 1j, -1, -sign * 1j])[np.arange(order) % 4]
-    return math.sqrt(scale) * np.stack(_hermite_levels(order - 1, scale * t), axis=-1) * phase
+    return math.sqrt(scale) * np.array(_hermite_levels(order - 1, scale * t))
+
+
+def _synthesis(table, c, sign: int):
+    """sum_l (sign i)^l c[l] table[l] for coefficients c of shape (order, ...): the
+    phase multiplies c, exactly, and the real table meets the real and imaginary
+    parts of c in one real product, never cast to complex."""
+    c = np.asarray(c)
+    phase = np.array([1, sign * 1j, -1, -sign * 1j])[np.arange(len(c)) % 4]
+    phased = c.reshape(len(c), -1) * phase[:, None]
+    out = table.T @ np.stack([phased.real, phased.imag], -1).reshape(len(c), -1)
+    return out.view(complex).reshape(-1, *c.shape[1:])
 
 
 def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
@@ -165,7 +178,8 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
     g is sampled at xi = y / sqrt(Omega); level l maps to (-i)^l phi_l^mom(pi).
     """
     t, scale = _array(targets, float), _scale(omega, -0.5)
-    out = _fourier_table(t.reshape(-1), scale, rule.order, -1) @ _coefficients(g, rule, scale)
+    out = _synthesis(_level_table(t.reshape(-1), scale, rule.order),
+                     _coefficients(g, rule, scale), -1)
     return out.reshape(t.shape) if t.ndim else complex(out[0])
 
 
@@ -195,17 +209,18 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
     axes, grid, shaped = _targets(targets, float)
     keys = [t.tobytes() for t in axes]  # equal axes share one table
-    table = {k: _fourier_table(t, scale, rule.order, sign)
-             for k, t in dict(zip(keys, axes)).items()}
+    table = {k: _level_table(t, scale, rule.order) for k, t in dict(zip(keys, axes)).items()}
     if callable(g):
         x = scale * rule.nodes
         G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
-        kernel = {k: A @ (math.sqrt(scale) * rule.projector) for k, A in table.items()}
+        kernel = {k: _synthesis(H, math.sqrt(scale) * rule.projector, sign)
+                  for k, H in table.items()}
         out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a',
                         *(kernel[k] for k in keys), G, optimize=True)
     elif len(g) == 3:
         out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
-                        *(table[k] @ _coefficients(f, rule, scale) for f, k in zip(g, keys)))
+                        *(_synthesis(table[k], _coefficients(f, rule, scale), sign)
+                          for f, k in zip(g, keys)))
     else:
         raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
     return shaped(out)

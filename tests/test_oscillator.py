@@ -130,6 +130,7 @@ _AXIS_CALLS = {
     "xi_directional_derivative": lambda axis: xi_directional_derivative(
         np.ones(4), axis, _AXIS_STATE.sys),
 }
+_MOVING_STATE = oscillator_state((1, 0, 0), 1.0, 1.0, 1.3, (0.3, 0, 0))
 _INVALID_INPUTS = {
     "v_nan": lambda: bound_system(1, 1, 0, (_NAN, 0, 0)),
     "v_inf": lambda: bound_system(1, 1, 0, (_INF, 0, 0)),
@@ -192,6 +193,13 @@ _INVALID_INPUTS = {
     "psi_bargmann_product_overflow_in_a_stack": lambda: psi_bargmann(
         oscillator_state((64, 64, 0), 1.0, 1.0, 1.3),
         np.array([[0.1, 0.2, 0.0, 0.0], [1e4, 1e4, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])),
+    # P.X overflows, so the centre-of-mass phase exp(i P.X) is not finite
+    **{f"{psi.__name__}_phase_overflow{tag}":
+       (lambda psi=psi, x=x, X=X: psi(_MOVING_STATE, x, X))
+       for psi in (psi_position, psi_momentum, psi_position_gradient)
+       for tag, x, X in (("", FourVector(0.1, 0, 0, 0), FourVector(1e308, 0, 0, 1e308)),
+                         ("_in_a_stack", np.array([[0.1, 0, 0, 0]] * 3),
+                          np.array([[0, 0, 0, 1.0], [1e308, 0, 0, 1e308], [0.5, 0, 0, 2.0]])))},
 }
 
 

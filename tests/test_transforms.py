@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from rqcm import transforms, verify
 from rqcm.minkowski import FourVector
-from rqcm.oscillator import (oscillator_state, phi_1d, phi_1d_momentum,
+from rqcm.oscillator import (_hermite_levels, oscillator_state, phi_1d, phi_1d_momentum,
                              position_profile, momentum_profile, psi_bargmann,
                              states_up_to)
 from rqcm.transforms import (InsufficientOrderWarning, bargmann_of_state,
@@ -210,6 +210,53 @@ def test_fourier_forward_point_list_matches_grid():
         fourier_forward(pos[:2], pts, rule, om)
 
 
+def _complex_table_synthesis(t, scale, order, sign, c):
+    """The synthesis written with a complex (targets, order) table: the levels
+    times (sign i)^l, contracted with the coefficients c."""
+    levels = np.stack(_hermite_levels(order - 1, scale * np.ravel(t)), -1)
+    phase = np.array([1, sign * 1j, -1, -sign * 1j])[np.arange(order) % 4]
+    table = math.sqrt(scale) * levels * phase
+    return table @ c, 8 * np.finfo(float).eps * np.max(np.abs(table)) * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 64, 256])
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_real_level_synthesis_matches_a_complex_table(order, sign):
+    rng = np.random.default_rng(order)
+    t, scale = rng.normal(scale=4.0, size=37), 0.8
+    table = transforms._level_table(t, scale, order)
+    assert table.dtype == float and table.shape == (order, t.size)
+    for c in (rng.normal(size=order), rng.normal(size=order) + 1j * rng.normal(size=order)):
+        want, bound = _complex_table_synthesis(t, scale, order, sign, c)
+        got = transforms._synthesis(table, c, sign)
+        assert got.dtype == complex and got.shape == t.shape
+        assert np.max(np.abs(got - want)) <= bound
+
+
+def test_real_level_synthesis_keeps_the_shapes_and_types_of_the_targets():
+    rule, om = gauss_hermite(24), 1.3
+    factors = [lambda xi, l=l: phi_1d(l, om, xi) for l in (2, 0, 5)]
+    scale = om ** -0.5
+    coef = [transforms._coefficients(f, rule, scale) for f in factors]
+
+    def want(axis, t):
+        return _complex_table_synthesis(t, scale, rule.order, -1, coef[axis])
+
+    for t in (0.3, np.float64(0.3), np.array(0.3)):  # a scalar or 0-d target
+        got = fourier_forward1d(factors[0], t, rule, om)
+        (value,), bound = want(0, t)
+        assert type(got) is complex and abs(got - value) <= bound
+    t = np.linspace(-2.0, 3.0, 6).reshape(2, 3)
+    got, (value, bound) = fourier_forward1d(factors[0], t, rule, om), want(0, t)
+    assert got.shape == (2, 3) and np.max(np.abs(got.ravel() - value)) <= bound
+    assert fourier_forward1d(factors[0], np.zeros(0), rule, om).shape == (0,)
+    assert fourier_forward(factors, np.zeros((0, 3)), rule, om).shape == (0,)
+    point = [0.4, -1.1, 2.0]  # a list of three numbers is one point
+    got = fourier_forward(factors, point, rule, om)
+    value = math.prod(want(k, x)[0][0] for k, x in enumerate(point))
+    assert type(got) is complex and abs(got - value) <= 1e-15
+
+
 def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
     # a grid whose axes are one array builds one table for all three; the
     # result must keep the bits of three distinct, equal arrays
@@ -233,8 +280,8 @@ def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
     assert np.array_equal(fourier_forward(pos, axes, rule, om).view(float), want.view(float))
     # equal axes share one table, whether or not they are one array
     builds = []
-    table = transforms._fourier_table
-    monkeypatch.setattr(transforms, "_fourier_table",
+    table = transforms._level_table
+    monkeypatch.setattr(transforms, "_level_table",
                         lambda t, *rest: builds.append(t) or table(t, *rest))
     fourier_forward(pos, (t, t.copy(), t.copy()), rule, om)
     assert len(builds) == 1
