@@ -86,7 +86,8 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path):
     """Write the table, or raise ValueError before writing anything if it holds a NaN or inf."""
     for row in rows:
         if bad := [c for c in columns if isinstance(row[c], float) and not math.isfinite(row[c])]:
-            raise ValueError(f"the table holds the non-finite value {bad[0]} = {row[bad[0]]!r}")
+            value = float(row[bad[0]])  # a numpy scalar would print as np.float64(nan)
+            raise ValueError(f"the table holds the non-finite value {bad[0]} = {value}")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

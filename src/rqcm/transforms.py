@@ -16,8 +16,11 @@ multiplies the coefficients instead, so no complex table is built.
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
-direct quadrature as the oracle; trust_momentum is its reach. Tables are
-shared per distinct axis, so (t, t, t) and (t, t.copy(), t.copy()) build one.
+direct quadrature as the oracle; trust_momentum is its reach. One Hermite
+recurrence per call builds the table over the distinct axes joined, so
+(t, t, t) and (t, t.copy(), t.copy()) share one table and a point list runs
+one recurrence, not three; overlap_integral likewise runs one. Segal-Bargmann
+sums by Horner's rule, scaling both parts by 1 / sqrt(l) per step.
 """
 from __future__ import annotations
 
@@ -134,10 +137,12 @@ def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
         warnings.warn(f"level sum {top} exceeds 2 * order - 1 = {2 * rule.order - 1}: "
                       "the result is not exact", InsufficientOrderWarning, stacklevel=2)
     pts, eff = rescaled_nodes(rule, state_a.omega)
-    total = 1.0
+    # phi_1d's rows, from one recurrence up to the highest level of either state
+    h = _hermite_levels(max(max(pair) for pair in levels), math.sqrt(state_a.omega) * pts)
+    root, total = state_a.omega ** 0.25, 1.0
     for la, lb in levels:
-        fa = phi_1d(la, state_a.omega, pts)
-        fb = fa if lb == la else phi_1d(lb, state_b.omega, pts)
+        fa = root * h[la]
+        fb = fa if lb == la else root * h[lb]
         total *= float(np.sum(eff * fa * fb))
     return total
 
@@ -158,7 +163,11 @@ def _level_table(t, scale: float, order: int):
     under the kernel exp(sign i t x) / sqrt(2 pi)."""
     if not np.all(np.isfinite(t)):
         raise ValueError("targets must be finite")
-    return math.sqrt(scale) * np.array(_hermite_levels(order - 1, scale * t))
+    # every level is exactly 0 past |scale t| = 38.6, where the envelope underflows, so
+    # a clip at 1e150 moves no value and keeps the recurrence from inf * 0 = nan
+    bound = 1e150 / scale
+    y = scale * np.clip(t, -bound, bound)
+    return math.sqrt(scale) * np.array(_hermite_levels(order - 1, y))
 
 
 def _synthesis(table, c, sign: int):
@@ -209,7 +218,11 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
     axes, grid, shaped = _targets(targets, float)
     keys = [t.tobytes() for t in axes]  # equal axes share one table
-    table = {k: _level_table(t, scale, rule.order) for k, t in dict(zip(keys, axes)).items()}
+    distinct = dict(zip(keys, axes))
+    # one recurrence over the distinct axes joined, split back into one table per axis
+    joined = _level_table(np.concatenate(list(distinct.values())), scale, rule.order)
+    ends = np.cumsum([len(t) for t in distinct.values()])[:-1]
+    table = dict(zip(distinct, np.split(joined, ends, axis=1)))
     if callable(g):
         x = scale * rule.nodes
         G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
@@ -261,9 +274,18 @@ def _bargmann_series(g, a, rule: QuadratureRule, scale: float, c):
     coef = (rule.projector @ samples)[:, which]
     bound = (np.abs(rule.projector) @ np.abs(samples))[:, which]
     x, val, err = a - c, coef[-1], bound[-1]
+    size = np.abs(x)
     for l in range(rule.order - 1, 0, -1):
-        val = coef[l - 1] + val * x / math.sqrt(l)
-        err = bound[l - 1] + err * np.abs(x) / math.sqrt(l)
+        # numpy divides by sqrt(l) + 0j by scaling both parts by 1 / sqrt(l): the same
+        # bits without the complex division. The product stays out of place, since
+        # numpy rounds it differently in place on one element
+        val = val * x
+        parts = val.view(float)
+        parts *= 1.0 / math.sqrt(l)
+        val += coef[l - 1]
+        err = err * size
+        err /= math.sqrt(l)
+        err += bound[l - 1]
     return math.sqrt(scale) * val, err
 
 

@@ -157,18 +157,33 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv):
 
 
 # finite inputs whose tables overflow: alpha^64 before the division by sqrt(64!),
-# the Hermite recurrence at |xi| near the float maximum, and |psi|^2 of a finite psi
+# the Hermite recurrence at |xi| near the float maximum (in phi_1d, and so in the
+# closed-form column of a transform), and |psi|^2 of a finite psi
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     "eval --l 64 0 0 --rep bargmann --grid-min 1e10 --grid-max 2e10 --samples 3",
     "eval --l 64 0 0 --grid-min 1e300 --grid-max 1.7e308 --samples 3",
     "eval --l 64 0 0 --rep bargmann --grid-min 1e4 --grid-max 2e4 --samples 3",
-], ids=["bargmann alpha^64", "position near the float maximum", "abs2_psi overflow"])
+    "transform --l 1 0 0 --to momentum --grid-min 1e300 --grid-max 1.7e308 --samples 3",
+], ids=["bargmann alpha^64", "position near the float maximum", "abs2_psi overflow",
+        "closed form near the float maximum"])
 def test_a_non_finite_table_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
     assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+    assert "np.float64" not in err
     assert out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # phi_1d's y * y in the closed form
+def test_transform_near_the_float_maximum_is_zero(capsys):
+    # the synthesis clips its targets past the envelope's underflow: exactly 0,
+    # as is the closed form at level 0
+    code, out, _ = run_cli(capsys, "transform", "--to", "momentum", "--grid-min", "1e300",
+                           "--grid-max", "1.7e308", "--samples", "3")
+    assert code == 0
+    for r in parse_csv(out):
+        assert {r[c] for c in ("re", "im", "abs", "abs_closed_form")} == {"0"}
 
 
 MISTYPED_CONFIGS = [("eval", config) for config in (

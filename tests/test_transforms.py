@@ -139,6 +139,22 @@ def test_overlap_orthogonality():
         overlap_integral(a, oscillator_state((0, 0, 0), 2.0, 1.0, 1.2), rule)
 
 
+@pytest.mark.parametrize("la, lb, order", [
+    ((1, 0, 2), (3, 1, 1), 32), ((2, 5, 0), (2, 5, 0), 32), ((64, 7, 0), (64, 0, 7), 80)],
+    ids=["mixed levels", "equal levels", "level 64"])
+def test_overlap_keeps_the_bits_of_phi_1d_per_axis(la, lb, order):
+    # one recurrence up to the highest level gives phi_1d's rows bit for bit
+    a, b = (oscillator_state(ls, 1.1, 1.0, 1.3) for ls in (la, lb))
+    rule = gauss_hermite(order)
+    pts, eff = rescaled_nodes(rule, 1.1)
+    want = 1.0
+    for l, m in zip(la, lb):
+        want *= float(np.sum(eff * phi_1d(l, 1.1, pts) * phi_1d(m, 1.1, pts)))
+    assert overlap_integral(a, b, rule) == want
+    if la == lb:
+        assert normalization_integral(a, rule) == want
+
+
 # ---------------------------------------------------------------------------
 # Fourier pair
 
@@ -272,8 +288,8 @@ def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
             shared = transform(g, (t, t, t), rule, om)
             copies = transform(g, (t.copy(), t.copy(), t.copy()), rule, om)
             assert np.array_equal(shared.view(float), copies.view(float))
-    # three different axes of one length: each gets its own table, and the
-    # grid is the outer product of the three 1D transforms
+    # three different axes of one length: one table over the three joined, split
+    # back per axis, and the grid is the outer product of the three 1D transforms
     axes = (t, 0.5 * t, t[::-1].copy())
     want = np.einsum('a,b,c->abc', *(fourier_forward1d(f, a, rule, om)
                                      for f, a in zip(pos, axes)))
@@ -285,6 +301,52 @@ def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
                         lambda t, *rest: builds.append(t) or table(t, *rest))
     fourier_forward(pos, (t, t.copy(), t.copy()), rule, om)
     assert len(builds) == 1
+
+
+def test_a_point_list_builds_one_table(monkeypatch):
+    # three distinct axes run one recurrence, and each axis keeps the bits of its
+    # own 1D transform
+    om, rule = 1.1, gauss_hermite(20)
+    pos = [lambda xi, l=l: phi_1d(l, om, xi) for l in (2, 0, 1)]
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (9, 3))
+    want = np.einsum('a,a,a->a', *(fourier_forward1d(f, a, rule, om)
+                                   for f, a in zip(pos, pts.T)))
+    builds = []
+    table = transforms._level_table
+    monkeypatch.setattr(transforms, "_level_table",
+                        lambda t, *rest: builds.append(t) or table(t, *rest))
+    got = fourier_forward(pos, pts, rule, om)
+    assert len(builds) == 1 and builds[0].shape == (27,)
+    assert np.array_equal(got.view(float), want.view(float))
+
+
+HUGE = 1.7e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [1.1, 0.01, 1e5])
+def test_huge_finite_targets_give_exactly_zero(omega):
+    # past |scale t| = 38.6 every level underflows to 0; the clip keeps the
+    # recurrence from overflowing there (inf * 0 = nan), with no numpy warning
+    rule = gauss_hermite(16)
+    st = oscillator_state((2, 1, 0), omega, 1.0, 1.3)
+    g = lambda xi: phi_1d(2, omega, xi)
+    assert fourier_forward1d(g, [HUGE], rule, omega).tolist() == [0j]
+    assert fourier_forward1d(g, -HUGE, rule, omega) == 0j
+    pts = np.array([[HUGE, 0.3, 1.0], [0.5, -HUGE, 2.0], [1e160, 0.0, -1e200]])
+    for got in (fourier_of_state(st, pts, rule),
+                fourier_forward(position_profile(st), pts, rule, omega),
+                fourier_inverse(momentum_profile(st), pts, rule, omega)):
+        assert got.tolist() == [0j] * 3
+    grid = fourier_inverse(momentum_profile(st), tuple(pts.T), rule, omega)
+    assert np.all(np.isfinite(grid)) and not np.any(grid[[0, 2]]) and not np.any(grid[:, 1])
+    # entries short of the clip keep their bits
+    t = np.array([HUGE, 0.3, -1e200, 45.0, -2.0, 1e140])
+    for scale in (omega ** -0.5, omega ** 0.5):
+        table = transforms._level_table(t, scale, 64)
+        assert np.array_equal(table[:, [1, 3, 4, 5]],
+                              transforms._level_table(t[[1, 3, 4, 5]], scale, 64))
+        assert not np.any(table[:, [0, 2]])
 
 
 def test_fourier_matches_momentum_representation():
@@ -459,6 +521,42 @@ def test_bargmann_holds_out_to_the_alpha_cap(im):
                 want = alpha ** l / math.sqrt(math.factorial(l))
                 err = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
                 assert err <= (1e-13 if l <= 5 else 1e-11), (order, l, om, err)
+
+
+def _horner_by_division(g, a, rule, scale, c):
+    """The series as it was summed with a complex division per level."""
+    centres, which = np.unique(c, return_inverse=True)
+    y = rule.nodes[:, None]
+    z = y + centres / math.sqrt(2.0)
+    samples = np.asarray(g(scale * z)) * np.exp((z * z - y * y) / 2)
+    coef = (rule.projector @ samples)[:, which]
+    bound = (np.abs(rule.projector) @ np.abs(samples))[:, which]
+    x, val, err = a - c, coef[-1], bound[-1]
+    for l in range(rule.order - 1, 0, -1):
+        val = coef[l - 1] + val * x / math.sqrt(l)
+        err = bound[l - 1] + err * np.abs(x) / math.sqrt(l)
+    return math.sqrt(scale) * val, err
+
+
+@pytest.mark.parametrize("order", [1, 2, 48, 256])
+def test_bargmann_horner_keeps_the_bits_of_a_complex_division(monkeypatch, order):
+    rng = np.random.default_rng(order)
+    om, rule = 0.9, gauss_hermite(order)
+    r, phase = 10.0 * np.sqrt(rng.uniform(size=60)), np.exp(2j * np.pi * rng.uniform(size=60))
+    disc = np.concatenate([r * phase, [0.0, 3.0, -10.0, 10j, 2.5 - 1e-300j]])
+    top = min(order - 1, 40)
+    integrands = [lambda xi: phi_1d(min(order - 1, 5), om, xi),
+                  lambda xi: (0.6 - 0.8j) * phi_1d(0, om, xi) + 1j * phi_1d(top, om, xi)]
+    for g in integrands:  # a real and a complex one
+        for alpha in (disc, disc[:6].reshape(2, 3), np.zeros(0, complex), disc[0], 0.0):
+            got = bargmann_transform(g, alpha, om, rule)
+            with monkeypatch.context() as m:
+                m.setattr(transforms, "_bargmann_series", _horner_by_division)
+                want = bargmann_transform(g, alpha, om, rule)
+            assert type(got) is type(want)
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_bargmann_product_matches_state_representation():
