@@ -20,7 +20,7 @@ from sys import float_info
 
 import numpy as np
 
-from .constraint import _axis, constraint_coordinates, xi_jacobian
+from .constraint import _axis, _coordinates, constraint_coordinates
 from .minkowski import (BoundSystem, _all, _complex, _components, _positive, bound_system,
                         minkowski_dot, reduced_mass)
 
@@ -39,6 +39,23 @@ def _hermite_levels(top: int, y) -> list:
         levels.append(math.sqrt(2.0 / (k + 1)) * y * levels[k]
                       - math.sqrt(k / (k + 1)) * levels[k - 1])
     return levels
+
+
+def _hermite_at(ls, y, offsets=(0,)) -> list:
+    """For each offset d, the Hermite function of level ls + d at y, ls an int or an int
+    array broadcasting against y, and 0.0 where ls + d < 0: entries of one
+    _hermite_levels pass up to the highest level, so each has its own level's bits."""
+    if isinstance(ls, int):
+        h = _hermite_levels(ls + max(offsets), y)
+        return [h[ls + d] if ls + d >= 0 else 0.0 for d in offsets]
+    wants = [ls + d for d in offsets]
+    h = _hermite_levels(int(max(map(np.max, wants))), y)
+    outs = [np.zeros(np.broadcast_shapes(want.shape, np.shape(y))) for want in wants]
+    for out, want in zip(outs, wants):
+        for k in set(want.flat):
+            if k >= 0:
+                np.copyto(out, h[k], where=want == k)
+    return outs
 
 
 def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
@@ -180,12 +197,12 @@ def states_up_to(max_n: int, omega: float, m1: float, m2: float) -> list[Oscilla
 # arrays of points and centre-of-mass positions X, which broadcast to a
 # (...) array; X = None omits the phase.
 
-def _phase(state: OscillatorState, X):
+def _phase(P, X):
     """exp(i P.X), or ValueError where P.X is not finite."""
     if X is None:
         return 1.0 + 0.0j
     with np.errstate(over="ignore", invalid="ignore"):
-        px = minkowski_dot(state.sys.P, X)
+        px = minkowski_dot(P, X)
     if not _all(np.isfinite(px)):
         raise ValueError("the centre-of-mass phase P.X is non-finite")
     return np.exp(1j * px)
@@ -209,12 +226,53 @@ def _scalar(value):
 def _separable(factor, state: OscillatorState, w, X):
     c = constraint_coordinates(w, state.sys)
     return _scalar(_product(_profile(factor, state)(c[..., 0], c[..., 1], c[..., 2]),
-                            _phase(state, X)))
+                            _phase(state.sys.P, X)))
+
+
+def _per_state(a, states: int, ndim: int):
+    """a, whose first `states` axes run over stacked states, with ones inserted after
+    them, so that it broadcasts against (S..., ..., k) points of ndim axes."""
+    shape = np.shape(a)
+    return np.reshape(a, shape[:states] + (1,) * (ndim - 1 - states) + shape[states:])
+
+
+def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
+    """psi_position at x, and with gradient also its partials (..., 4), for stacked
+    states at one Omega: levels ls (S..., 3), momenta P (S..., 4) and rest masses
+    M0 (S...) against points x and X (S..., ..., 4), or one state's three levels, P and
+    M0. Each entry has the bits of its
+    own state's call; one FourVector x gives a 0-d result."""
+    x = _components(x)
+    if states := getattr(M0, "ndim", 0):
+        ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
+        ls = np.moveaxis(ls, -1, 0)
+    xi = _coordinates(x, P, M0)
+    # one recurrence per axis, as phi_1d and phi_1d_derivative run it
+    offsets, root = ((0, -1, 1) if gradient else (0,)), math.sqrt(omega)
+    hs = [_hermite_at(l, root * xi[..., j], offsets) for j, l in enumerate(ls)]
+    v1, v2, v3 = [omega ** 0.25 * h[0] for h in hs]
+    phase = _phase(P, X)
+    value = _product(v1 * v2 * v3, phase)
+    if not gradient:
+        return value
+    d1, d2, d3 = [omega ** 0.75 * (np.sqrt(l / 2.0) * lower - np.sqrt((l + 1) / 2.0) * upper)
+                  for l, (_, lower, upper) in zip(ls, hs)]
+    grad_xi = np.stack([d1 * v2 * v3, v1 * d2 * v3, v1 * v2 * d3], axis=-1)
+    # one vector-matrix product per point with xi_jacobian: a plain 2-D @ rounds differently
+    P = _components(P)
+    jacobian = np.swapaxes(_coordinates(np.eye(4), P[..., None, :], np.asarray(M0)[..., None]),
+                           -1, -2)
+    grad = np.matmul(grad_xi[..., None, :], jacobian)[..., 0, :]
+    return value, grad * np.asarray(phase)[..., None]
+
+
+def _state_args(state: OscillatorState):
+    return state.q.as_tuple(), state.omega, state.sys.P, state.sys.M0
 
 
 def psi_position(state: OscillatorState, x, X=None):
     """Position-representation wave function phi(xi_1) phi(xi_2) phi(xi_3) exp(i P.X)."""
-    return _separable(phi_1d, state, x, X)
+    return _scalar(_psi(*_state_args(state), x, X))
 
 
 def psi_momentum(state: OscillatorState, p, X=None):
@@ -234,16 +292,7 @@ def psi_bargmann(state: OscillatorState, a, X=None):
 
 def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
     """Closed-form partials (dpsi/dc1, ..., dpsi/dc4) of psi_position at x, shape (..., 4)."""
-    xi = constraint_coordinates(x, state.sys)
-    ls = state.q.as_tuple()
-    vals = [phi_1d(ls[k], state.omega, xi[..., k]) for k in range(3)]
-    ders = [phi_1d_derivative(ls[k], state.omega, xi[..., k]) for k in range(3)]
-    grad_xi = np.stack([ders[0] * vals[1] * vals[2],
-                        vals[0] * ders[1] * vals[2],
-                        vals[0] * vals[1] * ders[2]], axis=-1)
-    # one vector-matrix product per point: a plain 2-D @ rounds differently
-    grad = np.matmul(grad_xi[..., None, :], xi_jacobian(state.sys))[..., 0, :]
-    return grad * np.asarray(_phase(state, X))[..., None]
+    return _psi(*_state_args(state), x, X, gradient=True)[1]
 
 
 def _ladder_sign(direction: str, axis: int) -> tuple[int, int]:
@@ -291,10 +340,25 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     P^mu d_mu f = 0; oscillator eigenfunctions do.
     """
     sign, i = _ladder_sign(direction, axis)
+    return _ladder_explicit(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
+
+
+def _component(a, i):
+    """a[..., i] for an int i; for an int array i, entry i of a's last axis, with i
+    broadcasting against a[..., 0]."""
+    if isinstance(i, int):
+        return a[..., i]
+    i = np.asarray(i)
+    index = np.reshape(i, (1,) * (a.ndim - 1 - i.ndim) + i.shape + (1,))
+    return np.take_along_axis(a, index, -1)[..., 0]
+
+
+def _ladder_explicit(sign, i, omega: float, P, M0, x, value, grad4):
+    """ladder_explicit_value for signs (+1 raise, -1 lower) and 0-based axes i, ints or
+    arrays broadcasting against value, at stacked systems P (..., 4) and M0 (...)."""
     g = np.asarray(grad4)
-    P = sys.P
-    d_xi = g[..., i] + (P.spatial[i] / (sys.M0 + P.c4)) * g[..., 3]
-    xi_i = constraint_coordinates(x, sys)[..., i]
+    d_xi = _component(g, i) + (_component(P, i) / (M0 + P[..., 3])) * g[..., 3]
+    xi_i = _component(_coordinates(x, P, M0), i)
     return (-sign * d_xi + omega * xi_i * value) / math.sqrt(2.0 * omega)
 
 
@@ -308,13 +372,18 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     values. Agrees with ladder_explicit_value on transversal fields.
     """
     sign, i = _ladder_sign(direction, axis)
+    return _ladder_explicit_4d(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
+
+
+def _ladder_explicit_4d(sign, i: int, omega: float, P, M0, x, value, grad4):
+    """ladder_explicit_4d_value as _ladder_explicit takes its arguments."""
     g = np.asarray(grad4)
     d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
-    a_mu = ((-sign * d_contra + omega * _components(x) * np.expand_dims(value, -1))
-            / math.sqrt(2.0 * omega))
-    P = sys.P
+    a_mu = ((-np.asarray(sign)[..., None] * d_contra
+             + omega * _components(x) * np.expand_dims(value, -1)) / math.sqrt(2.0 * omega))
     pa = minkowski_dot(P, a_mu)
-    return a_mu[..., i] + P.spatial[i] * (pa - sys.M0 * a_mu[..., 3]) / (sys.M0 * (sys.M0 + P.c4))
+    return (_component(a_mu, i)
+            + _component(P, i) * (pa - M0 * a_mu[..., 3]) / (M0 * (M0 + P[..., 3])))
 
 
 def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState, x, X=None):

@@ -24,8 +24,8 @@ import numpy as np
 from . import constraint, minkowski, oscillator, transforms
 from .minkowski import (_components, _dot, _over_real, bound_system, eta_params,
                         minkowski_dot, reduced_mass, rest_mass)
-from .oscillator import (OscillatorState, _ladder_step, ladder_apply, ladder_explicit_4d_value,
-                         ladder_explicit_value, oscillator_state, psi_position, states_up_to)
+from .oscillator import (OscillatorState, _ladder_step, ladder_explicit_value, oscillator_state,
+                         psi_position, states_up_to)
 
 DEFAULT_H_FIRST = 1e-6
 DEFAULT_H_SECOND = 1e-5
@@ -60,10 +60,10 @@ def finite_difference_gradient4(field, x, h: float = DEFAULT_H_FIRST) -> np.ndar
 
 
 def _second_differences(field, x: np.ndarray, directions: np.ndarray, steps: np.ndarray):
-    """Central second differences along each row of directions (k, 4) with
+    """Central second differences along each row of directions (..., k, 4) with
     steps (..., k), from one call on the (..., 2k + 1, 4) stencil; returns
     them, shape (..., k), and the centre value, shape (...)."""
-    k = len(directions)
+    k = directions.shape[-2]
     centre = x[..., None, :]
     shift = steps[..., None] * directions
     f = field(np.concatenate([centre, centre + shift, centre - shift], axis=-2))
@@ -328,20 +328,6 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     return VerificationReport("invariance", 1e-9, [record], [f"seed={seed}", f"vmax={vmax}"])
 
 
-def _phi_second(l: int, omega: float, xi):
-    """Second derivative of the 1D position factor from the recurrence algebra.
-
-    phi_l'' = Omega [ sqrt(l(l-1))/2 phi_{l-2} - (2l+1)/2 phi_l
-                      + sqrt((l+1)(l+2))/2 phi_{l+2} ]
-    (independent of the eigenvalue relation it is used to check).
-    """
-    h = oscillator._hermite_levels(l + 2, math.sqrt(omega) * xi)
-    down = math.sqrt(l * (l - 1)) / 2.0 * h[l - 2] if l >= 2 else 0.0
-    mid = (2.0 * l + 1.0) / 2.0 * h[l]
-    up = math.sqrt((l + 1) * (l + 2)) / 2.0 * h[l + 2]
-    return omega ** 1.25 * (down - mid + up)
-
-
 def _internal_residual(om: float, xi, lap_xi, psi, sigma_used: float):
     """(-sum d2/dxi2 + Omega^2 xi^2 - 2 sigma) psi from the Laplacian and
     the value at xi (..., 3); returns (residual, |2 sigma psi|), each (...)."""
@@ -349,31 +335,38 @@ def _internal_residual(om: float, xi, lap_xi, psi, sigma_used: float):
     return resid, np.abs(2.0 * sigma_used * psi)
 
 
-def _internal_residual_analytic(state: OscillatorState, x, sigma_used: float):
-    """The residual with closed-form second derivatives of the 1D factors."""
-    xi = constraint.constraint_coordinates(x, state.sys)
-    om = state.omega
-    ls = state.q.as_tuple()
-    vals = [oscillator.phi_1d(ls[k], om, xi[..., k]) for k in range(3)]
-    secs = [_phi_second(ls[k], om, xi[..., k]) for k in range(3)]
-    psi = vals[0] * vals[1] * vals[2]
+def _internal_residual_analytic(stack, x, sigma_used):
+    """The residual with closed-form second derivatives of the 1D factors, for the
+    stacked states of _stack at points x (S, ..., 4)."""
+    ls, omega, P, M0 = stack
+    xi = constraint._coordinates(x, P[:, None], M0[:, None])
+    vals, secs = [], []
+    for l, c in zip(ls.T[..., None], np.moveaxis(xi, -1, 0)):
+        h, down, up = oscillator._hermite_at(l, math.sqrt(omega) * c, (0, -2, 2))
+        # phi_l'' = Omega [ sqrt(l(l-1))/2 phi_{l-2} - (2l+1)/2 phi_l + sqrt((l+1)(l+2))/2 phi_{l+2} ]
+        # (independent of the eigenvalue relation it is used to check)
+        vals.append(omega ** 0.25 * h)
+        secs.append(omega ** 1.25 * (np.sqrt(l * (l - 1)) / 2.0 * down
+                                     - (2.0 * l + 1.0) / 2.0 * h
+                                     + np.sqrt((l + 1) * (l + 2)) / 2.0 * up))
     lap = (secs[0] * vals[1] * vals[2] + vals[0] * secs[1] * vals[2]
            + vals[0] * vals[1] * secs[2])
-    return _internal_residual(om, xi, lap, psi, sigma_used)
+    return _internal_residual(omega, xi, lap, oscillator._psi(*stack, x).real, sigma_used)
 
 
-def _internal_residual_fd(state: OscillatorState, x, sigma_used: float):
+def _internal_residual_fd(stack, x, sigma_used):
     """The residual with the constraint-space Laplacian reduced to 4-space
     finite differences at step DEFAULT_H_SECOND: sum d2/dxi2 = box - (P^mu d_mu / M0)^2.
     box4's stencil and the directional one share their centre: one field call."""
-    sys, h = state.sys, DEFAULT_H_SECOND
-    x = _components(x)
-    directions = np.vstack([np.eye(4), sys.P.components / sys.M0])
+    _, _, P, M0 = stack
+    h = DEFAULT_H_SECOND
+    directions = np.concatenate([np.broadcast_to(np.eye(4), (len(P), 4, 4)),
+                                 (P / M0[:, None])[:, None]], axis=1)[:, None]
     steps = np.concatenate([_axis_steps(x, h), _direction_step(x, h)], axis=-1)
-    d2, psi = _second_differences(lambda pt: psi_position(state, pt).real, x,
+    d2, psi = _second_differences(lambda pt: oscillator._psi(*stack, pt).real, x,
                                   directions, steps)
-    xi = constraint.constraint_coordinates(x, sys)
-    return _internal_residual(state.omega, xi, _wave(d2) - d2[..., 4], psi, sigma_used)
+    xi = constraint._coordinates(x, P[:, None], M0[:, None])
+    return _internal_residual(stack[1], xi, _wave(d2) - d2[..., 4], psi, sigma_used)
 
 
 def _draw_states(rng, max_n: int, moving: bool) -> list[OscillatorState]:
@@ -382,6 +375,25 @@ def _draw_states(rng, max_n: int, moving: bool) -> list[OscillatorState]:
     return [oscillator_state(q, 1.0, 1.0, 1.3,
                              _draw_velocity(rng, 0.9) if moving else (0.0, 0.0, 0.0))
             for n in range(max_n + 1) for q in oscillator.quantum_numbers_at_level(n)]
+
+
+# stencil points per chunk of states in the stacked suites: their memory bound
+_CHUNK_POINTS = 8192
+
+
+def _chunks(states: list, stencil: int):
+    """Runs of consecutive states, as many per run as _CHUNK_POINTS holds at stencil
+    points per state (at least one), each as (index of its first state, its states)."""
+    size = max(1, _CHUNK_POINTS // stencil)
+    return [(i, states[i:i + size]) for i in range(0, len(states), size)]
+
+
+def _stack(states: list):
+    """The levels (S, 3), Omega, momenta (S, 4) and rest masses (S,) of states at one
+    Omega, the arguments of oscillator._psi before the points."""
+    return (np.array([state.q.as_tuple() for state in states]), states[0].omega,
+            np.array([state.sys.P.components for state in states]),
+            np.array([state.sys.M0 for state in states]))
 
 
 def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
@@ -396,74 +408,88 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     boosted up to |v| = 0.9 (tolerance 1e-5). sigma_perturb (units of Omega)
     offsets the eigenvalue used in the residual; nonzero values are a
     deliberate failure control.
+
+    The states run in chunks: each chunk draws its states' points in one block,
+    and the wave function and its differences run once over the chunk.
     """
     _check_options(points=points, max_n=max_n, sigma_perturb=sigma_perturb)
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
-    tol = 1e-10 if mode == "analytic" else 1e-5
+    fd = mode == "fd"
+    tol = 1e-5 if fd else 1e-10
     rng = np.random.default_rng(seed)
-    residual = _internal_residual_analytic if mode == "analytic" else _internal_residual_fd
+    residual = _internal_residual_fd if fd else _internal_residual_analytic
+    # per state: its points, in fd mode a cm_wave point x0 and a centre of mass X0,
+    # then three transversality points, each drawn on [-half, half]
+    half = np.repeat([1.5, 1.0, 2.0, 1.5], [4 * points, 4 * fd, 4 * fd, 12])
     records = []
-    for idx, state in enumerate(_draw_states(rng, max_n, moving=mode == "fd")):
-        sys = state.sys
-        sigma_used = state.sigma + sigma_perturb * state.omega
-        resids, scales = residual(state, rng.uniform(-1.5, 1.5, (points, 4)), sigma_used)
-        records.append(CaseRecord("internal_equation",
-                                  {"state": idx, "point": np.arange(points), "mode": mode},
-                                  resids / max(np.max(scales), 1e-30), 0.0,
-                                  "internal oscillator equation", tol))
-        # centre-of-mass wave equation
-        if mode == "analytic":
-            records.append(CaseRecord("cm_wave", {"state": idx},
-                                      -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
-                                      "plane-wave phase, exact", tol))
-        else:
-            x0 = rng.uniform(-1.0, 1.0, 4)
-            phase_fn = lambda X: psi_position(state, x0, X)
-            X0 = rng.uniform(-2.0, 2.0, 4)
-            lap = box4(phase_fn, X0, 1e-4)
-            want = sys.M0 ** 2 * phase_fn(X0)
-            records.append(CaseRecord("cm_wave", {"state": idx},
-                                      abs(lap - want) / max(abs(want), 1.0), 0.0,
-                                      "plane-wave phase, finite differences", tol))
+    for first, states in _chunks(_draw_states(rng, max_n, moving=fd), 11 * points + 33):
+        stack = _stack(states)
+        # rng.uniform(-half, half) for each state in turn, with its bits
+        draws = -half + 2.0 * half * rng.random((len(states), len(half)))
+        x = draws[:, :4 * points].reshape(len(states), points, 4)
+        x0, X0 = draws[:, 4 * points:4 * points + 4], draws[:, 4 * points + 4:-12]
+        xs = draws[:, -12:].reshape(len(states), 3, 4)
+        sigma_used = np.array([[state.sigma + sigma_perturb * state.omega] for state in states])
+        resids, scales = residual(stack, x, sigma_used)
+        internal = resids / np.maximum(np.max(scales, axis=-1, keepdims=True), 1e-30)
+        if fd:  # the plane-wave phase through finite differences in X
+            lap = box4(lambda X: oscillator._psi(*stack, x0[:, None], X), X0, 1e-4)
+            phases = oscillator._psi(*stack, x0, X0)
         # transversality of the internal factor
-        xs = rng.uniform(-1.5, 1.5, (3, 4))
-        if mode == "analytic":
-            grads = oscillator.psi_position_gradient(state, xs).real
+        if fd:
+            grads = finite_difference_gradient4(lambda pt: oscillator._psi(*stack, pt).real, xs)
         else:
-            grads = finite_difference_gradient4(lambda pt: psi_position(state, pt).real, xs)
-        contraction = _dot(grads[:, :3], sys.P.spatial) + sys.P.c4 * grads[:, 3]
-        scale = np.maximum(np.linalg.norm(sys.P.components) * np.sqrt(_dot(grads, grads)), 1e-3)
-        records.append(CaseRecord("transversality", {"state": idx, "axis": np.arange(1, 4)},
-                                  contraction / scale, 0.0, "P^mu d_mu psi = 0", tol))
+            grads = oscillator._psi(*stack, xs, gradient=True)[1].real
+        P = stack[2][:, None]
+        contraction = _dot(grads[..., :3], P[..., :3]) + P[..., 3] * grads[..., 3]
+        scale = np.maximum(np.sqrt(_dot(P, P)) * np.sqrt(_dot(grads, grads)), 1e-3)
+        for k, state in enumerate(states):
+            idx, sys = first + k, state.sys
+            records.append(CaseRecord("internal_equation",
+                                      {"state": idx, "point": np.arange(points), "mode": mode},
+                                      internal[k], 0.0, "internal oscillator equation", tol))
+            # centre-of-mass wave equation
+            if fd:
+                # Python's complex arithmetic and abs per state: numpy's can differ in the last bit
+                want = sys.M0 ** 2 * complex(phases[k])
+                records.append(CaseRecord("cm_wave", {"state": idx},
+                                          abs(lap[k] - want) / max(abs(want), 1.0), 0.0,
+                                          "plane-wave phase, finite differences", tol))
+            else:
+                records.append(CaseRecord("cm_wave", {"state": idx},
+                                          -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
+                                          "plane-wave phase, exact", tol))
+            records.append(CaseRecord("transversality", {"state": idx, "axis": np.arange(1, 4)},
+                                      contraction[k] / scale[k], 0.0, "P^mu d_mu psi = 0", tol))
     notes = [f"seed={seed}", f"mode={mode}", f"sigma_perturb={sigma_perturb}"]
     return VerificationReport("pde", tol, records, notes)
 
 
 def _constrained_test_field(sys, coeffs):
-    """Smooth transversal field g(xi(x)) with an analytic value; used by the
-    decomposition checks. coeffs parameterises a polynomial-Gaussian bump."""
-    c0, c1, c2, c3 = coeffs
+    """Smooth transversal fields g(xi(x)) with analytic values, used by the decomposition
+    checks: one polynomial-Gaussian bump per row of coeffs (..., 4), whose leading
+    axes lead those of the points."""
+    coeffs = np.asarray(coeffs)
 
     def value(x):
         k = constraint.constraint_coordinates(x, sys)
+        c0, c1, c2, c3 = np.moveaxis(
+            oscillator._per_state(coeffs, coeffs.ndim - 1, k.ndim), -1, 0)
         poly = c0 + c1 * k[..., 0] + c2 * k[..., 1] * k[..., 2] + c3 * k[..., 0] * k[..., 2]
         return np.exp(-0.5 * _dot(k, k)) * poly
 
     return value
 
 
-def _decomposition_cases(check: str, inputs: dict, provenance: str, omega: float,
-                         sys, x, value, grad):
-    """The explicit ladder operator against its flat 4-space decomposition at
-    one point or a batch (n, 4), as a list of one record: one case per point
-    (row) and axis and direction (column; tolerance 1e-5)."""
-    diffs = [np.reshape(ladder_explicit_value(direction, axis, omega, sys, x, value, grad)
-                        - ladder_explicit_4d_value(direction, axis, omega, sys, x, value, grad),
-                        -1)
-             for axis in (1, 2, 3) for direction in ("lower", "raise")]
-    return [CaseRecord(check, {**inputs, "axis": np.repeat([1, 2, 3], 2)},
-                       np.abs(np.stack(diffs, axis=-1)), 0.0, provenance, 1e-5)]
+def _decomposition(omega: float, P, M0, x, value, grad):
+    """|explicit ladder operator - its flat 4-space decomposition| at points x (..., 4)
+    of systems P (..., 4) and M0 (...), shape (..., 6): axis by axis, lower then raise."""
+    x, value, grad = x[..., None, :], value[..., None], grad[..., None, :]
+    P, M0 = np.expand_dims(P, -2), np.expand_dims(M0, -1)
+    sign, i = np.array([-1, 1] * 3), np.repeat([0, 1, 2], 2)
+    return np.abs(oscillator._ladder_explicit(sign, i, omega, P, M0, x, value, grad)
+                  - oscillator._ladder_explicit_4d(sign, i, omega, P, M0, x, value, grad))
 
 
 def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> VerificationReport:
@@ -472,62 +498,97 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     states moving with |v| < 0.9. Tolerances: 1e-5 for the explicit operators
     and the decomposition, 1e-8 for annihilation, 1e-12 for the coefficient algebra.
 
-    Each state draws its six (points, 4) blocks, one per axis and direction
-    (lower, then raise), as one (6, points, 4) stack; the wave function and
-    its finite-difference gradient run once over the stack, the explicit
-    operator once per block, and each ladder_apply of the state serves every check.
+    Each state draws six (points, 4) blocks, one per axis and direction (lower,
+    then raise), and three decomposition points. The states run in chunks, each
+    drawing its states' points in one block: the wave function, its
+    finite-difference gradient, the explicit operators and the wave functions of
+    the raised and lowered states run once over the chunk, whose new systems pass
+    the checks ladder_apply's BoundSystem runs. The 20 test fields run as one batch.
     """
     _check_options(points=points, max_n=max_n)
     rng = np.random.default_rng(seed)
     records = []
     states = _draw_states(rng, max_n, moving=True)
+    omega, m1, m2 = states[0].omega, states[0].sys.m1, states[0].sys.m2
+    # the rest mass at each level a move reaches; eta_params raises unless eta1 + eta2 == 1
+    level_M0 = np.array([rest_mass(m1, m2, oscillator.sigma_n(omega, n))
+                         for n in range(max_n + 2)])
+    for M0 in level_M0.tolist():
+        eta_params(m1, m2, M0)
     moves = [(axis, direction) for axis in (1, 2, 3) for direction in ("lower", "raise")]
-    for idx, state in enumerate(states):
-        xs = rng.uniform(-1.5, 1.5, (len(moves), points, 4))
-        field = lambda pt: psi_position(state, pt)
-        values, grads = field(xs), finite_difference_gradient4(field, xs)
-        applied = {(a, d): ladder_apply(d, a, state) for a, d in moves}
-        number = 0.0
-        for x, value, grad, (axis, direction) in zip(xs, values, grads, moves):
-            coeff, new_state = applied[axis, direction]
-            gots = ladder_explicit_value(direction, axis, state.omega, state.sys, x, value, grad)
-            # the values are complex with zero imaginary parts, so numpy's abs
-            # has the bits of Python's on each one
-            if new_state is None:
-                errs, tol = np.abs(gots), 1e-8
-                check, why = "annihilation", "lowering the ground level gives zero"
-            else:
-                wants = coeff * psi_position(new_state, x)
-                errs, tol = np.abs(gots - wants) / max(np.max(np.abs(wants)), 1e-3), 1e-5
-                check, why = f"explicit_{direction}", "explicit operator vs ladder coefficient"
-            records.append(CaseRecord(check, {"state": idx, "axis": axis,
-                                              "point": np.arange(points)}, errs, 0.0, why, tol))
-            if direction == "raise":
+    on_axis = np.repeat(np.eye(3, dtype=bool), 2, axis=0)  # (move, axis)
+    sign = np.array([[-1], [+1]])  # (direction, point): lower, raise
+    for first, group in _chunks(states, 8 * 6 * points + 3):
+        stack = _stack(group)
+        ls, _, P, M0 = stack
+        n = len(group)
+        xs = rng.uniform(-1.5, 1.5, (n, 6 * points + 3, 4))
+        x = xs[:, :6 * points].reshape(n, 3, 2, points, 4)  # state, axis, direction
+        field = lambda pt: oscillator._psi(*stack, pt)
+        values, grads = field(x), finite_difference_gradient4(field, x)
+        gots = oscillator._ladder_explicit(sign, np.arange(3)[:, None, None], omega,
+                                           P[:, None, None, None], M0[:, None, None, None],
+                                           x, values, grads)
+        # each move's coefficient and new level; a lowered 0 is annihilated, evaluated at 0
+        steps = [[_ladder_step(d, a, state.q) for a, d in moves] for state in group]
+        coeffs = np.array([[c for c, _ in row] for row in steps])
+        gone = np.array([[l is None for _, l in row] for row in steps])
+        new_ls = np.where(on_axis, np.array([[l or 0 for _, l in row] for row in steps])[..., None],
+                          ls[:, None])
+        # the systems of ladder_apply's new states: with_sigma keeps the velocity
+        new_M0 = level_M0[new_ls.sum(axis=-1)]
+        new_P = minkowski.on_shell_momentum(new_M0, (P[:, :3] / P[:, 3:])[:, None])
+        minkowski._check_momentum(new_P, new_M0)
+        wants = (coeffs[..., None] * oscillator._psi(new_ls, omega, new_P, new_M0,
+                                                     x.reshape(n, 6, points, 4))
+                 ).reshape(gots.shape)
+        scale = np.maximum(np.max(np.abs(wants), axis=-1, keepdims=True), 1e-3)
+        # the values are complex with zero imaginary parts, so numpy's abs
+        # has the bits of Python's on each one
+        errs = np.where(gone.reshape(n, 3, 2, 1), np.abs(gots), np.abs(gots - wants) / scale)
+        # decomposition into flat 4-space ladder components, on the states themselves
+        x = xs[:, 6 * points:]
+        decomposition = _decomposition(omega, P[:, None], M0[:, None], x,
+                                       *oscillator._psi(*stack, x, gradient=True))
+        for k, state in enumerate(group):
+            idx, number = first + k, 0.0
+            for i, axis in enumerate((1, 2, 3)):
+                (c_low, lowered), (c_up, raised) = steps[k][2 * i:2 * i + 2]
+                lower = (("annihilation", "lowering the ground level gives zero", 1e-8)
+                         if lowered is None else
+                         ("explicit_lower", "explicit operator vs ladder coefficient", 1e-5))
+                records.append(CaseRecord(
+                    [[lower[0]], ["explicit_raise"]],
+                    {"state": idx, "axis": axis, "point": np.arange(points)}, errs[k, i], 0.0,
+                    [[lower[1]], ["explicit operator vs ladder coefficient"]],
+                    [[lower[2]], [1e-5]]))
                 # coefficient algebra, exact in integer arithmetic
-                (c_low, lowered), (c_up, raised) = applied[axis, "lower"], applied[axis, "raise"]
-                down_up = c_low * (_ladder_step("raise", axis, lowered.q)[0] if lowered else 0.0)
-                up_down = c_up * _ladder_step("lower", axis, raised.q)[0]
+                q = state.q
+                down_up = c_low * (_ladder_step("raise", axis, q.replace_axis(axis, lowered))[0]
+                                   if lowered is not None else 0.0)
+                up_down = c_up * _ladder_step("lower", axis, q.replace_axis(axis, raised))[0]
                 number += down_up  # adds 0.0 where lowering annihilates
                 records.append(CaseRecord("commutator", {"state": idx, "axis": axis},
                                           down_up - up_down, -1.0,
                                           "raise-lower minus lower-raise", 1e-12))
-        records.append(CaseRecord("eigenvalue_identity", {"state": idx},
-                                  state.omega * (number + 1.5), state.sigma,
-                                  "number operator plus zero point", 1e-12))
-        # decomposition into flat 4-space ladder components, on the state itself
-        xs = rng.uniform(-1.5, 1.5, (3, 4))
-        records.extend(_decomposition_cases(
-            "decomposition_state", {"state": idx},
-            "4-space decomposition on eigenstates", state.omega, state.sys,
-            xs, psi_position(state, xs), oscillator.psi_position_gradient(state, xs)))
+            records.append(CaseRecord("eigenvalue_identity", {"state": idx},
+                                      state.omega * (number + 1.5), state.sigma,
+                                      "number operator plus zero point", 1e-12))
+            records.append(CaseRecord("decomposition_state",
+                                      {"state": idx, "axis": np.repeat([1, 2, 3], 2)},
+                                      decomposition[k], 0.0,
+                                      "4-space decomposition on eigenstates", 1e-5))
     # decomposition on generic transversal fields, finite-difference gradients
     sys = bound_system(*_draw_masses(rng), _draw_velocity(rng, 0.9))
-    for k in range(20):
-        fld = _constrained_test_field(sys, rng.uniform(-1.0, 1.0, 4))
-        x = rng.uniform(-1.5, 1.5, 4)
-        records.extend(_decomposition_cases(
-            "decomposition_field", {"field": k}, "4-space decomposition on test fields",
-            1.0, sys, x, fld(x), finite_difference_gradient4(fld, x)))
+    # rng.uniform(-1, 1, 4) for the field, then rng.uniform(-1.5, 1.5, 4) for its point, 20 times
+    draws = rng.random((20, 8))
+    coeffs, x = -1.0 + 2.0 * draws[:, :4], -1.5 + 3.0 * draws[:, 4:]
+    fld = _constrained_test_field(sys, coeffs)
+    records.append(CaseRecord("decomposition_field",
+                              {"field": np.arange(20)[:, None], "axis": np.repeat([1, 2, 3], 2)},
+                              _decomposition(1.0, _components(sys.P), sys.M0, x, fld(x),
+                                             finite_difference_gradient4(fld, x)),
+                              0.0, "4-space decomposition on test fields", 1e-5))
     return VerificationReport("ladder", 1e-5, records, [f"seed={seed}", "vmax=0.9"])
 
 

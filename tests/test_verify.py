@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 from rqcm.constraint import constraint_coordinates, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
                             on_shell_momentum, perp_projection)
-from rqcm.oscillator import (ladder_apply, ladder_explicit_value, oscillator_state,
-                             psi_position, psi_position_gradient, quantum_numbers_at_level)
+from rqcm.oscillator import (ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
+                             oscillator_state, psi_position, psi_position_gradient,
+                             quantum_numbers_at_level)
 from rqcm import minkowski, verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
                          finite_difference_directional2,
@@ -55,11 +56,11 @@ def test_second_differences_quadratic_scaling(monkeypatch):
     # equation residual by roughly four
     # (the step is the module's DEFAULT_H_SECOND, set here for each run)
     st = oscillator_state((1, 0, 1), 1.0, 1.0, 1.3, (0.0, 0.5, 0.0))
-    x = FourVector(0.4, -0.3, 0.6, 0.2)
+    stack, x = verify._stack([st]), np.array([[[0.4, -0.3, 0.6, 0.2]]])  # one state, one point
     monkeypatch.setattr(verify, "DEFAULT_H_SECOND", 2e-2)
-    r_coarse = abs(verify._internal_residual_fd(st, x, st.sigma)[0])
+    r_coarse = abs(verify._internal_residual_fd(stack, x, st.sigma)[0].item())
     monkeypatch.setattr(verify, "DEFAULT_H_SECOND", 1e-2)
-    r_fine = abs(verify._internal_residual_fd(st, x, st.sigma)[0])
+    r_fine = abs(verify._internal_residual_fd(stack, x, st.sigma)[0].item())
     assert 3.0 <= r_coarse / r_fine <= 5.0, (r_coarse, r_fine)
 
 
@@ -347,6 +348,18 @@ def test_ladder_suite_passes():
             "decomposition_field"} <= checks
 
 
+def decomposition_cases(check, inputs, provenance, omega, sys, x, value, grad):
+    """The explicit ladder operator against its flat 4-space decomposition through the
+    public functions, at one point or a batch (n, 4): one case per point (row) and
+    axis and direction (column)."""
+    diffs = [np.reshape(ladder_explicit_value(direction, axis, omega, sys, x, value, grad)
+                        - ladder_explicit_4d_value(direction, axis, omega, sys, x, value, grad),
+                        -1)
+             for axis in (1, 2, 3) for direction in ("lower", "raise")]
+    return [CaseRecord(check, {**inputs, "axis": np.repeat([1, 2, 3], 2)},
+                       np.abs(np.stack(diffs, axis=-1)), 0.0, provenance, 1e-5)]
+
+
 def ladder_one_pair_at_a_time(max_n, points, seed):
     """The ladder suite through the per-call API: one ladder_explicit_value with a
     finite-difference gradient and one psi_position of the new state per state,
@@ -393,7 +406,7 @@ def ladder_one_pair_at_a_time(max_n, points, seed):
                                 state.omega * (number + 1.5), state.sigma,
                                 "number operator plus zero point", 1e-12))
         xs = rng.uniform(-1.5, 1.5, (3, 4))
-        cases.extend(verify._decomposition_cases(
+        cases.extend(decomposition_cases(
             "decomposition_state", {"state": idx},
             "4-space decomposition on eigenstates", state.omega, state.sys,
             xs, psi_position(state, xs), psi_position_gradient(state, xs)))
@@ -401,7 +414,7 @@ def ladder_one_pair_at_a_time(max_n, points, seed):
     for k in range(20):
         fld = verify._constrained_test_field(sys, rng.uniform(-1.0, 1.0, 4))
         x = rng.uniform(-1.5, 1.5, 4)
-        cases.extend(verify._decomposition_cases(
+        cases.extend(decomposition_cases(
             "decomposition_field", {"field": k},
             "4-space decomposition on test fields", 1.0, sys, x, fld(x),
             finite_difference_gradient4(fld, x)))
