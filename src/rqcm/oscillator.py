@@ -381,9 +381,7 @@ def _ladder_explicit_4d(sign, i: int, omega: float, P, M0, x, value, grad4):
     d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
     a_mu = ((-np.asarray(sign)[..., None] * d_contra
              + omega * _components(x) * np.expand_dims(value, -1)) / math.sqrt(2.0 * omega))
-    pa = minkowski_dot(P, a_mu)
-    return (_component(a_mu, i)
-            + _component(P, i) * (pa - M0 * a_mu[..., 3]) / (M0 * (M0 + P[..., 3])))
+    return _component(_coordinates(a_mu, P, M0), i)
 
 
 def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState, x, X=None):
