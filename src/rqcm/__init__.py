@@ -18,8 +18,7 @@ from .oscillator import (QuantumNumbers, OscillatorState, phi_1d,
                          nr_spring_constant, degeneracy, quantum_numbers_at_level,
                          oscillator_state, states_up_to, psi_position,
                          psi_momentum, psi_bargmann, psi_position_gradient,
-                         ladder_apply, ladder_apply_explicit,
-                         ladder_explicit_value, ladder_explicit_4d_value,
+                         ladder_apply, ladder_explicit_value, ladder_explicit_4d_value,
                          position_profile, momentum_profile, MAX_LEVEL)
 from .transforms import (QuadratureRule, gauss_hermite, rescaled_nodes,
                          normalization_integral, overlap_integral,

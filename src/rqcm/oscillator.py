@@ -384,15 +384,6 @@ def _ladder_explicit_4d(sign, i: int, omega: float, P, M0, x, value, grad4):
     return _component(_coordinates(a_mu, P, M0), i)
 
 
-def ladder_apply_explicit(direction: str, axis: int, state: OscillatorState, x, X=None):
-    """The explicit ladder operator on the state's wave function at x, a FourVector
-    or a (..., 4) array of points: coefficient * psi_new(x) of ladder_apply, with the
-    original state's centre-of-mass phase. It takes the closed-form gradient; for
-    another, such as finite differences, call ladder_explicit_value."""
-    return ladder_explicit_value(direction, axis, state.omega, state.sys, x,
-                                 psi_position(state, x, X), psi_position_gradient(state, x, X))
-
-
 def _factors(factor, state: OscillatorState):
     """The state's three 1D factors, one per axis, whose product is its profile."""
     return [functools.partial(factor, l, state.omega) for l in state.q.as_tuple()]

@@ -7,8 +7,7 @@ from rqcm.constraint import xi_directional_derivative
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
                             general_boost, minkowski_dot, reduced_mass, rest_mass)
 from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, degeneracy,
-                             ladder_apply, ladder_apply_explicit,
-                             ladder_explicit_4d_value, ladder_explicit_value,
+                             ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
                              nr_spring_constant, oscillator_state, phi_1d, phi_1d_bargmann,
                              phi_1d_derivative, phi_1d_momentum, psi_bargmann,
                              psi_momentum, psi_position, psi_position_gradient,
@@ -124,8 +123,9 @@ _AXIS_CALLS = {
         "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), 1.0, np.ones(4)),
     "ladder_explicit_4d_value": lambda axis: ladder_explicit_4d_value(
         "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), 1.0, np.ones(4)),
-    "ladder_apply_explicit": lambda axis: ladder_apply_explicit(
-        "raise", axis, _AXIS_STATE, np.zeros(4)),
+    "ladder_explicit_value_of_psi": lambda axis: ladder_explicit_value(
+        "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), psi_position(_AXIS_STATE, np.zeros(4)),
+        psi_position_gradient(_AXIS_STATE, np.zeros(4))),
     "replace_axis": lambda axis: QuantumNumbers(1, 2, 3).replace_axis(axis, 5),
     "xi_directional_derivative": lambda axis: xi_directional_derivative(
         np.ones(4), axis, _AXIS_STATE.sys),
@@ -408,7 +408,8 @@ def test_ladder_explicit_matches_coefficients_boosted():
             coeff, new_state = ladder_apply(direction, axis, st)
             for _ in range(6):
                 x = FourVector.from_components(rng.uniform(-1.5, 1.5, 4))
-                got = ladder_apply_explicit(direction, axis, st, x)
+                got = ladder_explicit_value(direction, axis, st.omega, st.sys, x,
+                                            psi_position(st, x), psi_position_gradient(st, x))
                 want = 0.0 if new_state is None else coeff * psi_position(new_state, x)
                 assert abs(got - want) <= 1e-12
 
