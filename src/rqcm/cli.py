@@ -145,9 +145,11 @@ def _physics(args, cfg):
 
 
 def _grid(args, cfg):
-    """The grid axis (1, 2 or 3) and the coordinate values sampled along it."""
-    ts = np.linspace(_get(args, cfg, "grid_min"), _get(args, cfg, "grid_max"),
-                     _get(args, cfg, "samples"))
+    """The grid axis (1, 2 or 3) and the coordinate values sampled along it: np.linspace
+    of the halved bounds, doubled, so grid_max - grid_min cannot overflow. That has
+    np.linspace's bits except for bounds near the subnormal range."""
+    ts = 2 * np.linspace(_get(args, cfg, "grid_min") / 2, _get(args, cfg, "grid_max") / 2,
+                         _get(args, cfg, "samples"))
     return _get(args, cfg, "grid_axis"), ts
 
 

@@ -41,6 +41,14 @@ def _hermite_levels(top: int, y) -> list:
     return levels
 
 
+def _clipped(t, scale: float):
+    """t clipped at +-1e150 / scale, before a caller scales it: every Hermite level is
+    exactly 0 past |scale t| = 38.6, where the envelope underflows, so the clip moves no
+    value, and it keeps scale t from overflowing and the recurrence from inf * 0 = nan."""
+    bound = 1e150 / scale
+    return np.minimum(np.maximum(t, -bound), bound)
+
+
 def _hermite_at(ls, y, offsets=(0,)) -> list:
     """For each offset d, the Hermite function of level ls + d at y, ls an int or an int
     array broadcasting against y, and 0.0 where ls + d < 0: entries of one
@@ -73,15 +81,16 @@ def _check_1d_args(l: int, omega: float) -> int:
 
 def phi_1d(l: int, omega: float, xi):
     """Position-space factor (Omega/pi)^(1/4)/sqrt(2^l l!) H_l(sqrt(Omega) xi) exp(-Omega xi^2/2)."""
-    l = _check_1d_args(l, omega)
-    out = omega ** 0.25 * _hermite_levels(l, math.sqrt(omega) * np.asarray(xi, dtype=float))[l]
+    l, root = _check_1d_args(l, omega), math.sqrt(omega)
+    out = omega ** 0.25 * _hermite_levels(l, root * _clipped(np.asarray(xi, dtype=float), root))[l]
     return out if out.ndim else float(out)
 
 
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
-    l = _check_1d_args(l, omega)
-    out = omega ** -0.25 * _hermite_levels(l, np.asarray(pi_, dtype=float) / math.sqrt(omega))[l]
+    l, root = _check_1d_args(l, omega), math.sqrt(omega)
+    pi_ = _clipped(np.asarray(pi_, dtype=float), 1.0 / root)
+    out = omega ** -0.25 * _hermite_levels(l, pi_ / root)[l]
     return out if out.ndim else float(out)
 
 
@@ -97,8 +106,8 @@ def phi_1d_bargmann(l: int, omega: float, alpha):
 
 def phi_1d_derivative(l: int, omega: float, xi):
     """d/dxi of phi_1d: sqrt(Omega) (sqrt(l/2) phi_{l-1} - sqrt((l+1)/2) phi_{l+1})."""
-    l = _check_1d_args(l, omega)
-    h = _hermite_levels(l + 1, math.sqrt(omega) * np.asarray(xi, dtype=float))
+    l, root = _check_1d_args(l, omega), math.sqrt(omega)
+    h = _hermite_levels(l + 1, root * _clipped(np.asarray(xi, dtype=float), root))
     lower = math.sqrt(l / 2.0) * h[l - 1] if l > 0 else 0.0
     upper = math.sqrt((l + 1) / 2.0) * h[l + 1]
     out = omega ** 0.75 * (lower - upper)
@@ -246,10 +255,11 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    xi = _coordinates(x, P, M0)
+    root = math.sqrt(omega)
+    y = root * _clipped(_coordinates(x, P, M0), root)
     # one recurrence per axis, as phi_1d and phi_1d_derivative run it
-    offsets, root = ((0, -1, 1) if gradient else (0,)), math.sqrt(omega)
-    hs = [_hermite_at(l, root * xi[..., j], offsets) for j, l in enumerate(ls)]
+    offsets = (0, -1, 1) if gradient else (0,)
+    hs = [_hermite_at(l, y[..., j], offsets) for j, l in enumerate(ls)]
     v1, v2, v3 = [omega ** 0.25 * h[0] for h in hs]
     phase = _phase(P, X)
     value = _product(v1 * v2 * v3, phase)

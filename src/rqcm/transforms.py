@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .minkowski import _positive
-from .oscillator import OscillatorState, _factors, _hermite_levels, phi_1d
+from .oscillator import OscillatorState, _clipped, _factors, _hermite_levels, phi_1d
 
 MAX_ORDER = 256
 
@@ -163,11 +163,7 @@ def _level_table(t, scale: float, order: int):
     under the kernel exp(sign i t x) / sqrt(2 pi)."""
     if not np.all(np.isfinite(t)):
         raise ValueError("targets must be finite")
-    # every level is exactly 0 past |scale t| = 38.6, where the envelope underflows, so
-    # a clip at 1e150 moves no value and keeps the recurrence from inf * 0 = nan
-    bound = 1e150 / scale
-    y = scale * np.clip(t, -bound, bound)
-    return math.sqrt(scale) * np.array(_hermite_levels(order - 1, y))
+    return math.sqrt(scale) * np.array(_hermite_levels(order - 1, scale * _clipped(t, scale)))
 
 
 def _synthesis(table, c, sign: int):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rqcm
-from rqcm import verify
+from rqcm import cli, verify
 from rqcm.cli import build_parser, main
 from rqcm.minkowski import rest_mass
 from rqcm.oscillator import sigma_n
@@ -157,16 +157,12 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv):
 
 
 # finite inputs whose tables overflow: alpha^64 before the division by sqrt(64!),
-# the Hermite recurrence at |xi| near the float maximum (in phi_1d, and so in the
-# closed-form column of a transform), and |psi|^2 of a finite psi
+# and |psi|^2 of a finite psi
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     "eval --l 64 0 0 --rep bargmann --grid-min 1e10 --grid-max 2e10 --samples 3",
-    "eval --l 64 0 0 --grid-min 1e300 --grid-max 1.7e308 --samples 3",
     "eval --l 64 0 0 --rep bargmann --grid-min 1e4 --grid-max 2e4 --samples 3",
-    "transform --l 1 0 0 --to momentum --grid-min 1e300 --grid-max 1.7e308 --samples 3",
-], ids=["bargmann alpha^64", "position near the float maximum", "abs2_psi overflow",
-        "closed form near the float maximum"])
+], ids=["bargmann alpha^64", "abs2_psi overflow"])
 def test_a_non_finite_table_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
@@ -175,7 +171,41 @@ def test_a_non_finite_table_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # phi_1d's y * y in the closed form
+# position and momentum factors clip their arguments where every level has underflowed,
+# so the position column and a transform's closed form read exactly 0 there; the grid
+# halves its bounds, so it spans the whole float range without overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    "eval --l 64 0 0 --grid-min 1e300 --grid-max 1.7e308 --samples 3",
+    "transform --l 1 0 0 --to momentum --grid-min 1e300 --grid-max 1.7e308 --samples 3",
+    "eval --l 64 0 0 --grid-min=-1.7e308 --grid-max 1.7e308 --samples 3",
+    "transform --l 1 0 0 --to momentum --grid-min=-1.7e308 --grid-max 1.7e308 --samples 3",
+], ids=["position near the float maximum", "closed form near the float maximum",
+        "position across the float range", "transform across the float range"])
+def test_tables_near_the_float_maximum_are_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == 3
+    for r in rows:
+        assert all(math.isfinite(float(v)) for v in r.values())
+        if abs(float(r.get("xi", r.get("pi")))) > 1e300:
+            assert {float(v) for c, v in r.items() if c not in ("xi", "pi", "c1", "c4")} == {0.0}
+
+
+def test_grid_has_the_bits_of_linspace():
+    # halving the bounds and doubling the samples moves no bit short of the subnormal range
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        lo, hi = np.sort(rng.normal(size=2) * 10.0 ** rng.uniform(-300, 300, 2))
+        samples = int(rng.integers(2, 300))
+        args = build_parser().parse_args(["eval", f"--grid-min={float(lo)!r}",
+                                          f"--grid-max={float(hi)!r}", "--samples", str(samples)])
+        _, ts = cli._grid(args, {})
+        assert ts.tobytes() == np.linspace(lo, hi, samples).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transform_near_the_float_maximum_is_zero(capsys):
     # the synthesis clips its targets past the envelope's underflow: exactly 0,
     # as is the closed form at level 0

@@ -1,16 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqcm
 from rqcm.constraint import xi_directional_derivative
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
                             general_boost, minkowski_dot, reduced_mass, rest_mass)
-from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, degeneracy,
-                             ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
-                             nr_spring_constant, oscillator_state, phi_1d, phi_1d_bargmann,
-                             phi_1d_derivative, phi_1d_momentum, psi_bargmann,
-                             psi_momentum, psi_position, psi_position_gradient,
+from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, _hermite_levels,
+                             degeneracy, ladder_apply, ladder_explicit_4d_value,
+                             ladder_explicit_value, nr_spring_constant, oscillator_state,
+                             phi_1d, phi_1d_bargmann, phi_1d_derivative, phi_1d_momentum,
+                             psi_bargmann, psi_momentum, psi_position, psi_position_gradient,
                              quantum_numbers_at_level, sigma_n, states_up_to)
 from rqcm.transforms import gauss_hermite, rescaled_nodes
 from rqcm.verify import finite_difference_gradient4
@@ -123,7 +128,8 @@ _AXIS_CALLS = {
         "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), 1.0, np.ones(4)),
     "ladder_explicit_4d_value": lambda axis: ladder_explicit_4d_value(
         "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), 1.0, np.ones(4)),
-    "ladder_explicit_value_of_psi": lambda axis: ladder_explicit_value(
+    # the composition that was ladder_apply_explicit, under that name's test ids
+    "ladder_apply_explicit": lambda axis: ladder_explicit_value(
         "raise", axis, 1.0, _AXIS_STATE.sys, np.zeros(4), psi_position(_AXIS_STATE, np.zeros(4)),
         psi_position_gradient(_AXIS_STATE, np.zeros(4))),
     "replace_axis": lambda axis: QuantumNumbers(1, 2, 3).replace_axis(axis, 5),
@@ -374,6 +380,46 @@ def test_ladder_validation():
         ladder_apply("up", 1, st)
     with pytest.raises(ValueError):
         ladder_apply("raise", 4, st)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [0.25, 1.0, 4.0, 1e-300, 1e300])
+@pytest.mark.parametrize("factor", [phi_1d, phi_1d_momentum, phi_1d_derivative])
+def test_factors_near_the_float_maximum_are_zero(factor, omega):
+    # every level underflows to 0 past |y| = 38.6; the argument is clipped before it is
+    # scaled, so no warning and no nan up to the float maximum
+    for l in (0, 1, 64):
+        for xi in (1.7e308, -1.7e308, 1e300, 1e160):
+            assert factor(l, omega, xi) == 0.0
+        out = factor(l, omega, np.array([-1.7e308, 0.5, 1.7e308]))
+        assert out[0] == out[2] == 0.0 and out[1] == factor(l, omega, 0.5)
+
+
+@pytest.mark.parametrize("omega", [0.25, 1.0, 4.0])
+def test_the_clip_moves_no_value_short_of_it(omega):
+    # the factors' bits are the recurrence's at the scaled argument, as without the clip
+    xi = np.concatenate([np.linspace(-60.0, 60.0, 241), [1e-300, -2.5e-3, 37.9]])
+    root = math.sqrt(omega)
+    for l in (0, 3, 64):
+        assert phi_1d(l, omega, xi).tobytes() == (
+            omega ** 0.25 * _hermite_levels(l, root * xi)[l]).tobytes()
+        assert phi_1d_momentum(l, omega, xi).tobytes() == (
+            omega ** -0.25 * _hermite_levels(l, xi / root)[l]).tobytes()
+
+
+def test_position_near_the_float_maximum_is_zero_under_w_error():
+    # the whole interpreter turns warnings into errors, as python -W error does
+    src = str(Path(rqcm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("from rqcm import *\n"
+             "for f in (phi_1d, phi_1d_momentum, phi_1d_derivative):\n"
+             "    for om in (0.25, 1.0, 4.0):\n"
+             "        assert f(64, om, 1.7e308) == f(64, om, -1.7e308) == 0.0\n"
+             "st = oscillator_state((64, 0, 0), 1.0, 1.0, 1.3)\n"
+             "x = FourVector(1.7e308, 0, 0, 0)\n"
+             "assert psi_position(st, x) == 0 and not psi_position_gradient(st, x).any()\n")
+    subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env, check=True)
 
 
 @pytest.mark.parametrize("w", [0.0, -2.0, math.nan, math.inf])
