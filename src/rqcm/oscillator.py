@@ -41,28 +41,32 @@ def _hermite_levels(top: int, y) -> list:
     return levels
 
 
-def _clipped(t, scale: float):
+def _clipped(t, scale: float, out=None):
     """t clipped at +-1e150 / scale, before a caller scales it: every Hermite level is
     exactly 0 past |scale t| = 38.6, where the envelope underflows, so the clip moves no
     value, and it keeps scale t from overflowing and the recurrence from inf * 0 = nan."""
     bound = 1e150 / scale
-    return np.minimum(np.maximum(t, -bound), bound)
+    return np.minimum(np.maximum(t, -bound, out=out), bound, out=out)
 
 
 def _hermite_at(ls, y, offsets=(0,)) -> list:
     """For each offset d, the Hermite function of level ls + d at y, ls an int or an int
     array broadcasting against y, and 0.0 where ls + d < 0: entries of one
     _hermite_levels pass up to the highest level, so each has its own level's bits."""
-    if isinstance(ls, int):
-        h = _hermite_levels(ls + max(offsets), y)
-        return [h[ls + d] if ls + d >= 0 else 0.0 for d in offsets]
     wants = [ls + d for d in offsets]
+    if isinstance(ls, int):
+        h = _hermite_levels(max(wants), y)
+        return [h[k] if k >= 0 else 0.0 for k in wants]
     h = _hermite_levels(int(max(map(np.max, wants))), y)
-    outs = [np.zeros(np.broadcast_shapes(want.shape, np.shape(y))) for want in wants]
-    for out, want in zip(outs, wants):
-        for k in set(want.flat):
+    outs = []
+    for want in wants:
+        if len(got := set(want.flat)) == 1:  # one level everywhere: that level itself
+            outs.append(h[k] if (k := got.pop()) >= 0 else 0.0)
+            continue
+        outs.append(np.zeros(np.broadcast_shapes(want.shape, np.shape(y))))
+        for k in got:
             if k >= 0:
-                np.copyto(out, h[k], where=want == k)
+                np.copyto(outs[-1], h[k], where=want == k)
     return outs
 
 
@@ -255,18 +259,19 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    root = math.sqrt(omega)
-    y = root * _clipped(_coordinates(x, P, M0), root)
+    root, y = math.sqrt(omega), _coordinates(x, P, M0)
+    np.multiply(root, _clipped(y, root, out=y), out=y)  # in the map's own array
     # one recurrence per axis, as phi_1d and phi_1d_derivative run it
     offsets = (0, -1, 1) if gradient else (0,)
     hs = [_hermite_at(l, y[..., j], offsets) for j, l in enumerate(ls)]
-    v1, v2, v3 = [omega ** 0.25 * h[0] for h in hs]
+    del y  # each axis's levels hold what they need
+    v1, v2, v3 = [omega ** 0.25 * h.pop(0) for h in hs]  # each level freed once scaled
     phase = _phase(P, X)
     value = _product(v1 * v2 * v3, phase)
     if not gradient:
         return value
     d1, d2, d3 = [omega ** 0.75 * (np.sqrt(l / 2.0) * lower - np.sqrt((l + 1) / 2.0) * upper)
-                  for l, (_, lower, upper) in zip(ls, hs)]
+                  for l, (lower, upper) in zip(ls, hs)]
     grad_xi = np.stack([d1 * v2 * v3, v1 * d2 * v3, v1 * v2 * d3], axis=-1)
     # one vector-matrix product per point with xi_jacobian: a plain 2-D @ rounds differently
     P = _components(P)

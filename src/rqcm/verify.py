@@ -422,7 +422,7 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     # per state: its points, in fd mode a cm_wave point x0 and a centre of mass X0,
     # then three transversality points, each drawn on [-half, half]
     half = np.repeat([1.5, 1.0, 2.0, 1.5], [4 * points, 4 * fd, 4 * fd, 12])
-    records = []
+    records, point, axis = [], np.arange(points), np.arange(1, 4)  # input columns all share
     for first, states in _chunks(_draw_states(rng, max_n, moving=fd), 11 * points + 33):
         stack = _stack(states)
         # rng.uniform(-half, half) for each state in turn, with its bits
@@ -447,7 +447,7 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
         for k, state in enumerate(states):
             idx, sys = first + k, state.sys
             records.append(CaseRecord("internal_equation",
-                                      {"state": idx, "point": np.arange(points), "mode": mode},
+                                      {"state": idx, "point": point, "mode": mode},
                                       internal[k], 0.0, "internal oscillator equation", tol))
             # centre-of-mass wave equation
             if fd:
@@ -460,7 +460,7 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
                 records.append(CaseRecord("cm_wave", {"state": idx},
                                           -minkowski_dot(sys.P, sys.P), sys.M0 ** 2,
                                           "plane-wave phase, exact", tol))
-            records.append(CaseRecord("transversality", {"state": idx, "axis": np.arange(1, 4)},
+            records.append(CaseRecord("transversality", {"state": idx, "axis": axis},
                                       contraction[k] / scale[k], 0.0, "P^mu d_mu psi = 0", tol))
     notes = [f"seed={seed}", f"mode={mode}", f"sigma_perturb={sigma_perturb}"]
     return VerificationReport("pde", tol, records, notes)
@@ -517,6 +517,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
         eta_params(m1, m2, M0)
     moves = [(axis, direction) for axis in (1, 2, 3) for direction in ("lower", "raise")]
     on_axis = np.repeat(np.eye(3, dtype=bool), 2, axis=0)  # (move, axis)
+    point, move_axis = np.arange(points), np.repeat([1, 2, 3], 2)  # input columns all share
     sign = np.array([[-1], [+1]])  # (direction, point): lower, raise
     for first, group in _chunks(states, 8 * 6 * points + 3):
         stack = _stack(group)
@@ -559,7 +560,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
                          ("explicit_lower", "explicit operator vs ladder coefficient", 1e-5))
                 records.append(CaseRecord(
                     [[lower[0]], ["explicit_raise"]],
-                    {"state": idx, "axis": axis, "point": np.arange(points)}, errs[k, i], 0.0,
+                    {"state": idx, "axis": axis, "point": point}, errs[k, i], 0.0,
                     [[lower[1]], ["explicit operator vs ladder coefficient"]],
                     [[lower[2]], [1e-5]]))
                 # coefficient algebra, exact in integer arithmetic
@@ -574,8 +575,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
             records.append(CaseRecord("eigenvalue_identity", {"state": idx},
                                       state.omega * (number + 1.5), state.sigma,
                                       "number operator plus zero point", 1e-12))
-            records.append(CaseRecord("decomposition_state",
-                                      {"state": idx, "axis": np.repeat([1, 2, 3], 2)},
+            records.append(CaseRecord("decomposition_state", {"state": idx, "axis": move_axis},
                                       decomposition[k], 0.0,
                                       "4-space decomposition on eigenstates", 1e-5))
     # decomposition on generic transversal fields, finite-difference gradients
@@ -585,7 +585,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     coeffs, x = -1.0 + 2.0 * draws[:, :4], -1.5 + 3.0 * draws[:, 4:]
     fld = _constrained_test_field(sys, coeffs)
     records.append(CaseRecord("decomposition_field",
-                              {"field": np.arange(20)[:, None], "axis": np.repeat([1, 2, 3], 2)},
+                              {"field": np.arange(20)[:, None], "axis": move_axis},
                               _decomposition(1.0, _components(sys.P), sys.M0, x, fld(x),
                                              finite_difference_gradient4(fld, x)),
                               0.0, "4-space decomposition on test fields", 1e-5))

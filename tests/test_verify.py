@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rqcm.constraint import constraint_coordinates, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
                             on_shell_momentum, perp_projection)
 from rqcm.oscillator import (ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
-                             oscillator_state, psi_position, psi_position_gradient,
+                             oscillator_state, phi_1d, psi_position, psi_position_gradient,
                              quantum_numbers_at_level)
 from rqcm import minkowski, verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
@@ -426,6 +427,102 @@ def ladder_one_pair_at_a_time(max_n, points, seed):
 def test_stacked_ladder_suite_matches_per_pair_loop(max_n, points, seed):
     got = run_ladder_suite(max_n=max_n, points=points, seed=seed).to_json()
     assert got == ladder_one_pair_at_a_time(max_n, points, seed).to_json()
+
+
+def _phi_second(l, xi):
+    """phi_l'' at Omega = 1 from the recurrence algebra, through phi_1d:
+    sqrt(l(l-1))/2 phi_{l-2} - (2l+1)/2 phi_l + sqrt((l+1)(l+2))/2 phi_{l+2}."""
+    down = math.sqrt(l * (l - 1)) / 2.0 * phi_1d(l - 2, 1.0, xi) if l >= 2 else 0.0
+    return (down - (2.0 * l + 1.0) / 2.0 * phi_1d(l, 1.0, xi)
+            + math.sqrt((l + 1) * (l + 2)) / 2.0 * phi_1d(l + 2, 1.0, xi))
+
+
+def pde_one_state_at_a_time(max_n, points, seed, mode="fd", sigma_perturb=0.0):
+    """The pde suite through the per-state API at Omega = 1: per state, psi_position on
+    its points with box4 and finite_difference_directional2 (or the closed-form factor
+    derivatives), box4 of the plane-wave phase, and the transversality gradients, each
+    point's residual and contraction in Python floats; the draws as the suite's."""
+    rng = np.random.default_rng(seed)
+    fd = mode == "fd"
+    tol = 1e-5 if fd else 1e-10
+    states = [oscillator_state(q, 1.0, 1.0, 1.3, _velocity(rng, 0.9) if fd else (0, 0, 0))
+              for n in range(max_n + 1) for q in quantum_numbers_at_level(n)]
+    cases = []
+    for idx, state in enumerate(states):
+        sys, sigma = state.sys, state.sigma + sigma_perturb * state.omega
+        xs = rng.uniform(-1.5, 1.5, (points, 4))
+        xis = constraint_coordinates(xs, sys)
+        field = lambda pt: psi_position(state, pt).real
+        if fd:  # sum d2/dxi2 = box - (P^mu d_mu / M0)^2
+            laps = box4(field, xs) - finite_difference_directional2(
+                field, xs, sys.P.components / sys.M0)
+        else:
+            ls = state.q.as_tuple()
+            phis = [phi_1d(l, 1.0, xis[:, k]) for k, l in enumerate(ls)]
+            secs = [_phi_second(l, xis[:, k]) for k, l in enumerate(ls)]
+            laps = (secs[0] * phis[1] * phis[2] + phis[0] * secs[1] * phis[2]
+                    + phis[0] * phis[1] * secs[2])
+        resids, scales = [], []
+        for xi, lap, psi in zip(xis, laps.tolist(), field(xs).tolist()):
+            resids.append(-lap + 1.0 * 1.0 * float(xi @ xi) * psi - 2.0 * sigma * psi)  # Omega^2
+            scales.append(abs(2.0 * sigma * psi))
+        for k, resid in enumerate(resids):
+            cases.append(CaseRecord("internal_equation", {"state": idx, "point": k, "mode": mode},
+                                    resid / max(max(scales), 1e-30), 0.0,
+                                    "internal oscillator equation", tol))
+        if fd:
+            x0, X0 = rng.uniform(-1.0, 1.0, 4), rng.uniform(-2.0, 2.0, 4)
+            lap = box4(lambda X: psi_position(state, x0, X), X0, 1e-4)
+            want = sys.M0 ** 2 * psi_position(state, x0, X0)
+            cases.append(CaseRecord("cm_wave", {"state": idx},
+                                    abs(lap - want) / max(abs(want), 1.0), 0.0,
+                                    "plane-wave phase, finite differences", tol))
+        else:
+            cases.append(CaseRecord("cm_wave", {"state": idx}, -minkowski_dot(sys.P, sys.P),
+                                    sys.M0 ** 2, "plane-wave phase, exact", tol))
+        xs = rng.uniform(-1.5, 1.5, (3, 4))
+        grads = (finite_difference_gradient4(field, xs) if fd
+                 else psi_position_gradient(state, xs).real)
+        norm = float(np.linalg.norm(sys.P.components))
+        for axis, grad in enumerate(grads, 1):
+            contraction = float(grad[:3] @ sys.P.spatial) + sys.P.c4 * grad[3]
+            cases.append(CaseRecord("transversality", {"state": idx, "axis": axis},
+                                    contraction / max(norm * math.sqrt(grad @ grad), 1e-3), 0.0,
+                                    "P^mu d_mu psi = 0", tol))
+    notes = [f"seed={seed}", f"mode={mode}", f"sigma_perturb={sigma_perturb}"]
+    return VerificationReport("pde", tol, cases, notes)
+
+
+@pytest.mark.parametrize("max_n, points, seed, mode, sigma_perturb", [
+    (2, 5, 0, "fd", 0.0), (2, 5, 1, "fd", 0.0), (2, 5, 2, "fd", 0.0), (1, 1, 3, "fd", 0.0),
+    (2, 5, 4, "fd", 0.1), (2, 5, 5, "analytic", 0.0), (3, 4, 6, "analytic", 0.1),
+    (4, 20, 0, "fd", 0.0), (4, 20, 20024051, "fd", 0.0)])
+def test_stacked_pde_suite_matches_per_state_loop(max_n, points, seed, mode, sigma_perturb):
+    got = run_pde_suite(points, mode, seed, sigma_perturb, max_n)
+    want = pde_one_state_at_a_time(max_n, points, seed, mode, sigma_perturb)
+    assert got.to_json() == want.to_json()
+    if not sigma_perturb:
+        # seed 20024051 fails at the defaults, in the stacked suite and in the loop alike
+        assert got.passed == (seed != 20024051)
+
+
+# tracemalloc peaks, in MB, of the suites' per-state loops that stacking replaced, at
+# points=500 (numpy 2.4.6, Python 3.11): the chunks of states must stay within them
+PER_STATE_PEAK_MB = {"ladder": 7.46, "pde": 1.42}
+
+
+@pytest.mark.parametrize("suite", sorted(PER_STATE_PEAK_MB))
+def test_stacked_suites_keep_their_memory_bound(suite):
+    run = verify.SUITES[suite]
+    run(points=3)  # caches warm
+    for kwargs, bound in (({}, 2.0), ({"points": 500}, PER_STATE_PEAK_MB[suite])):
+        tracemalloc.start()
+        try:
+            run(**kwargs)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (kwargs, peak)
 
 
 def test_nr_limit_suite_passes():
