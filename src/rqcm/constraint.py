@@ -52,7 +52,14 @@ def xi_jacobian(sys: BoundSystem) -> np.ndarray:
 
     The map is linear, so column mu is the image of the unit vector e_mu.
     """
-    return constraint_coordinates(np.eye(4), sys).T
+    return _jacobian(sys.P, sys.M0)
+
+
+def _jacobian(P, M0) -> np.ndarray:
+    """xi_jacobian for stacked systems P (..., 4) and M0 (...), shape (..., 3, 4)."""
+    P = _components(P)
+    return np.swapaxes(_coordinates(np.eye(4), P[..., None, :], np.asarray(M0)[..., None]),
+                       -1, -2)
 
 
 def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):

@@ -20,7 +20,7 @@ from sys import float_info
 
 import numpy as np
 
-from .constraint import _axis, _coordinates, constraint_coordinates
+from .constraint import _axis, _coordinates, _jacobian, constraint_coordinates
 from .minkowski import (BoundSystem, _all, _complex, _components, _positive, bound_system,
                         minkowski_dot, reduced_mass)
 
@@ -253,8 +253,8 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     """psi_position at x, and with gradient also its partials (..., 4), for stacked
     states at one Omega: levels ls (S..., 3), momenta P (S..., 4) and rest masses
     M0 (S...) against points x and X (S..., ..., 4), or one state's three levels, P and
-    M0. Each entry has the bits of its
-    own state's call; one FourVector x gives a 0-d result."""
+    M0. Each entry has the bits of its own state's call; one FourVector x gives a 0-d
+    result."""
     x = _components(x)
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
@@ -273,15 +273,13 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     d1, d2, d3 = [omega ** 0.75 * (np.sqrt(l / 2.0) * lower - np.sqrt((l + 1) / 2.0) * upper)
                   for l, (lower, upper) in zip(ls, hs)]
     grad_xi = np.stack([d1 * v2 * v3, v1 * d2 * v3, v1 * v2 * d3], axis=-1)
-    # one vector-matrix product per point with xi_jacobian: a plain 2-D @ rounds differently
-    P = _components(P)
-    jacobian = np.swapaxes(_coordinates(np.eye(4), P[..., None, :], np.asarray(M0)[..., None]),
-                           -1, -2)
-    grad = np.matmul(grad_xi[..., None, :], jacobian)[..., 0, :]
+    # one vector-matrix product per point: a plain 2-D @ rounds differently
+    grad = np.matmul(grad_xi[..., None, :], _jacobian(P, M0))[..., 0, :]
     return value, grad * np.asarray(phase)[..., None]
 
 
 def _state_args(state: OscillatorState):
+    """One state's arguments of _psi before the points."""
     return state.q.as_tuple(), state.omega, state.sys.P, state.sys.M0
 
 
@@ -390,7 +388,7 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     return _ladder_explicit_4d(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
 
 
-def _ladder_explicit_4d(sign, i: int, omega: float, P, M0, x, value, grad4):
+def _ladder_explicit_4d(sign, i, omega: float, P, M0, x, value, grad4):
     """ladder_explicit_4d_value as _ladder_explicit takes its arguments."""
     g = np.asarray(grad4)
     d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
