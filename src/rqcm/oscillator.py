@@ -259,12 +259,13 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    root, y = math.sqrt(omega), _coordinates(x, P, M0)
-    np.multiply(root, _clipped(y, root, out=y), out=y)  # in the map's own array
-    # one recurrence per axis, as phi_1d and phi_1d_derivative run it
+    root, xi = math.sqrt(omega), _coordinates(x, P, M0)
+    _clipped(xi, root, out=xi)  # in the map's own array
+    # one recurrence per axis, on its own contiguous argument, as phi_1d and
+    # phi_1d_derivative run it
     offsets = (0, -1, 1) if gradient else (0,)
-    hs = [_hermite_at(l, y[..., j], offsets) for j, l in enumerate(ls)]
-    del y  # each axis's levels hold what they need
+    hs = [_hermite_at(l, root * xi[..., j], offsets) for j, l in enumerate(ls)]
+    del xi  # each axis's levels hold what they need
     v1, v2, v3 = [omega ** 0.25 * h.pop(0) for h in hs]  # each level freed once scaled
     phase = _phase(P, X)
     value = _product(v1 * v2 * v3, phase)

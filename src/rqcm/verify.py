@@ -423,6 +423,7 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     # then three transversality points, each drawn on [-half, half]
     half = np.repeat([1.5, 1.0, 2.0, 1.5], [4 * points, 4 * fd, 4 * fd, 12])
     records, point, axis = [], np.arange(points), np.arange(1, 4)  # input columns all share
+    # stencil points per state: 11 per residual point, 9 for the phase, 8 per gradient
     for first, states in _chunks(_draw_states(rng, max_n, moving=fd), 11 * points + 33):
         stack = _stack(states)
         # rng.uniform(-half, half) for each state in turn, with its bits
@@ -433,11 +434,10 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
         sigma_used = np.array([[state.sigma + sigma_perturb * state.omega] for state in states])
         resids, scales = residual(stack, x, sigma_used)
         internal = resids / np.maximum(np.max(scales, axis=-1, keepdims=True), 1e-30)
-        if fd:  # the plane-wave phase through finite differences in X
+        # the plane-wave phase, and the gradients for transversality of the internal factor
+        if fd:
             lap = box4(lambda X: oscillator._psi(*stack, x0[:, None], X), X0, 1e-4)
             phases = oscillator._psi(*stack, x0, X0)
-        # transversality of the internal factor
-        if fd:
             grads = finite_difference_gradient4(lambda pt: oscillator._psi(*stack, pt).real, xs)
         else:
             grads = oscillator._psi(*stack, xs, gradient=True)[1].real
@@ -519,6 +519,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     on_axis = np.repeat(np.eye(3, dtype=bool), 2, axis=0)  # (move, axis)
     point, move_axis = np.arange(points), np.repeat([1, 2, 3], 2)  # input columns all share
     sign = np.array([[-1], [+1]])  # (direction, point): lower, raise
+    # stencil points per state: 8 per gradient at its 6 * points, and 3 closed-form ones
     for first, group in _chunks(states, 8 * 6 * points + 3):
         stack = _stack(group)
         ls, _, P, M0 = stack
