@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rqcm import constraint
+from rqcm import constraint, oscillator
 from rqcm.constraint import constraint_coordinates, xi_directional_derivative, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
                             on_shell_momentum, perp_projection)
@@ -180,6 +180,33 @@ def test_psi_rows(state, real, cplx):
         assert np.array_equal(got, rows(lambda w: psi(state, w), pts))
         with_phase = psi(state, pts, X)
         assert np.array_equal(with_phase, rows(lambda w, c: psi(state, w, c), pts, X))
+
+
+@st.composite
+def stacked_states(draw):
+    """One to four moving states at one Omega, each with its own levels and masses."""
+    omega = draw(st.floats(0.5, 2.0))
+    return [oscillator_state(draw(st.tuples(*[st.integers(0, 12)] * 3)), omega,
+                             draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)), draw(velocities))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@SETTINGS
+@given(stacked_states(), batches())
+def test_stacked_states_rows(group, pts):
+    # the suites' evaluator over stacked states: each state's slice has the bits of
+    # psi_position and psi_position_gradient for that state alone
+    ls = np.array([state.q.as_tuple() for state in group])
+    P = np.array([state.sys.P.components for state in group])
+    M0 = np.array([state.sys.M0 for state in group])
+    x = np.stack([pts * (k + 1) for k in range(len(group))])  # (S, n, 4)
+    X = x[:, ::-1] * 0.7
+    value, grad = oscillator._psi(ls, group[0].omega, P, M0, x, X, gradient=True)
+    plain = oscillator._psi(ls, group[0].omega, P, M0, x)
+    for k, state in enumerate(group):
+        assert np.array_equal(value[k], psi_position(state, x[k], X[k]))
+        assert np.array_equal(grad[k], psi_position_gradient(state, x[k], X[k]))
+        assert np.array_equal(plain[k], psi_position(state, x[k]))
 
 
 @SETTINGS
