@@ -41,18 +41,23 @@ def _hermite_levels(top: int, y) -> list:
     return levels
 
 
-def _clipped(t, scale: float, out=None):
-    """t clipped at +-1e150 / scale, before a caller scales it: every Hermite level is
-    exactly 0 past |scale t| = 38.6, where the envelope underflows, so the clip moves no
-    value, and it keeps scale t from overflowing and the recurrence from inf * 0 = nan."""
+def _clipped(t, scale: float):
+    """Real t as float64, clipped at +-1e150 / scale before a caller scales it: every
+    Hermite level is exactly 0 past |scale t| = 38.6, so the clip moves no value, and it
+    keeps scale t from overflowing and the recurrence from inf * 0 = nan."""
+    t = np.asarray(t)
+    if t.dtype.kind == "c":  # costs less than np.iscomplexobj on a Python float
+        raise ValueError("Hermite arguments must be real, got complex values")
     bound = 1e150 / scale
-    return np.minimum(np.maximum(t, -bound, out=out), bound, out=out)
+    return np.minimum(np.maximum(np.asarray(t, dtype=float), -bound), bound)
 
 
-def _hermite_at(ls, y, offsets=(0,)) -> list:
-    """For each offset d, the Hermite function of level ls + d at y, ls an int or an int
-    array broadcasting against y, and 0.0 where ls + d < 0: entries of one
-    _hermite_levels pass up to the highest level, so each has its own level's bits."""
+def _hermite_at(ls, t, scale: float, offsets=(0,)) -> list:
+    """For each offset d, the Hermite function of level ls + d at scale t (t as _clipped
+    reads it), ls an int or an int array broadcasting against t, and 0.0 where ls + d < 0:
+    entries of one _hermite_levels pass up to the top level, each with its own level's bits."""
+    y = _clipped(t, scale)
+    y *= scale  # in place: one argument-sized temporary fewer, the same bits
     wants = [ls + d for d in offsets]
     if isinstance(ls, int):
         h = _hermite_levels(max(wants), y)
@@ -70,6 +75,11 @@ def _hermite_at(ls, y, offsets=(0,)) -> list:
     return outs
 
 
+def _slope(ls, omega: float, lower, upper):
+    """d/dxi of phi_1d at level ls, from h_{ls-1} and h_{ls+1} at sqrt(Omega) xi."""
+    return omega ** 0.75 * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper)
+
+
 def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
     """value as an int: integral (2.0 reads as 2), not a bool, in [0, top]."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
@@ -85,16 +95,16 @@ def _check_1d_args(l: int, omega: float) -> int:
 
 def phi_1d(l: int, omega: float, xi):
     """Position-space factor (Omega/pi)^(1/4)/sqrt(2^l l!) H_l(sqrt(Omega) xi) exp(-Omega xi^2/2)."""
-    l, root = _check_1d_args(l, omega), math.sqrt(omega)
-    out = omega ** 0.25 * _hermite_levels(l, root * _clipped(np.asarray(xi, dtype=float), root))[l]
+    l = _check_1d_args(l, omega)
+    out = omega ** 0.25 * _hermite_at(l, xi, math.sqrt(omega))[0]
     return out if out.ndim else float(out)
 
 
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
     l, root = _check_1d_args(l, omega), math.sqrt(omega)
-    pi_ = _clipped(np.asarray(pi_, dtype=float), 1.0 / root)
-    out = omega ** -0.25 * _hermite_levels(l, pi_ / root)[l]
+    # a division, not _hermite_at's multiply by 1 / sqrt(Omega), which rounds differently
+    out = omega ** -0.25 * _hermite_levels(l, _clipped(pi_, 1.0 / root) / root)[l]
     return out if out.ndim else float(out)
 
 
@@ -110,11 +120,8 @@ def phi_1d_bargmann(l: int, omega: float, alpha):
 
 def phi_1d_derivative(l: int, omega: float, xi):
     """d/dxi of phi_1d: sqrt(Omega) (sqrt(l/2) phi_{l-1} - sqrt((l+1)/2) phi_{l+1})."""
-    l, root = _check_1d_args(l, omega), math.sqrt(omega)
-    h = _hermite_levels(l + 1, root * _clipped(np.asarray(xi, dtype=float), root))
-    lower = math.sqrt(l / 2.0) * h[l - 1] if l > 0 else 0.0
-    upper = math.sqrt((l + 1) / 2.0) * h[l + 1]
-    out = omega ** 0.75 * (lower - upper)
+    l = _check_1d_args(l, omega)
+    out = _slope(l, omega, *_hermite_at(l, xi, math.sqrt(omega), (-1, 1)))
     return out if np.ndim(out) else float(out)
 
 
@@ -211,13 +218,13 @@ def states_up_to(max_n: int, omega: float, m1: float, m2: float) -> list[Oscilla
 # (...) array; X = None omits the phase.
 
 def _phase(P, X):
-    """exp(i P.X), or ValueError where P.X is not finite."""
+    """exp(i P.X), or ValueError where P.X is complex or not finite."""
     if X is None:
         return 1.0 + 0.0j
     with np.errstate(over="ignore", invalid="ignore"):
         px = minkowski_dot(P, X)
-    if not _all(np.isfinite(px)):
-        raise ValueError("the centre-of-mass phase P.X is non-finite")
+    if np.asarray(px).dtype.kind == "c" or not _all(np.isfinite(px)):
+        raise ValueError("the centre-of-mass phase P.X must be real and finite")
     return np.exp(1j * px)
 
 
@@ -259,20 +266,17 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    root, xi = math.sqrt(omega), _coordinates(x, P, M0)
-    _clipped(xi, root, out=xi)  # in the map's own array
     # one recurrence per axis, on its own contiguous argument, as phi_1d and
-    # phi_1d_derivative run it
+    # phi_1d_derivative run it; the coordinates are freed once each axis has its levels
     offsets = (0, -1, 1) if gradient else (0,)
-    hs = [_hermite_at(l, root * xi[..., j], offsets) for j, l in enumerate(ls)]
-    del xi  # each axis's levels hold what they need
+    hs = [_hermite_at(l, xi, math.sqrt(omega), offsets)
+          for l, xi in zip(ls, np.moveaxis(_coordinates(x, P, M0), -1, 0))]
     v1, v2, v3 = [omega ** 0.25 * h.pop(0) for h in hs]  # each level freed once scaled
     phase = _phase(P, X)
     value = _product(v1 * v2 * v3, phase)
     if not gradient:
         return value
-    d1, d2, d3 = [omega ** 0.75 * (np.sqrt(l / 2.0) * lower - np.sqrt((l + 1) / 2.0) * upper)
-                  for l, (lower, upper) in zip(ls, hs)]
+    d1, d2, d3 = [_slope(l, omega, *h) for l, h in zip(ls, hs)]
     grad_xi = np.stack([d1 * v2 * v3, v1 * d2 * v3, v1 * v2 * d3], axis=-1)
     # one vector-matrix product per point: a plain 2-D @ rounds differently
     grad = np.matmul(grad_xi[..., None, :], _jacobian(P, M0))[..., 0, :]
@@ -354,6 +358,7 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     P^mu d_mu f = 0; oscillator eigenfunctions do.
     """
     sign, i = _ladder_sign(direction, axis)
+    _positive(omega, "spring constant")
     return _ladder_explicit(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
 
 
@@ -386,6 +391,7 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     values. Agrees with ladder_explicit_value on transversal fields.
     """
     sign, i = _ladder_sign(direction, axis)
+    _positive(omega, "spring constant")
     return _ladder_explicit_4d(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
 
 

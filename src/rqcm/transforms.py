@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .minkowski import _positive
-from .oscillator import OscillatorState, _clipped, _factors, _hermite_levels, phi_1d
+from .oscillator import OscillatorState, _factors, _hermite_at, _hermite_levels, phi_1d
 
 MAX_ORDER = 256
 
@@ -99,7 +99,8 @@ def trust_momentum(rule: QuadratureRule, omega: float) -> float:
     """Reach of the direct quadrature of exp(-i pi xi), verify's Fourier oracle:
     an order-N rule resolves exp(i b y) to ~1e-10 (measured against closed
     forms) only for |b| up to 0.196 N - 0.75. The spectral kernel has no limit."""
-    return max(0.5, 0.196 * rule.order - 0.75) * math.sqrt(omega / 2.0)
+    root = math.sqrt(_positive(omega, "spring constant") / 2.0)
+    return max(0.5, 0.196 * rule.order - 0.75) * root
 
 
 def unresolved(levels, rule: QuadratureRule):
@@ -138,7 +139,7 @@ def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
                       "the result is not exact", InsufficientOrderWarning, stacklevel=2)
     pts, eff = rescaled_nodes(rule, state_a.omega)
     # phi_1d's rows, from one recurrence up to the highest level of either state
-    h = _hermite_levels(max(max(pair) for pair in levels), math.sqrt(state_a.omega) * pts)
+    h = _hermite_at(0, pts, math.sqrt(state_a.omega), range(max(map(max, levels)) + 1))
     root, total = state_a.omega ** 0.25, 1.0
     for la, lb in levels:
         fa = root * h[la]
@@ -160,10 +161,10 @@ def _coefficients(g, rule: QuadratureRule, scale: float):
 def _level_table(t, scale: float, order: int):
     """sqrt(scale) h_l(scale t), shape (order, len(t)), real: up to the phase (sign i)^l
     that _synthesis puts on the coefficients, the transform of h_l(x / scale) / sqrt(scale)
-    under the kernel exp(sign i t x) / sqrt(2 pi)."""
-    if not np.all(np.isfinite(t)):
+    under the kernel exp(sign i t x) / sqrt(2 pi); ValueError unless t is real and finite."""
+    if not np.all(np.isfinite(np.asarray(t, dtype=complex))):  # complex reads any number
         raise ValueError("targets must be finite")
-    return math.sqrt(scale) * np.array(_hermite_levels(order - 1, scale * _clipped(t, scale)))
+    return math.sqrt(scale) * np.array(_hermite_at(0, t, scale, range(order)))
 
 
 def _synthesis(table, c, sign: int):
@@ -182,28 +183,19 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
 
     g is sampled at xi = y / sqrt(Omega); level l maps to (-i)^l phi_l^mom(pi).
     """
-    t, scale = _array(targets, float), _scale(omega, -0.5)
+    t, scale = np.asarray(targets), _scale(omega, -0.5)
     out = _synthesis(_level_table(t.reshape(-1), scale, rule.order),
                      _coefficients(g, rule, scale), -1)
     return out.reshape(t.shape) if t.ndim else complex(out[0])
 
 
-def _array(targets, dtype):
-    """targets as an array of dtype: float for Fourier targets, which raise ValueError
-    when complex instead of losing their imaginary parts, complex for Segal-Bargmann."""
-    t = np.asarray(targets)
-    if dtype is float and np.iscomplexobj(t):
-        raise ValueError("Fourier targets must be real, got complex values")
-    return np.asarray(t, dtype=dtype)
-
-
-def _targets(targets, dtype):
+def _targets(targets):
     """Three 1D axes, whether they span a product grid, and what shapes the result:
     a tuple of three 1D axes is a grid, and anything else is (..., 3) points, of
     which one alone gives a Python complex."""
     if isinstance(targets, tuple) and len(targets) == 3 and all(np.ndim(t) == 1 for t in targets):
-        return [_array(t, dtype) for t in targets], True, lambda out: out
-    pts = _array(targets, dtype)
+        return [np.asarray(t) for t in targets], True, lambda out: out
+    pts = np.asarray(targets)
     if pts.ndim == 0 or pts.shape[-1] != 3:
         raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
     shaped = lambda out: out.reshape(pts.shape[:-1]) if pts.ndim > 1 else complex(out[0])
@@ -212,8 +204,8 @@ def _targets(targets, dtype):
 
 def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
-    axes, grid, shaped = _targets(targets, float)
-    keys = [t.tobytes() for t in axes]  # equal axes share one table
+    axes, grid, shaped = _targets(targets)
+    keys = [(t.dtype, t.tobytes()) for t in axes]  # equal axes of one dtype share one table
     distinct = dict(zip(keys, axes))
     # one recurrence over the distinct axes joined, split back into one table per axis
     joined = _level_table(np.concatenate(list(distinct.values())), scale, rule.order)
@@ -311,7 +303,7 @@ def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
     """Segal-Bargmann transform of a state's position profile at complex constraint
     coordinates alphas, one axis at a time; alphas are read as fourier_forward reads
     its targets: a product grid or (..., 3) points."""
-    axes, grid, shaped = _targets(alphas, complex)
+    axes, grid, shaped = _targets(alphas)
     _warn_unresolved(state, rule)
     out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
                     *(bargmann_transform(g, a, state.omega, rule)

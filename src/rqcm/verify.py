@@ -342,7 +342,7 @@ def _internal_residual_analytic(stack, x, sigma_used):
     xi = constraint._coordinates(x, P[:, None], M0[:, None])
     vals, secs = [], []
     for l, c in zip(ls.T[..., None], np.moveaxis(xi, -1, 0)):
-        h, down, up = oscillator._hermite_at(l, math.sqrt(omega) * c, (0, -2, 2))
+        h, down, up = oscillator._hermite_at(l, c, math.sqrt(omega), (0, -2, 2))
         # phi_l'' = Omega [ sqrt(l(l-1))/2 phi_{l-2} - (2l+1)/2 phi_l + sqrt((l+1)(l+2))/2 phi_{l+2} ]
         # (independent of the eigenvalue relation it is used to check)
         vals.append(omega ** 0.25 * h)
@@ -351,7 +351,8 @@ def _internal_residual_analytic(stack, x, sigma_used):
                                      + np.sqrt((l + 1) * (l + 2)) / 2.0 * up))
     lap = (secs[0] * vals[1] * vals[2] + vals[0] * secs[1] * vals[2]
            + vals[0] * vals[1] * secs[2])
-    return _internal_residual(omega, xi, lap, oscillator._psi(*stack, x).real, sigma_used)
+    # psi itself, with the bits of oscillator._psi's product of the same factors
+    return _internal_residual(omega, xi, lap, vals[0] * vals[1] * vals[2], sigma_used)
 
 
 def _internal_residual_fd(stack, x, sigma_used):

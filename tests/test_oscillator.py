@@ -17,7 +17,7 @@ from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, _hermit
                              phi_1d, phi_1d_bargmann, phi_1d_derivative, phi_1d_momentum,
                              psi_bargmann, psi_momentum, psi_position, psi_position_gradient,
                              quantum_numbers_at_level, sigma_n, states_up_to)
-from rqcm.transforms import gauss_hermite, rescaled_nodes
+from rqcm.transforms import gauss_hermite, rescaled_nodes, trust_momentum
 from rqcm.verify import finite_difference_gradient4
 
 
@@ -426,6 +426,51 @@ def test_position_near_the_float_maximum_is_zero_under_w_error():
 def test_nr_spring_constant_needs_a_positive_finite_frequency(w):
     with pytest.raises(ValueError, match="positive and finite"):
         nr_spring_constant(1.0, 1.3, w)
+
+
+# complex arguments of the real-only entry points: a factor's argument (a scalar and an
+# array), a psi_* point (an array and a FourVector) and a centre-of-mass position X
+_COMPLEX_POINTS = {"array": np.array([[0.3 + 0.1j, 0.2, 0.1, 0.0]]),
+                   "FourVector": FourVector(0.3 + 0.1j, 0.2, 0.1, 0.0)}
+_COMPLEX_INPUTS = {
+    **{f"{factor.__name__}_{tag}": (lambda factor=factor, xi=xi: factor(2, 1.3, xi))
+       for factor in (phi_1d, phi_1d_momentum, phi_1d_derivative)
+       for tag, xi in (("scalar", 0.3 + 0.1j), ("array", np.array([0.5, 0.3 + 0.1j])))},
+    **{f"{psi.__name__}_{tag}": (lambda psi=psi, x=x: psi(_MOVING_STATE, x))
+       for psi in (psi_position, psi_momentum, psi_position_gradient)
+       for tag, x in _COMPLEX_POINTS.items()},
+    **{f"{psi.__name__}_X": (lambda psi=psi: psi(_MOVING_STATE, np.zeros(4),
+                                                 np.array([0.3 + 2j, 0.0, 0.0, 0.0])))
+       for psi in (psi_position, psi_momentum, psi_position_gradient, psi_bargmann)},
+}
+
+
+@pytest.mark.parametrize("call", _COMPLEX_INPUTS.values(), ids=_COMPLEX_INPUTS.keys())
+def test_complex_input_where_real_is_required_raises(call):
+    with pytest.raises(ValueError, match="must be real"):
+        call()
+    # Bargmann points are complex: the same points give the Bargmann value
+    for x in _COMPLEX_POINTS.values():
+        alpha = np.ravel(rqcm.constraint_coordinates(x, _MOVING_STATE.sys))
+        assert np.ravel(psi_bargmann(_MOVING_STATE, x)) == pytest.approx([alpha[0]], abs=1e-15)
+
+
+_OMEGA_CALLS = {
+    "ladder_explicit_value": lambda om: ladder_explicit_value(
+        "raise", 1, om, _MOVING_STATE.sys, np.zeros(4), 1.0, np.zeros(4)),
+    "ladder_explicit_4d_value": lambda om: ladder_explicit_4d_value(
+        "lower", 2, om, _MOVING_STATE.sys, np.zeros(4), 1.0, np.zeros(4)),
+    "trust_momentum": lambda om: trust_momentum(gauss_hermite(16), om),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [math.inf, 0.0, math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("call", _OMEGA_CALLS.values(), ids=_OMEGA_CALLS.keys())
+def test_explicit_ladders_and_trust_momentum_need_a_positive_finite_spring_constant(call, omega):
+    with pytest.raises(ValueError, match="spring constant must be positive and finite"):
+        call(omega)
+    assert np.all(np.isfinite(call(1.0)))
 
 
 def test_ladder_explicit_rest_frame_is_schrodinger_form():

@@ -301,6 +301,12 @@ def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
                         lambda t, *rest: builds.append(t) or table(t, *rest))
     fourier_forward(pos, (t, t.copy(), t.copy()), rule, om)
     assert len(builds) == 1
+    # an int axis whose bytes are those of a float axis is another axis: 1.0 and the
+    # int 4607182418800017408, a target far past where every level is 0
+    same_bytes = np.array([1.0]).view(np.int64)
+    got = fourier_forward(pos, (np.array([1.0]), same_bytes, np.array([1.0])), rule, om)
+    assert got.shape == (1, 1, 1) and got[0, 0, 0] == 0
+    assert fourier_forward(pos, (np.array([1.0]),) * 3, rule, om)[0, 0, 0] != 0
 
 
 def test_a_point_list_builds_one_table(monkeypatch):
@@ -666,6 +672,15 @@ def test_complex_fourier_targets_raise(transform, targets):
 def test_complex_fourier_forward1d_targets_raise(targets):
     with pytest.raises(ValueError, match="must be real"):
         fourier_forward1d(PHI0, targets, gauss_hermite(16), 1.0)
+
+
+@pytest.mark.parametrize("targets", [np.array([0.5, -2.0], dtype=object), ["0.5", "-2"],
+                                     np.array([0.5, -2.0], dtype=np.float32)],
+                         ids=["object", "str", "float32"])
+def test_real_fourier_targets_of_any_dtype_read_as_float64(targets):
+    want = fourier_forward1d(PHI0, np.array([0.5, -2.0]), gauss_hermite(16), 1.0)
+    got = fourier_forward1d(PHI0, targets, gauss_hermite(16), 1.0)
+    assert np.array_equal(got.view(float), want.view(float))
 
 
 @pytest.mark.parametrize("targets", COMPLEX_TARGETS.values(), ids=COMPLEX_TARGETS.keys())
