@@ -44,12 +44,18 @@ def _hermite_levels(top: int, y) -> list:
 def _clipped(t, scale: float):
     """Real t as float64, clipped at +-1e150 / scale before a caller scales it: every
     Hermite level is exactly 0 past |scale t| = 38.6, so the clip moves no value, and it
-    keeps scale t from overflowing and the recurrence from inf * 0 = nan."""
+    keeps scale t from overflowing and the recurrence from inf * 0 = nan. ValueError for
+    a complex or NaN argument; +-inf clips, so its levels are exactly 0."""
     t = np.asarray(t)
     if t.dtype.kind == "c":  # costs less than np.iscomplexobj on a Python float
         raise ValueError("Hermite arguments must be real, got complex values")
     bound = 1e150 / scale
-    return np.minimum(np.maximum(np.asarray(t, dtype=float), -bound), bound)
+    y = np.minimum(np.maximum(np.asarray(t, dtype=float), -bound), bound)
+    # y . y is NaN just where an entry is, since its terms are squares (never inf - inf);
+    # one BLAS pass costs less than np.isnan(y).any()
+    if math.isnan(np.vdot(y, y) if y.ndim else y):
+        raise ValueError("Hermite arguments must not be NaN")
+    return y
 
 
 def _hermite_at(ls, t, scale: float, offsets=(0,)) -> list:

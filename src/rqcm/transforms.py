@@ -21,6 +21,13 @@ recurrence per call builds the table over the distinct axes joined, so
 (t, t, t) and (t, t.copy(), t.copy()) share one table and a point list runs
 one recurrence, not three; overlap_integral likewise runs one. Segal-Bargmann
 sums by Horner's rule, scaling both parts by 1 / sqrt(l) per step.
+
+The private kernels (_coefficients, _synthesis, _fourier1d, _bargmann and
+_overlaps) take integrand samples with leading stack axes: g may return
+(..., order) samples, or (..., order, centres) for Segal-Bargmann, and the
+results are (..., targets). Each BLAS product runs once per slice, at the shape
+of one integrand's call, so every slice has the bits it has alone; the public
+functions are the unstacked case, and verify's transforms suite the stacked one.
 """
 from __future__ import annotations
 
@@ -109,8 +116,8 @@ def unresolved(levels, rule: QuadratureRule):
     return f"level {top} is not below the order {rule.order}" if top >= rule.order else None
 
 
-def _warn_unresolved(state: OscillatorState, rule: QuadratureRule):
-    if why := unresolved(state.q.as_tuple(), rule):
+def _warn_unresolved(levels, rule: QuadratureRule):
+    if why := unresolved(levels, rule):
         warnings.warn(f"{why}: the result is not exact", InsufficientOrderWarning, stacklevel=3)
 
 
@@ -120,7 +127,8 @@ def normalization_integral(state: OscillatorState, rule: QuadratureRule) -> floa
     This is overlap_integral of the state with itself: exact up to rounding
     once the order exceeds every level, else InsufficientOrderWarning.
     """
-    return overlap_integral(state, state, rule)
+    levels = np.array(state.q.as_tuple())
+    return float(_overlaps(levels, levels, state.omega, rule))
 
 
 def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
@@ -132,20 +140,26 @@ def overlap_integral(state_a: OscillatorState, state_b: OscillatorState,
     """
     if state_a.omega != state_b.omega:
         raise ValueError("overlap requires a common spring constant")
-    levels = list(zip(state_a.q.as_tuple(), state_b.q.as_tuple()))
-    top = max(la + lb for la, lb in levels)
-    if top >= 2 * rule.order:
-        warnings.warn(f"level sum {top} exceeds 2 * order - 1 = {2 * rule.order - 1}: "
-                      "the result is not exact", InsufficientOrderWarning, stacklevel=2)
-    pts, eff = rescaled_nodes(rule, state_a.omega)
-    # phi_1d's rows, from one recurrence up to the highest level of either state
-    h = _hermite_at(0, pts, math.sqrt(state_a.omega), range(max(map(max, levels)) + 1))
-    root, total = state_a.omega ** 0.25, 1.0
-    for la, lb in levels:
-        fa = root * h[la]
-        fb = fa if lb == la else root * h[lb]
-        total *= float(np.sum(eff * fa * fb))
-    return total
+    return float(_overlaps(np.array(state_a.q.as_tuple()), np.array(state_b.q.as_tuple()),
+                           state_a.omega, rule))
+
+
+def _overlaps(la, lb, omega: float, rule: QuadratureRule):
+    """overlap_integral of the states at one Omega with levels la and lb (..., 3), shape (...),
+    warning once per level sum past the exact order; each entry has its own pair's bits,
+    and lb is la reuses la's factors."""
+    for top in dict.fromkeys((la + lb).max(axis=-1, initial=0).ravel().tolist()):
+        if top >= 2 * rule.order:
+            warnings.warn(f"level sum {top} exceeds 2 * order - 1 = {2 * rule.order - 1}: "
+                          "the result is not exact", InsufficientOrderWarning, stacklevel=3)
+    pts, eff = rescaled_nodes(rule, omega)
+    # phi_1d's rows, from one recurrence up to the highest level of any state
+    top = max(la.max(initial=0), lb.max(initial=0))
+    h = np.array(_hermite_at(0, pts, math.sqrt(omega), range(top + 1)))
+    root = omega ** 0.25
+    fa = root * h[la]
+    axes = (eff * fa * (fa if lb is la else root * h[lb])).sum(axis=-1)
+    return axes[..., 0] * axes[..., 1] * axes[..., 2]
 
 
 def _scale(omega: float, power: float) -> float:
@@ -154,8 +168,10 @@ def _scale(omega: float, power: float) -> float:
 
 
 def _coefficients(g, rule: QuadratureRule, scale: float):
-    """Coefficients of g on h_l(x / scale) / sqrt(scale), l < order, from g(scale * nodes)."""
-    return math.sqrt(scale) * (rule.projector @ np.asarray(g(scale * rule.nodes)))
+    """Coefficients (..., order) of g on h_l(x / scale) / sqrt(scale), l < order, from the
+    samples g(scale * nodes) of shape (..., order): one projector product per slice."""
+    samples = np.asarray(g(scale * rule.nodes))
+    return math.sqrt(scale) * (rule.projector @ samples[..., None])[..., 0]
 
 
 def _level_table(t, scale: float, order: int):
@@ -168,14 +184,18 @@ def _level_table(t, scale: float, order: int):
 
 
 def _synthesis(table, c, sign: int):
-    """sum_l (sign i)^l c[l] table[l] for coefficients c of shape (order, ...): the
-    phase multiplies c, exactly, and the real table meets the real and imaginary
-    parts of c in one real product, never cast to complex."""
+    """sum_l (sign i)^l c[..., l] table[l] for coefficients c (..., order), shape (..., M):
+    the phase multiplies c, exactly, and the real table meets the real and imaginary
+    parts of each slice of c in one real product, never cast to complex."""
     c = np.asarray(c)
-    phase = np.array([1, sign * 1j, -1, -sign * 1j])[np.arange(len(c)) % 4]
-    phased = c.reshape(len(c), -1) * phase[:, None]
-    out = table.T @ np.stack([phased.real, phased.imag], -1).reshape(len(c), -1)
-    return out.view(complex).reshape(-1, *c.shape[1:])
+    phased = c * np.array([1, sign * 1j, -1, -sign * 1j])[np.arange(c.shape[-1]) % 4]
+    return (table.T @ np.stack([phased.real, phased.imag], -1)).view(complex)[..., 0]
+
+
+def _fourier1d(g, t, rule: QuadratureRule, scale: float, sign: int):
+    """The kernel on one axis: g sampled at scale * nodes, (..., order), at the targets
+    t (M,), shape (..., M)."""
+    return _synthesis(_level_table(t, scale, rule.order), _coefficients(g, rule, scale), sign)
 
 
 def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
@@ -184,8 +204,7 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
     g is sampled at xi = y / sqrt(Omega); level l maps to (-i)^l phi_l^mom(pi).
     """
     t, scale = np.asarray(targets), _scale(omega, -0.5)
-    out = _synthesis(_level_table(t.reshape(-1), scale, rule.order),
-                     _coefficients(g, rule, scale), -1)
+    out = _fourier1d(g, t.reshape(-1), rule, scale, -1)
     return out.reshape(t.shape) if t.ndim else complex(out[0])
 
 
@@ -214,7 +233,10 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
     if callable(g):
         x = scale * rule.nodes
         G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
-        kernel = {k: _synthesis(H, math.sqrt(scale) * rule.projector, sign)
+        # kernel column j: the synthesis of node j's coefficients (projector column j),
+        # in C order, which keeps the bits of the einsum that reads it
+        kernel = {k: np.ascontiguousarray(_synthesis(H, math.sqrt(scale) * rule.projector.T,
+                                                     sign).T)
                   for k, H in table.items()}
         out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a',
                         *(kernel[k] for k in keys), G, optimize=True)
@@ -252,15 +274,19 @@ def fourier_inverse(f, targets, rule: QuadratureRule, omega: float):
 
 def _bargmann_series(g, a, rule: QuadratureRule, scale: float, c):
     """sum_l C_l (a - c)^l / sqrt(l!) about the real centres c, exact once the order
-    exceeds every level of g, and a bound on its rounding error. C projects g
-    sampled at scale z, z = y + c / sqrt(2), and weighted by exp((z^2 - y^2) / 2);
-    targets sharing a centre share the samples."""
+    exceeds every level of g, and a bound on its rounding error, both (..., M) for samples
+    of g of shape (..., order, centres). C projects g sampled at scale z, z = y + c / sqrt(2),
+    and weighted by exp((z^2 - y^2) / 2), one projector product per slice; targets sharing
+    a centre share the samples."""
     centres, which = np.unique(c, return_inverse=True)
     y = rule.nodes[:, None]
     z = y + centres / math.sqrt(2.0)
     samples = np.asarray(g(scale * z)) * np.exp((z * z - y * y) / 2)
-    coef = (rule.projector @ samples)[:, which]
-    bound = (np.abs(rule.projector) @ np.abs(samples))[:, which]
+    # take, not [..., which], gives C order, so that with the levels moved first each
+    # level's coefficients are contiguous in the targets: the Horner step views val as floats
+    levels_first = (samples.ndim - 2, *range(samples.ndim - 2), samples.ndim - 1)
+    coef, bound = (np.take(m, which, axis=-1).transpose(levels_first)
+                   for m in (rule.projector @ samples, np.abs(rule.projector) @ np.abs(samples)))
     x, val, err = a - c, coef[-1], bound[-1]
     size = np.abs(x)
     for l in range(rule.order - 1, 0, -1):
@@ -275,6 +301,16 @@ def _bargmann_series(g, a, rule: QuadratureRule, scale: float, c):
         err /= math.sqrt(l)
         err += bound[l - 1]
     return math.sqrt(scale) * val, err
+
+
+def _bargmann(g, a, omega: float, rule: QuadratureRule):
+    """bargmann_transform at the complex targets a (M,), shape (..., M) for samples of g
+    of shape (..., order, centres): of the series about 0 and about the integer nearest
+    Re(a), the one with the smaller rounding bound."""
+    scale = _scale(omega, -0.5)
+    (origin, k0), (shifted, k1) = (_bargmann_series(g, a, rule, scale, c)
+                                   for c in (np.zeros(1), np.round(a.real)))
+    return np.where(k1 < k0, shifted, origin)
 
 
 def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
@@ -292,10 +328,7 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
     a = np.asarray(alpha, dtype=complex)
     if not np.all(np.abs(a) <= 10.0):
         raise ValueError("|alpha| must be finite and at most 10")
-    scale, flat = _scale(omega, -0.5), a.reshape(-1)
-    (origin, k0), (shifted, k1) = (_bargmann_series(g, flat, rule, scale, c)
-                                   for c in (np.zeros(1), np.round(flat.real)))
-    out = np.where(k1 < k0, shifted, origin)
+    out = _bargmann(g, a.reshape(-1), omega, rule)
     return out.reshape(a.shape) if a.ndim else complex(out[0])
 
 
@@ -304,7 +337,7 @@ def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
     coordinates alphas, one axis at a time; alphas are read as fourier_forward reads
     its targets: a product grid or (..., 3) points."""
     axes, grid, shaped = _targets(alphas)
-    _warn_unresolved(state, rule)
+    _warn_unresolved(state.q.as_tuple(), rule)
     out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
                     *(bargmann_transform(g, a, state.omega, rule)
                       for g, a in zip(_factors(phi_1d, state), axes)))
@@ -314,5 +347,5 @@ def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):
     """Forward transform of a state's position profile (phase omitted): its
     momentum profile times (-i)^n."""
-    _warn_unresolved(state, rule)
+    _warn_unresolved(state.q.as_tuple(), rule)
     return fourier_forward(_factors(phi_1d, state), targets, rule, state.omega)

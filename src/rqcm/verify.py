@@ -25,7 +25,7 @@ from . import constraint, minkowski, oscillator, transforms
 from .minkowski import (_components, _dot, _over_real, bound_system, eta_params,
                         minkowski_dot, reduced_mass, rest_mass)
 from .oscillator import (OscillatorState, _ladder_step, ladder_explicit_value, oscillator_state,
-                         psi_position, states_up_to)
+                         psi_position)
 
 DEFAULT_H_FIRST = 1e-6
 DEFAULT_H_SECOND = 1e-5
@@ -111,6 +111,14 @@ def _json_values(values: list) -> list:
     return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
 
 
+_SCALARS = {str, int, float, np.float64}  # the types CaseRecord reads without numpy
+
+
+def _float64(v):
+    """A number as np.float64, anything else as np.asarray(v, dtype=float)[()] reads it."""
+    return np.float64(v) if type(v) in _SCALARS else np.asarray(v, dtype=float)[()]
+
+
 @dataclass
 class CaseRecord:
     """One verification case, or a block of them.
@@ -129,13 +137,21 @@ class CaseRecord:
     rel_err: float = field(init=False)
 
     def __post_init__(self):
-        self.observed, self.expected, self.tol = (
-            np.asarray(v, dtype=float)[()] for v in (self.observed, self.expected, self.tol))
-        shape = np.broadcast(self.check, self.observed, self.expected, self.provenance, self.tol,
-                             *self.inputs.values()).shape
-        abs_err = abs(self.observed - self.expected)
-        rel_err = abs_err / np.maximum(np.maximum(abs(self.observed), abs(self.expected)), 1.0)
-        self.abs_err, self.rel_err = (e if np.shape(e) == shape else np.broadcast_to(e, shape)
+        self.observed, self.expected, self.tol = map(_float64,
+                                                     (self.observed, self.expected, self.tol))
+        # a string or a number broadcasts as a scalar: np.broadcast need not convert it
+        blocks = [v for v in (self.check, self.observed, self.expected, self.provenance,
+                              self.tol, *self.inputs.values()) if type(v) not in _SCALARS]
+        shape = np.broadcast(*blocks).shape if blocks else ()
+        observed, expected = self.observed, self.expected
+        abs_err = abs(observed - expected)
+        if expected.shape:
+            rel_err = abs_err / np.maximum(np.maximum(abs(observed), abs(expected)), 1.0)
+        else:  # max(|expected|, 1) in Python first: np.maximum's bits, and NaN stays NaN
+            top = max(abs(expected), 1.0)
+            rel_err = abs_err / (np.maximum(abs(observed), top) if observed.shape
+                                 else max(abs(observed), top))
+        self.abs_err, self.rel_err = (e if e.shape == shape else np.broadcast_to(e, shape)
                                       for e in (abs_err, rel_err))
 
     def rows(self) -> list:
@@ -197,12 +213,16 @@ class VerificationReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        # over every case, 0.0 for none; np.max keeps a NaN wherever it sits
-        worst = lambda err: float(np.max(np.concatenate(
-            [[0.0], *(np.ravel(err(r)) for r in self.records)])))
-        self.max_abs_err = worst(lambda r: r.abs_err)
+        def worst(errs):
+            """The largest error over every case, 0.0 for none; np.max keeps a NaN
+            wherever it sits. A one-case record's error joins without np.ravel."""
+            errs = list(errs)
+            ones = [e for e in errs if type(e) is np.float64]
+            return float(np.max(np.concatenate(
+                [[0.0], ones, *(np.ravel(e) for e in errs if type(e) is not np.float64)])))
+        self.max_abs_err = worst(r.abs_err for r in self.records)
         # worst error on the headline-tolerance scale
-        self.max_rel_err = worst(lambda r: r.rel_err / r.tol) * self.tolerance
+        self.max_rel_err = worst(r.rel_err / r.tol for r in self.records) * self.tolerance
         self.passed = self.max_rel_err <= self.tolerance
 
     @property
@@ -637,13 +657,16 @@ def run_nr_limit_suite(seed: int = 0) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # direct-kernel quadratures: the oracles of the spectral transform kernel
+#
+# Each takes g returning samples (..., order) at the nodes and gives (..., targets):
+# one kernel product per slice, so a stacked slice has the bits of its own call.
 
 def _direct_fourier(g, targets, rule, omega: float):
     """fourier_forward1d's integral with its kernel summed at the nodes for the
     envelope exp(-Omega xi^2 / 2); ~1e-10 for |pi| <= trust_momentum(rule, omega)."""
     pts, eff = transforms.rescaled_nodes(rule, 0.5 * omega)
     kern = np.exp(-1j * np.outer(np.atleast_1d(targets), pts))
-    return (kern @ (np.asarray(g(pts)) * eff)) / math.sqrt(2.0 * math.pi)
+    return (kern @ (np.asarray(g(pts)) * eff)[..., None])[..., 0] / math.sqrt(2.0 * math.pi)
 
 
 def _direct_bargmann(g, alpha, omega: float, rule):
@@ -651,83 +674,115 @@ def _direct_bargmann(g, alpha, omega: float, rule):
     pts, eff = transforms.rescaled_nodes(rule, omega)
     a = alpha[:, None]
     kern = np.exp(-0.5 * a ** 2 + math.sqrt(2.0 * omega) * a * pts - 0.5 * omega * pts ** 2)
-    return (omega / math.pi) ** 0.25 * (kern @ (np.asarray(g(pts)) * eff))
+    return (omega / math.pi) ** 0.25 * (kern @ (np.asarray(g(pts)) * eff)[..., None])[..., 0]
+
+
+def _phi_levels(top: int, omega: float, xi) -> np.ndarray:
+    """phi_1d at the levels 0..top, shape (top + 1, ...), from one recurrence: row l has
+    the bits of phi_1d(l, omega, xi)."""
+    return omega ** 0.25 * np.array(oscillator._hermite_at(0, xi, math.sqrt(omega),
+                                                           range(top + 1)))
+
+
+def _outer3(rows: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Each state's grid (S, n, n, n) from rows (levels, n) at its levels ls (S, 3): for
+    complex rows the einsum of fourier_of_state's grid, for real ones the product of
+    position_profile and momentum_profile, with their bits."""
+    a, b, c = rows[ls[:, 0]], rows[ls[:, 1]], rows[ls[:, 2]]
+    if rows.dtype.kind == "c":
+        return np.einsum('...a,...b,...c->...abc', a, b, c)
+    return a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
 
 
 def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1,
                         seed: int = 0) -> VerificationReport:
     """Numeric Fourier against the closed momentum forms, round-trip
     inversion, Parseval, Segal-Bargmann monomials, normalisation and the
-    kernel against the direct quadratures, for states at Omega = 1.1, m1 = 1,
-    m2 = 1.3. Tolerances: 1e-8 for the Fourier modulus and (at order 64) the
+    kernel against the direct quadratures, for states at rest at Omega = 1.1.
+    Tolerances: 1e-8 for the Fourier modulus and (at order 64) the
     round trip and Parseval, 1e-9 for the monomials l <= 8 (order 48), 1e-10
     for the norms up to level 6 and orthogonality, 1e-12 for the kernel.
     bargmann_sign=-1, a negative control, takes the Segal-Bargmann transform at -alpha.
+
+    Every check runs once over its states or integrands: the transforms' private
+    kernels take the 1D factors of all levels as one stack, each level's row with the
+    bits of its own call, and each state takes its three levels' rows, the states of
+    the Fourier modulus in chunks.
     """
     _check_options(max_n=max_n, bargmann_sign=bargmann_sign)
-    omega, m1, m2, tol = 1.1, 1.0, 1.3, 1e-8
+    omega, tol = 1.1, 1e-8
     rng = np.random.default_rng(seed)
     notes = [f"seed={seed}", f"order={order}"]
     rule = transforms.gauss_hermite(order)
     rule_rt = transforms.gauss_hermite(64)
     rule_bg = transforms.gauss_hermite(48)
-    # levels come in order, so every set of states used below is a prefix of the pool
-    pool = states_up_to(max(max_n, 6), omega, m1, m2)
-    up_to = lambda n: [state for state in pool if state.q.n <= n]
+    # the levels (S, 3) of the states up to max(max_n, 6) in level order, so every set
+    # of states used below is a prefix of the pool
+    pool = np.array([q.as_tuple() for n in range(max(max_n, 6) + 1)
+                     for q in oscillator.quantum_numbers_at_level(n)])
+    up_to = lambda n: pool[:(n + 1) * (n + 2) * (n + 3) // 6]
     states = up_to(max_n)
+    # the 1D factors as stacks: those of the states' levels, and the levels 0..8
+    phis = lambda xi: _phi_levels(max_n, omega, xi)
+    factors = lambda xi: _phi_levels(8, omega, xi)
+    forward, inverse = transforms._scale(omega, -0.5), transforms._scale(omega, 0.5)
     reach = 3.5 * math.sqrt(omega)
     axis_targets = np.linspace(-reach, reach, 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cube = np.ix_(axis_targets, axis_targets, axis_targets)
-        errs = [np.max(np.abs(np.abs(transforms.fourier_of_state(state, (axis_targets,) * 3, rule))
-                              - np.abs(oscillator.momentum_profile(state)(*cube))))
-                for state in states]
-        records = [CaseRecord("fourier_modulus", {"state": np.arange(len(states))}, errs, 0.0,
+        for top in dict.fromkeys(np.max(states, axis=1).tolist()):
+            transforms._warn_unresolved((top,), rule)
+        fwd = transforms._fourier1d(phis, axis_targets, rule, forward, -1)
+        mom = np.array([oscillator.phi_1d_momentum(l, omega, axis_targets)
+                        for l in range(max_n + 1)])
+        # a state's 5^3 grid counts as four stencil points per grid point: the complex
+        # transform and the moduli it is compared through
+        errs = [np.max(np.abs(np.abs(_outer3(fwd, ls)) - np.abs(_outer3(mom, ls))),
+                       axis=(1, 2, 3)) for _, ls in _chunks(states, 4 * axis_targets.size ** 3)]
+        records = [CaseRecord("fourier_modulus", {"state": np.arange(len(states))},
+                              np.concatenate(errs), 0.0,
                               "numeric transform vs closed momentum form", tol)]
         # forward eigenphase, measured with the direct quadrature; recorded, not asserted
-        factors = [lambda xi, l=l: oscillator.phi_1d(l, omega, xi) for l in range(9)]
-        phases = []
-        for l, g in enumerate(factors[:5]):
-            num = complex(_direct_fourier(g, 0.6 * math.sqrt(omega), rule, omega)[0])
-            ana = oscillator.phi_1d_momentum(l, omega, 0.6 * math.sqrt(omega))
-            phases.append(num / ana)
+        nums = _direct_fourier(factors, 0.6 * math.sqrt(omega), rule, omega)[:5, 0]
+        phases = [complex(num) / oscillator.phi_1d_momentum(l, omega, 0.6 * math.sqrt(omega))
+                  for l, num in enumerate(nums)]
         notes.append("forward eigenphase per l (measured): "
                      + ", ".join(f"{z:.6f}" for z in phases))
-        # round trip and Parseval on the worst few states at the round-trip order
+        # round trip and Parseval on the worst few states at the round-trip order, one
+        # axis at a time: the inverse of the factors' forward transforms, and (Fubini)
+        # the momentum norm as the product of the axes' norms
         rt_targets = np.linspace(-2.5 / math.sqrt(omega), 2.5 / math.sqrt(omega), 4)
         ppts, peff = transforms.rescaled_nodes(rule_rt, 1.0 / omega)
-        for idx, state in enumerate(states[:: max(1, len(states) // 7)]):
-            # one axis at a time: the inverse of the factors' forward transforms,
-            # and (Fubini) the momentum norm as the product of the axes' norms
-            fwd = [lambda p, f=f: transforms.fourier_forward1d(f, p, rule_rt, omega)
-                   for f in oscillator._factors(oscillator.phi_1d, state)]
-            back = transforms.fourier_inverse(fwd, (rt_targets,) * 3, rule_rt, omega)
-            truth = oscillator.position_profile(state)(*np.ix_(rt_targets, rt_targets, rt_targets))
-            records.append(CaseRecord("roundtrip", {"state": idx},
-                                      np.max(np.abs(back - truth)), 0.0,
-                                      "inverse of forward is the identity", tol))
-            records.append(CaseRecord("parseval", {"state": idx},
-                                      math.prod(np.sum(peff * np.abs(f(ppts)) ** 2) for f in fwd),
-                                      1.0, "momentum norm equals position norm", tol))
+        fwd_rt = lambda p: transforms._fourier1d(phis, p, rule_rt, forward, -1)
+        back = transforms._fourier1d(fwd_rt, rt_targets, rule_rt, inverse, +1)
+        axis_norms = np.sum(peff * np.abs(fwd_rt(ppts)) ** 2, axis=-1)
+        ls = states[:: max(1, len(states) // 7)]
+        roundtrip = np.max(np.abs(_outer3(back, ls) - _outer3(phis(rt_targets), ls)),
+                           axis=(1, 2, 3))
+        parseval = axis_norms[ls[:, 0]] * axis_norms[ls[:, 1]] * axis_norms[ls[:, 2]]
+        records.append(CaseRecord(["roundtrip", "parseval"],
+                                  {"state": np.arange(len(ls))[:, None]},
+                                  np.stack([roundtrip, parseval], axis=-1), [0.0, 1.0],
+                                  ["inverse of forward is the identity",
+                                   "momentum norm equals position norm"], tol))
         # Segal-Bargmann monomials over a complex grid
         grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
                          for b in (-2.0, -1.0, 0.0, 1.0, 2.0)])
-        errs = [np.max(np.abs(transforms.bargmann_transform(g, bargmann_sign * grid, omega, rule_bg)
-                              - oscillator.phi_1d_bargmann(l, omega, grid)))
-                for l, g in enumerate(factors)]
+        got = transforms._bargmann(factors, bargmann_sign * grid, omega, rule_bg)
+        errs = [np.max(np.abs(row - oscillator.phi_1d_bargmann(l, omega, grid)))
+                for l, row in enumerate(got)]
         records.append(CaseRecord("bargmann_monomial", {"l": np.arange(9)}, errs, 0.0,
                                   "transform of the l-th factor", 1e-9))
         # normalisation across levels
-        norms = [transforms.normalization_integral(state, rule)
-                 for state in up_to(6)]
+        ls = up_to(6)
+        norms = transforms._overlaps(ls, ls, omega, rule)
         records.append(CaseRecord("normalization", {"state": np.arange(len(norms))}, norms, 1.0,
                                   "unit norm over the constraint space", 1e-10))
         # orthogonality spot checks
         base = up_to(2)
         pairs = rng.integers(0, len(base), (6, 2))
-        pairs = pairs[[base[i].q != base[j].q for i, j in pairs.tolist()]]
-        overlaps = [transforms.overlap_integral(base[i], base[j], rule) for i, j in pairs]
+        pairs = pairs[np.any(base[pairs[:, 0]] != base[pairs[:, 1]], axis=1)]
+        overlaps = transforms._overlaps(base[pairs[:, 0]], base[pairs[:, 1]], omega, rule)
         records.append(CaseRecord("orthogonality", {"i": pairs[:, 0], "j": pairs[:, 1]},
                                   overlaps, 0.0, "distinct states are orthogonal", 1e-10))
         # the kernel against the direct quadratures on levels l <= 8 and on a
@@ -735,19 +790,18 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         # where the direct quadrature holds to ~1e-15 on these integrands
         momenta = 0.75 * transforms.trust_momentum(rule_rt, omega) * rng.uniform(-1.0, 1.0, 8)
         alphas = bargmann_sign * (rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(-2.0, 2.0, 8))
-        integrands = [(f"phi_{l}", g) for l, g in enumerate(factors)]
-        integrands.append(("gauss_cos",
-                           lambda xi: np.exp(-0.5 * omega * xi ** 2) * np.cos(1.7 * xi)))
-        errs = []
-        for _, g in integrands:
-            fourier = (transforms.fourier_forward1d(g, momenta, rule_rt, omega)
-                       - _direct_fourier(g, momenta, rule_rt, omega))
-            bargmann = (transforms.bargmann_transform(g, alphas, omega, rule_bg)
-                        - _direct_bargmann(g, alphas, omega, rule_bg))
-            errs.append([np.max(np.abs(fourier)), np.max(np.abs(bargmann))])
+        integrands = lambda xi: np.concatenate(
+            [factors(xi), [np.exp(-0.5 * omega * xi ** 2) * np.cos(1.7 * xi)]])
+        fourier = (transforms._fourier1d(integrands, momenta, rule_rt, forward, -1)
+                   - _direct_fourier(integrands, momenta, rule_rt, omega))
+        bargmann = (transforms._bargmann(integrands, alphas, omega, rule_bg)
+                    - _direct_bargmann(integrands, alphas, omega, rule_bg))
+        names = [f"phi_{l}" for l in range(9)] + ["gauss_cos"]
         records.append(CaseRecord("kernel_oracle", {"transform": ["fourier", "bargmann"],
-                                                    "integrand": [[n] for n, _ in integrands]},
-                                  errs, 0.0, "spectral kernel vs direct quadrature", 1e-12))
+                                                    "integrand": [[n] for n in names]},
+                                  np.stack([np.max(np.abs(fourier), axis=-1),
+                                            np.max(np.abs(bargmann), axis=-1)], axis=-1),
+                                  0.0, "spectral kernel vs direct quadrature", 1e-12))
     for w in caught:
         if issubclass(w.category, transforms.InsufficientOrderWarning):
             note = f"insufficient order: {w.message}"

@@ -455,6 +455,35 @@ def test_complex_input_where_real_is_required_raises(call):
         assert np.ravel(psi_bargmann(_MOVING_STATE, x)) == pytest.approx([alpha[0]], abs=1e-15)
 
 
+# NaN arguments of the same entry points: a factor's argument (a scalar, and one entry
+# of an array) and a psi_* point (an array and a FourVector)
+_NAN_INPUTS = {
+    **{f"{factor.__name__}_{tag}": (lambda factor=factor, xi=xi: factor(1, 1.0, xi))
+       for factor in (phi_1d, phi_1d_momentum, phi_1d_derivative)
+       for tag, xi in (("scalar", math.nan), ("array", np.array([0.5, math.nan])))},
+    **{f"{psi.__name__}_{tag}": (lambda psi=psi, x=x: psi(_MOVING_STATE, x))
+       for psi in (psi_position, psi_momentum, psi_position_gradient)
+       for tag, x in (("array", np.array([[0.1, 0.2, 0.3, 0.0], [math.nan, 0.0, 0.0, 0.0]])),
+                      ("FourVector", FourVector(math.nan, 0.0, 0.0, 0.0)))},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", _NAN_INPUTS.values(), ids=_NAN_INPUTS.keys())
+def test_nan_arguments_raise(call):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [phi_1d, phi_1d_momentum, phi_1d_derivative])
+@pytest.mark.parametrize("l", [0, 1, 64])
+def test_infinite_arguments_give_exactly_zero(factor, l):
+    assert factor(l, 1.3, math.inf) == 0 and factor(l, 1.3, -math.inf) == 0
+    got = factor(l, 1.3, np.array([-math.inf, math.inf]))
+    assert got.tolist() == [0.0, 0.0]
+
+
 _OMEGA_CALLS = {
     "ladder_explicit_value": lambda om: ladder_explicit_value(
         "raise", 1, om, _MOVING_STATE.sys, np.zeros(4), 1.0, np.zeros(4)),

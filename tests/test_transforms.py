@@ -698,6 +698,75 @@ def test_equal_orders_share_one_cached_rule():
 
 
 # ---------------------------------------------------------------------------
+# stacked integrands: the private kernels take samples with leading stack axes, and
+# each slice must have the bits of its own one-integrand call through the public API
+
+def stack_of(integrands, shape):
+    """One integrand returning the samples of all of them, stacked to shape + x.shape."""
+    return lambda xi: np.reshape([g(xi) for g in integrands], (*shape, *np.shape(xi)))
+
+
+def real_integrands(om):
+    return ([lambda xi, l=l: phi_1d(l, om, xi) for l in range(9)]
+            + [lambda xi: np.exp(-0.5 * om * xi ** 2) * np.cos(1.7 * xi)])
+
+
+def complex_integrands(om):
+    return [lambda xi, l=l: (0.6 - 0.8j) * phi_1d(l, om, xi) + 1j * phi_1d(l + 2, om, xi)
+            for l in range(4)]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order, m", [(32, 600), (32, 1133), (32, 2000), (64, 333),
+                                      (48, 7), (16, 1)])
+@pytest.mark.parametrize("kind", [real_integrands, complex_integrands])
+def test_stacked_fourier_integrands_keep_their_own_bits(order, m, kind):
+    rng = np.random.default_rng(m)
+    om, rule = 1.1, gauss_hermite(order)
+    t = rng.uniform(-6.0, 6.0, m)
+    singles = kind(om)
+    for shape in ((len(singles),), (2, len(singles) // 2)):
+        got = transforms._fourier1d(stack_of(singles, shape), t, rule,
+                                    transforms._scale(om, -0.5), -1)
+        assert got.shape == (*shape, m)
+        for row, g in zip(got.reshape(len(singles), m), singles):
+            assert_same_bits(row, fourier_forward1d(g, t, rule, om))
+
+
+@pytest.mark.parametrize("order, m", [(48, 1000), (48, 7), (32, 1), (8, 60)])
+@pytest.mark.parametrize("kind", [real_integrands, complex_integrands])
+def test_stacked_bargmann_integrands_keep_their_own_bits(order, m, kind):
+    rng = np.random.default_rng(m)
+    om, rule = 1.1, gauss_hermite(order)
+    alpha = rng.uniform(-3.0, 3.0, m) + 1j * rng.uniform(-3.0, 3.0, m)
+    singles = kind(om)
+    for shape in ((len(singles),), (2, len(singles) // 2)):
+        got = transforms._bargmann(stack_of(singles, shape), alpha, om, rule)
+        assert got.shape == (*shape, m)
+        for row, g in zip(got.reshape(len(singles), m), singles):
+            assert_same_bits(row, bargmann_transform(g, alpha, om, rule))
+
+
+def test_stacked_overlaps_keep_the_bits_of_each_pair():
+    om, rule = 1.1, gauss_hermite(12)
+    states = states_up_to(3, om, 1.0, 1.3)
+    levels = np.array([s.q.as_tuple() for s in states])
+    pairs = np.random.default_rng(3).integers(0, len(states), (40, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # level sums up to 6 are exact at order 12
+        got = transforms._overlaps(levels[pairs[:, 0]], levels[pairs[:, 1]], om, rule)
+        norms = transforms._overlaps(levels, levels, om, rule)
+    want = [overlap_integral(states[i], states[j], rule) for i, j in pairs]
+    assert_same_bits(got, np.array(want))
+    assert_same_bits(norms, np.array([normalization_integral(s, rule) for s in states]))
+    assert transforms._overlaps(levels[:0], levels[:0], om, rule).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
 # spectral kernel: closed-form sums over random spectra
 
 # derandomized and without an example database, as in test_batched.py

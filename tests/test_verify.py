@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from rqcm.constraint import constraint_coordinates, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, general_boost, minkowski_dot,
                             on_shell_momentum, perp_projection)
 from rqcm.oscillator import (ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
-                             oscillator_state, phi_1d, psi_position, psi_position_gradient,
-                             quantum_numbers_at_level)
-from rqcm import minkowski, verify
+                             momentum_profile, oscillator_state, phi_1d, phi_1d_bargmann,
+                             phi_1d_momentum, position_profile, psi_position,
+                             psi_position_gradient, quantum_numbers_at_level, states_up_to)
+from rqcm.transforms import (bargmann_transform, fourier_forward1d, fourier_inverse,
+                             fourier_of_state, gauss_hermite, normalization_integral,
+                             overlap_integral, rescaled_nodes, trust_momentum)
+from rqcm import minkowski, oscillator, transforms, verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
                          finite_difference_directional2,
                          finite_difference_gradient4, run_invariance_suite,
@@ -96,6 +101,29 @@ def test_case_record_errors():
     c = CaseRecord("demo", {"k": 1}, 1.5, 1.0, "why", 0.1)
     assert c.abs_err == 0.5
     assert c.rel_err == pytest.approx(0.5 / 1.5)
+
+
+_ERROR_VALUES = [0.0, -0.0, 0.5, -2.5, 1.0, 1e308, -5e-324, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_one_case_record_has_the_errors_of_a_block():
+    # the one-case path takes max(|observed|, |expected|, 1) in Python, a block in numpy:
+    # the same values, signs of zero included, and NaN wherever either has it
+    same = lambda a, b: (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    observed, expected = (a.ravel() for a in np.meshgrid(_ERROR_VALUES, _ERROR_VALUES))
+    block = CaseRecord("c", {"k": np.arange(observed.size)}, observed, expected, "p", 0.1)
+    for k, (o, e) in enumerate(zip(observed.tolist(), expected.tolist())):
+        one = CaseRecord("c", {"k": k}, o, e, "p", 0.1)
+        row = CaseRecord("c", {"k": np.arange(1)}, [o], e, "p", 0.1)  # an array, one expected
+        for got in (one, row):
+            assert same(float(np.ravel(got.abs_err)[0]), float(block.abs_err[k])), (o, e)
+            assert same(float(np.ravel(got.rel_err)[0]), float(block.rel_err[k])), (o, e)
+    rep = VerificationReport("demo", 0.1, [CaseRecord("c", {}, 1.5, 1.0, "p", 0.1),
+                                           CaseRecord("c", {"k": np.arange(2)}, [1.0, 4.0],
+                                                      1.0, "p", 0.1)], [])
+    assert rep.max_abs_err == 3.0 and rep.max_rel_err == 0.75 and not rep.passed
 
 
 def test_report_pass_iff_within_tolerance():
@@ -506,16 +534,111 @@ def test_stacked_pde_suite_matches_per_state_loop(max_n, points, seed, mode, sig
         assert got.passed == (seed != 20024051)
 
 
-# tracemalloc peaks, in MB, of the suites' per-state loops that stacking replaced, at
-# points=500 (numpy 2.4.6, Python 3.11): the chunks of states must stay within them
-PER_STATE_PEAK_MB = {"ladder": 7.46, "pde": 1.42}
+def transforms_one_state_at_a_time(max_n=4, order=32, bargmann_sign=+1, seed=0):
+    """The transforms suite through the public API, one state or integrand per call:
+    fourier_of_state and momentum_profile per state, the factors' forward transforms
+    and fourier_inverse per state, bargmann_transform per level, normalization_integral
+    and overlap_integral per state or pair, and the direct quadratures per integrand;
+    the draws as the suite's."""
+    omega, m1, m2, tol = 1.1, 1.0, 1.3, 1e-8
+    rng = np.random.default_rng(seed)
+    notes = [f"seed={seed}", f"order={order}"]
+    rule, rule_rt, rule_bg = gauss_hermite(order), gauss_hermite(64), gauss_hermite(48)
+    pool = states_up_to(max(max_n, 6), omega, m1, m2)
+    up_to = lambda n: [state for state in pool if state.q.n <= n]
+    states = up_to(max_n)
+    reach = 3.5 * math.sqrt(omega)
+    axis_targets = np.linspace(-reach, reach, 5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cube = np.ix_(axis_targets, axis_targets, axis_targets)
+        errs = [np.max(np.abs(np.abs(fourier_of_state(state, (axis_targets,) * 3, rule))
+                              - np.abs(momentum_profile(state)(*cube))))
+                for state in states]
+        cases = [CaseRecord("fourier_modulus", {"state": np.arange(len(states))}, errs, 0.0,
+                            "numeric transform vs closed momentum form", tol)]
+        factors = [lambda xi, l=l: phi_1d(l, omega, xi) for l in range(9)]
+        phases = []
+        for l, g in enumerate(factors[:5]):
+            num = complex(verify._direct_fourier(g, 0.6 * math.sqrt(omega), rule, omega)[0])
+            phases.append(num / phi_1d_momentum(l, omega, 0.6 * math.sqrt(omega)))
+        notes.append("forward eigenphase per l (measured): "
+                     + ", ".join(f"{z:.6f}" for z in phases))
+        rt_targets = np.linspace(-2.5 / math.sqrt(omega), 2.5 / math.sqrt(omega), 4)
+        ppts, peff = rescaled_nodes(rule_rt, 1.0 / omega)
+        for idx, state in enumerate(states[:: max(1, len(states) // 7)]):
+            fwd = [lambda p, f=f: fourier_forward1d(f, p, rule_rt, omega)
+                   for f in oscillator._factors(phi_1d, state)]
+            back = fourier_inverse(fwd, (rt_targets,) * 3, rule_rt, omega)
+            truth = position_profile(state)(*np.ix_(rt_targets, rt_targets, rt_targets))
+            cases.append(CaseRecord("roundtrip", {"state": idx}, np.max(np.abs(back - truth)),
+                                    0.0, "inverse of forward is the identity", tol))
+            cases.append(CaseRecord("parseval", {"state": idx},
+                                    math.prod(np.sum(peff * np.abs(f(ppts)) ** 2) for f in fwd),
+                                    1.0, "momentum norm equals position norm", tol))
+        grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
+                         for b in (-2.0, -1.0, 0.0, 1.0, 2.0)])
+        errs = [np.max(np.abs(bargmann_transform(g, bargmann_sign * grid, omega, rule_bg)
+                              - phi_1d_bargmann(l, omega, grid)))
+                for l, g in enumerate(factors)]
+        cases.append(CaseRecord("bargmann_monomial", {"l": np.arange(9)}, errs, 0.0,
+                                "transform of the l-th factor", 1e-9))
+        norms = [normalization_integral(state, rule) for state in up_to(6)]
+        cases.append(CaseRecord("normalization", {"state": np.arange(len(norms))}, norms, 1.0,
+                                "unit norm over the constraint space", 1e-10))
+        base = up_to(2)
+        pairs = rng.integers(0, len(base), (6, 2))
+        pairs = pairs[[base[i].q != base[j].q for i, j in pairs.tolist()]]
+        overlaps = [overlap_integral(base[i], base[j], rule) for i, j in pairs]
+        cases.append(CaseRecord("orthogonality", {"i": pairs[:, 0], "j": pairs[:, 1]},
+                                overlaps, 0.0, "distinct states are orthogonal", 1e-10))
+        momenta = 0.75 * trust_momentum(rule_rt, omega) * rng.uniform(-1.0, 1.0, 8)
+        alphas = bargmann_sign * (rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(-2.0, 2.0, 8))
+        integrands = [(f"phi_{l}", g) for l, g in enumerate(factors)]
+        integrands.append(("gauss_cos",
+                           lambda xi: np.exp(-0.5 * omega * xi ** 2) * np.cos(1.7 * xi)))
+        errs = []
+        for _, g in integrands:
+            fourier = (fourier_forward1d(g, momenta, rule_rt, omega)
+                       - verify._direct_fourier(g, momenta, rule_rt, omega))
+            bargmann = (bargmann_transform(g, alphas, omega, rule_bg)
+                        - verify._direct_bargmann(g, alphas, omega, rule_bg))
+            errs.append([np.max(np.abs(fourier)), np.max(np.abs(bargmann))])
+        cases.append(CaseRecord("kernel_oracle", {"transform": ["fourier", "bargmann"],
+                                                  "integrand": [[n] for n, _ in integrands]},
+                                errs, 0.0, "spectral kernel vs direct quadrature", 1e-12))
+    for w in caught:
+        if issubclass(w.category, transforms.InsufficientOrderWarning):
+            note = f"insufficient order: {w.message}"
+            if note not in notes:
+                notes.append(note)
+    return VerificationReport("transforms", tol, cases, notes)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 0}, {"seed": 1}, {"seed": 2}, {"seed": 3}, {"max_n": 2, "bargmann_sign": -1},
+    {"max_n": 6, "order": 6}, {"max_n": 6, "order": 7}], ids=str)
+def test_stacked_transform_suite_matches_per_state_loop(kwargs):
+    got = run_transform_suite(**kwargs)
+    want = transforms_one_state_at_a_time(**kwargs)
+    assert got.to_json() == want.to_json()
+    # the negative controls fail, the under-resolved order with its notes, in both alike
+    assert got.passed == (kwargs.get("bargmann_sign", 1) == 1 and kwargs.get("order") != 6)
+    assert any("insufficient order" in note for note in got.notes) == (kwargs.get("order") == 6)
+
+
+# tracemalloc peaks, in MB, of the suites' per-state loops that stacking replaced, at a
+# size that spans several chunks (numpy 2.4.6, Python 3.11): the chunks of states must
+# stay within them
+PER_STATE_PEAK_MB = {"ladder": ({"points": 500}, 7.46), "pde": ({"points": 500}, 1.42),
+                     "transforms": ({"max_n": 12}, 0.418)}
 
 
 @pytest.mark.parametrize("suite", sorted(PER_STATE_PEAK_MB))
 def test_stacked_suites_keep_their_memory_bound(suite):
     run = verify.SUITES[suite]
-    run(points=3)  # caches warm
-    for kwargs, bound in (({}, 2.0), ({"points": 500}, PER_STATE_PEAK_MB[suite])):
+    run()  # caches warm
+    for kwargs, bound in (({}, 2.0), PER_STATE_PEAK_MB[suite]):
         tracemalloc.start()
         try:
             run(**kwargs)
