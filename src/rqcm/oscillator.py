@@ -106,6 +106,12 @@ def phi_1d(l: int, omega: float, xi):
     return out if out.ndim else float(out)
 
 
+def _phi_levels(top: int, omega: float, xi) -> np.ndarray:
+    """phi_1d at the levels 0..top, shape (top + 1, ...), from one recurrence: row l has
+    the bits of phi_1d(l, omega, xi)."""
+    return omega ** 0.25 * np.array(_hermite_at(0, xi, math.sqrt(omega), range(top + 1)))
+
+
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
     l, root = _check_1d_args(l, omega), math.sqrt(omega)

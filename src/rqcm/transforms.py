@@ -22,12 +22,12 @@ recurrence per call builds the table over the distinct axes joined, so
 one recurrence, not three; overlap_integral likewise runs one. Segal-Bargmann
 sums by Horner's rule, scaling both parts by 1 / sqrt(l) per step.
 
-The private kernels (_coefficients, _synthesis, _fourier1d, _bargmann and
-_overlaps) take integrand samples with leading stack axes: g may return
-(..., order) samples, or (..., order, centres) for Segal-Bargmann, and the
-results are (..., targets). Each BLAS product runs once per slice, at the shape
-of one integrand's call, so every slice has the bits it has alone; the public
-functions are the unstacked case, and verify's transforms suite the stacked one.
+fourier_forward1d and bargmann_transform (and _fourier1d, _overlaps) take
+stacked integrands: g may return (..., order) samples, or (..., order, centres)
+for Segal-Bargmann, for a result (..., *targets.shape). Each BLAS product runs
+once per slice, at the shape of one integrand's call, so every slice has the
+bits it has alone. _scale owns the sample scale, _join the three-axis product
+and _shaped the result's shape; verify's transforms suite reads the same code.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .minkowski import _positive
-from .oscillator import OscillatorState, _factors, _hermite_at, _hermite_levels, phi_1d
+from .oscillator import (OscillatorState, _factors, _hermite_at, _hermite_levels, _phi_levels,
+                         phi_1d)
 
 MAX_ORDER = 256
 
@@ -154,17 +155,27 @@ def _overlaps(la, lb, omega: float, rule: QuadratureRule):
                           "the result is not exact", InsufficientOrderWarning, stacklevel=3)
     pts, eff = rescaled_nodes(rule, omega)
     # phi_1d's rows, from one recurrence up to the highest level of any state
-    top = max(la.max(initial=0), lb.max(initial=0))
-    h = np.array(_hermite_at(0, pts, math.sqrt(omega), range(top + 1)))
-    root = omega ** 0.25
-    fa = root * h[la]
-    axes = (eff * fa * (fa if lb is la else root * h[lb])).sum(axis=-1)
+    phi = _phi_levels(max(la.max(initial=0), lb.max(initial=0)), omega, pts)
+    fa = phi[la]
+    axes = (eff * fa * (fa if lb is la else phi[lb])).sum(axis=-1)
     return axes[..., 0] * axes[..., 1] * axes[..., 2]
 
 
-def _scale(omega: float, power: float) -> float:
-    """The sample scale omega**power, for a positive finite spring constant."""
-    return _positive(omega, "spring constant") ** power
+def _scale(omega: float, sign: int) -> float:
+    """Omega**(sign / 2) for a positive finite Omega: the sample scale of sign -1 (forward)."""
+    return _positive(omega, "spring constant") ** (0.5 * sign)
+
+
+def _shaped(out, shape: tuple):
+    """Results out (..., M) at targets given in the shape shape, as (..., *shape); one
+    target given alone, for one integrand, is a Python complex."""
+    return complex(out[0]) if out.ndim == 1 and not shape else out.reshape(out.shape[:-1] + shape)
+
+
+def _join(a, b, c, grid: bool):
+    """The products of three axes' values with leading stack axes: (..., A, B, C) over
+    the grid they span, or (..., M) at M points."""
+    return np.einsum('...a,...b,...c->...abc' if grid else '...a,...a,...a->...a', a, b, c)
 
 
 def _coefficients(g, rule: QuadratureRule, scale: float):
@@ -192,9 +203,10 @@ def _synthesis(table, c, sign: int):
     return (table.T @ np.stack([phased.real, phased.imag], -1)).view(complex)[..., 0]
 
 
-def _fourier1d(g, t, rule: QuadratureRule, scale: float, sign: int):
-    """The kernel on one axis: g sampled at scale * nodes, (..., order), at the targets
-    t (M,), shape (..., M)."""
+def _fourier1d(g, t, rule: QuadratureRule, omega: float, sign: int):
+    """The kernel on one axis in the direction sign: g sampled at _scale(omega, sign) *
+    nodes, (..., order), at the targets t (M,), shape (..., M)."""
+    scale = _scale(omega, sign)
     return _synthesis(_level_table(t, scale, rule.order), _coefficients(g, rule, scale), sign)
 
 
@@ -202,10 +214,10 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
     """One axis of the transform: (2 pi)^(-1/2) integral g(xi) exp(-i pi xi) dxi.
 
     g is sampled at xi = y / sqrt(Omega); level l maps to (-i)^l phi_l^mom(pi).
+    A g returning stacked samples (..., order) gives (..., *targets.shape).
     """
-    t, scale = np.asarray(targets), _scale(omega, -0.5)
-    out = _fourier1d(g, t.reshape(-1), rule, scale, -1)
-    return out.reshape(t.shape) if t.ndim else complex(out[0])
+    t = np.asarray(targets)
+    return _shaped(_fourier1d(g, t.reshape(-1), rule, omega, -1), t.shape)
 
 
 def _targets(targets):
@@ -217,12 +229,12 @@ def _targets(targets):
     pts = np.asarray(targets)
     if pts.ndim == 0 or pts.shape[-1] != 3:
         raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
-    shaped = lambda out: out.reshape(pts.shape[:-1]) if pts.ndim > 1 else complex(out[0])
-    return list(pts.reshape(-1, 3).T), False, shaped
+    return list(pts.reshape(-1, 3).T), False, lambda out: _shaped(out, pts.shape[:-1])
 
 
-def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
-    """The kernel on each of three axes, sampled at scale * nodes; see fourier_forward."""
+def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
+    """The kernel on each of three axes in the direction sign; see fourier_forward."""
+    scale = _scale(omega, sign)
     axes, grid, shaped = _targets(targets)
     keys = [(t.dtype, t.tobytes()) for t in axes]  # equal axes of one dtype share one table
     distinct = dict(zip(keys, axes))
@@ -241,9 +253,8 @@ def _transform3(g, targets, rule: QuadratureRule, scale: float, sign: int):
         out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a',
                         *(kernel[k] for k in keys), G, optimize=True)
     elif len(g) == 3:
-        out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
-                        *(_synthesis(table[k], _coefficients(f, rule, scale), sign)
-                          for f, k in zip(g, keys)))
+        out = _join(*(_synthesis(table[k], _coefficients(f, rule, scale), sign)
+                      for f, k in zip(g, keys)), grid)
     else:
         raise ValueError("need one 3D evaluator or a sequence of three 1D factors")
     return shaped(out)
@@ -259,7 +270,7 @@ def fourier_forward(g, targets, rule: QuadratureRule, omega: float):
     Level l maps to (-i)^l phi_l^mom per axis, exactly once the order exceeds
     every level of g.
     """
-    return _transform3(g, targets, rule, _scale(omega, -0.5), -1)
+    return _transform3(g, targets, rule, omega, -1)
 
 
 def fourier_inverse(f, targets, rule: QuadratureRule, omega: float):
@@ -269,7 +280,7 @@ def fourier_inverse(f, targets, rule: QuadratureRule, omega: float):
     axis is sampled at y sqrt(Omega) and level l maps to (+i)^l phi_l, so
     the inverse of a forward transform at the same order is the identity.
     """
-    return _transform3(f, targets, rule, _scale(omega, 0.5), +1)
+    return _transform3(f, targets, rule, omega, +1)
 
 
 def _bargmann_series(g, a, rule: QuadratureRule, scale: float, c):
@@ -303,16 +314,6 @@ def _bargmann_series(g, a, rule: QuadratureRule, scale: float, c):
     return math.sqrt(scale) * val, err
 
 
-def _bargmann(g, a, omega: float, rule: QuadratureRule):
-    """bargmann_transform at the complex targets a (M,), shape (..., M) for samples of g
-    of shape (..., order, centres): of the series about 0 and about the integer nearest
-    Re(a), the one with the smaller rounding bound."""
-    scale = _scale(omega, -0.5)
-    (origin, k0), (shifted, k1) = (_bargmann_series(g, a, rule, scale, c)
-                                   for c in (np.zeros(1), np.round(a.real)))
-    return np.where(k1 < k0, shifted, origin)
-
-
 def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
     """One axis of the Segal-Bargmann transform of g at complex alpha.
 
@@ -323,13 +324,16 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
     integer nearest Re(alpha), the one with the smaller rounding bound is kept.
     On phi_l, l <= 48, that holds to 4e-12 relative on the real axis; off it
     rounding grows like exp(Im(alpha)^2 / 2), to 1e-11 at |Im alpha| = 4 and
-    1e-7 at 6. alpha is a scalar or an array with |alpha| finite and at most 10.
+    1e-7 at 6. alpha is a scalar or an array with |alpha| finite and at most 10;
+    a g returning stacked samples (..., order, centres) gives (..., *alpha.shape).
     """
     a = np.asarray(alpha, dtype=complex)
     if not np.all(np.abs(a) <= 10.0):
         raise ValueError("|alpha| must be finite and at most 10")
-    out = _bargmann(g, a.reshape(-1), omega, rule)
-    return out.reshape(a.shape) if a.ndim else complex(out[0])
+    flat, scale = a.reshape(-1), _scale(omega, -1)
+    (origin, k0), (shifted, k1) = (_bargmann_series(g, flat, rule, scale, c)
+                                   for c in (np.zeros(1), np.round(flat.real)))
+    return _shaped(np.where(k1 < k0, shifted, origin), a.shape)
 
 
 def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
@@ -338,10 +342,8 @@ def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
     its targets: a product grid or (..., 3) points."""
     axes, grid, shaped = _targets(alphas)
     _warn_unresolved(state.q.as_tuple(), rule)
-    out = np.einsum('a,b,c->abc' if grid else 'a,a,a->a',
-                    *(bargmann_transform(g, a, state.omega, rule)
-                      for g, a in zip(_factors(phi_1d, state), axes)))
-    return shaped(out)
+    return shaped(_join(*(bargmann_transform(g, a, state.omega, rule)
+                          for g, a in zip(_factors(phi_1d, state), axes)), grid))
 
 
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):

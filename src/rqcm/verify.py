@@ -677,23 +677,6 @@ def _direct_bargmann(g, alpha, omega: float, rule):
     return (omega / math.pi) ** 0.25 * (kern @ (np.asarray(g(pts)) * eff)[..., None])[..., 0]
 
 
-def _phi_levels(top: int, omega: float, xi) -> np.ndarray:
-    """phi_1d at the levels 0..top, shape (top + 1, ...), from one recurrence: row l has
-    the bits of phi_1d(l, omega, xi)."""
-    return omega ** 0.25 * np.array(oscillator._hermite_at(0, xi, math.sqrt(omega),
-                                                           range(top + 1)))
-
-
-def _outer3(rows: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Each state's grid (S, n, n, n) from rows (levels, n) at its levels ls (S, 3): for
-    complex rows the einsum of fourier_of_state's grid, for real ones the product of
-    position_profile and momentum_profile, with their bits."""
-    a, b, c = rows[ls[:, 0]], rows[ls[:, 1]], rows[ls[:, 2]]
-    if rows.dtype.kind == "c":
-        return np.einsum('...a,...b,...c->...abc', a, b, c)
-    return a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
-
-
 def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1,
                         seed: int = 0) -> VerificationReport:
     """Numeric Fourier against the closed momentum forms, round-trip
@@ -704,10 +687,10 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     for the norms up to level 6 and orthogonality, 1e-12 for the kernel.
     bargmann_sign=-1, a negative control, takes the Segal-Bargmann transform at -alpha.
 
-    Every check runs once over its states or integrands: the transforms' private
-    kernels take the 1D factors of all levels as one stack, each level's row with the
-    bits of its own call, and each state takes its three levels' rows, the states of
-    the Fourier modulus in chunks.
+    Every check runs once over its states or integrands: the 1D transforms take the
+    factors of all levels as one stacked integrand, each level's row with the bits of
+    its own call, and each state joins its three levels' rows, the states of the
+    Fourier modulus in chunks.
     """
     _check_options(max_n=max_n, bargmann_sign=bargmann_sign)
     omega, tol = 1.1, 1e-8
@@ -723,21 +706,21 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     up_to = lambda n: pool[:(n + 1) * (n + 2) * (n + 3) // 6]
     states = up_to(max_n)
     # the 1D factors as stacks: those of the states' levels, and the levels 0..8
-    phis = lambda xi: _phi_levels(max_n, omega, xi)
-    factors = lambda xi: _phi_levels(8, omega, xi)
-    forward, inverse = transforms._scale(omega, -0.5), transforms._scale(omega, 0.5)
+    phis = lambda xi: oscillator._phi_levels(max_n, omega, xi)
+    factors = lambda xi: oscillator._phi_levels(8, omega, xi)
+    grids = lambda rows, ls: transforms._join(*rows[ls.T], True)  # each state's grid
     reach = 3.5 * math.sqrt(omega)
     axis_targets = np.linspace(-reach, reach, 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for top in dict.fromkeys(np.max(states, axis=1).tolist()):
             transforms._warn_unresolved((top,), rule)
-        fwd = transforms._fourier1d(phis, axis_targets, rule, forward, -1)
+        fwd = transforms.fourier_forward1d(phis, axis_targets, rule, omega)
         mom = np.array([oscillator.phi_1d_momentum(l, omega, axis_targets)
                         for l in range(max_n + 1)])
         # a state's 5^3 grid counts as four stencil points per grid point: the complex
         # transform and the moduli it is compared through
-        errs = [np.max(np.abs(np.abs(_outer3(fwd, ls)) - np.abs(_outer3(mom, ls))),
+        errs = [np.max(np.abs(np.abs(grids(fwd, ls)) - np.abs(grids(mom, ls))),
                        axis=(1, 2, 3)) for _, ls in _chunks(states, 4 * axis_targets.size ** 3)]
         records = [CaseRecord("fourier_modulus", {"state": np.arange(len(states))},
                               np.concatenate(errs), 0.0,
@@ -753,11 +736,11 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         # the momentum norm as the product of the axes' norms
         rt_targets = np.linspace(-2.5 / math.sqrt(omega), 2.5 / math.sqrt(omega), 4)
         ppts, peff = transforms.rescaled_nodes(rule_rt, 1.0 / omega)
-        fwd_rt = lambda p: transforms._fourier1d(phis, p, rule_rt, forward, -1)
-        back = transforms._fourier1d(fwd_rt, rt_targets, rule_rt, inverse, +1)
+        fwd_rt = lambda p: transforms.fourier_forward1d(phis, p, rule_rt, omega)
+        back = transforms._fourier1d(fwd_rt, rt_targets, rule_rt, omega, +1)
         axis_norms = np.sum(peff * np.abs(fwd_rt(ppts)) ** 2, axis=-1)
         ls = states[:: max(1, len(states) // 7)]
-        roundtrip = np.max(np.abs(_outer3(back, ls) - _outer3(phis(rt_targets), ls)),
+        roundtrip = np.max(np.abs(grids(back, ls) - grids(phis(rt_targets), ls)),
                            axis=(1, 2, 3))
         parseval = axis_norms[ls[:, 0]] * axis_norms[ls[:, 1]] * axis_norms[ls[:, 2]]
         records.append(CaseRecord(["roundtrip", "parseval"],
@@ -768,7 +751,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         # Segal-Bargmann monomials over a complex grid
         grid = np.array([a + 1j * b for a in (-2.0, -1.0, 0.0, 1.0, 2.0)
                          for b in (-2.0, -1.0, 0.0, 1.0, 2.0)])
-        got = transforms._bargmann(factors, bargmann_sign * grid, omega, rule_bg)
+        got = transforms.bargmann_transform(factors, bargmann_sign * grid, omega, rule_bg)
         errs = [np.max(np.abs(row - oscillator.phi_1d_bargmann(l, omega, grid)))
                 for l, row in enumerate(got)]
         records.append(CaseRecord("bargmann_monomial", {"l": np.arange(9)}, errs, 0.0,
@@ -792,9 +775,9 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         alphas = bargmann_sign * (rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(-2.0, 2.0, 8))
         integrands = lambda xi: np.concatenate(
             [factors(xi), [np.exp(-0.5 * omega * xi ** 2) * np.cos(1.7 * xi)]])
-        fourier = (transforms._fourier1d(integrands, momenta, rule_rt, forward, -1)
+        fourier = (transforms.fourier_forward1d(integrands, momenta, rule_rt, omega)
                    - _direct_fourier(integrands, momenta, rule_rt, omega))
-        bargmann = (transforms._bargmann(integrands, alphas, omega, rule_bg)
+        bargmann = (transforms.bargmann_transform(integrands, alphas, omega, rule_bg)
                     - _direct_bargmann(integrands, alphas, omega, rule_bg))
         names = [f"phi_{l}" for l in range(9)] + ["gauss_cos"]
         records.append(CaseRecord("kernel_oracle", {"transform": ["fourier", "bargmann"],

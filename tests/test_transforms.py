@@ -698,8 +698,8 @@ def test_equal_orders_share_one_cached_rule():
 
 
 # ---------------------------------------------------------------------------
-# stacked integrands: the private kernels take samples with leading stack axes, and
-# each slice must have the bits of its own one-integrand call through the public API
+# stacked integrands: the 1D transforms take samples with leading stack axes, and each
+# slice must have the bits of its own one-integrand call
 
 def stack_of(integrands, shape):
     """One integrand returning the samples of all of them, stacked to shape + x.shape."""
@@ -730,8 +730,7 @@ def test_stacked_fourier_integrands_keep_their_own_bits(order, m, kind):
     t = rng.uniform(-6.0, 6.0, m)
     singles = kind(om)
     for shape in ((len(singles),), (2, len(singles) // 2)):
-        got = transforms._fourier1d(stack_of(singles, shape), t, rule,
-                                    transforms._scale(om, -0.5), -1)
+        got = fourier_forward1d(stack_of(singles, shape), t, rule, om)
         assert got.shape == (*shape, m)
         for row, g in zip(got.reshape(len(singles), m), singles):
             assert_same_bits(row, fourier_forward1d(g, t, rule, om))
@@ -745,10 +744,26 @@ def test_stacked_bargmann_integrands_keep_their_own_bits(order, m, kind):
     alpha = rng.uniform(-3.0, 3.0, m) + 1j * rng.uniform(-3.0, 3.0, m)
     singles = kind(om)
     for shape in ((len(singles),), (2, len(singles) // 2)):
-        got = transforms._bargmann(stack_of(singles, shape), alpha, om, rule)
+        got = bargmann_transform(stack_of(singles, shape), alpha, om, rule)
         assert got.shape == (*shape, m)
         for row, g in zip(got.reshape(len(singles), m), singles):
             assert_same_bits(row, bargmann_transform(g, alpha, om, rule))
+
+
+@pytest.mark.parametrize("kind", [real_integrands, complex_integrands])
+def test_stacked_integrands_at_one_target_give_an_array(kind):
+    # one integrand at a scalar target gives a Python complex; a stack gives (...,)
+    om, rule = 1.1, gauss_hermite(24)
+    singles = kind(om)
+    for shape in ((len(singles),), (2, len(singles) // 2)):
+        g = stack_of(singles, shape)
+        for transform, target in ((lambda g, t: fourier_forward1d(g, t, rule, om), 0.7),
+                                  (lambda g, t: bargmann_transform(g, t, om, rule), 0.4 - 1.2j)):
+            got = transform(g, target)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            want = [transform(f, target) for f in singles]
+            assert all(type(w) is complex for w in want)
+            assert_same_bits(got.ravel(), np.array(want))
 
 
 def test_stacked_overlaps_keep_the_bits_of_each_pair():
