@@ -232,6 +232,11 @@ def _targets(targets):
     return list(pts.reshape(-1, 3).T), False, lambda out: _shaped(out, pts.shape[:-1])
 
 
+# points per contraction of the evaluator branch: its (chunk, N, N) intermediate stays
+# within the N^3 samples for N >= 16, and below 60 kB for N < 16
+_POINT_CHUNK = 16
+
+
 def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
     """The kernel on each of three axes in the direction sign; see fourier_forward."""
     scale = _scale(omega, sign)
@@ -250,8 +255,15 @@ def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
         kernel = {k: np.ascontiguousarray(_synthesis(H, math.sqrt(scale) * rule.projector.T,
                                                      sign).T)
                   for k, H in table.items()}
-        out = np.einsum('ai,bj,ck,ijk->abc' if grid else 'ai,aj,ak,ijk->a',
-                        *(kernel[k] for k in keys), G, optimize=True)
+        kernels = [kernel[k] for k in keys]
+        if grid:
+            out = np.einsum('ai,bj,ck,ijk->abc', *kernels, G, optimize=True)
+        else:  # one node axis at a time, the last first, in chunks of points
+            path = ['einsum_path', (2, 3), (1, 2), (0, 1)]
+            chunks = [[k[i:i + _POINT_CHUNK] for k in kernels]
+                      for i in range(0, max(len(axes[0]), 1), _POINT_CHUNK)]
+            out = np.concatenate([np.einsum('ai,aj,ak,ijk->a', *c, G, optimize=path)
+                                  for c in chunks])
     elif len(g) == 3:
         out = _join(*(_synthesis(table[k], _coefficients(f, rule, scale), sign)
                       for f, k in zip(g, keys)), grid)
