@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import BoundSystem, FourVector, _components, _over_real, minkowski_dot
+from .minkowski import (BoundSystem, FourVector, _components, _finite_map, _over_real,
+                        minkowski_dot)
 
 
 def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
@@ -26,9 +27,10 @@ def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
     w_i + P_i (P.w - M0 w4) / (M0 (M0 + P4)): the spatial part of w boosted to
     the rest frame, and exactly w_i in the rest frame itself. w is a
     FourVector or a (..., 4) array; the result has shape (..., 3), float64
-    for a real w and complex128 for a complex one.
+    for a real w and complex128 for a complex one. ValueError where w or the
+    result is not finite.
     """
-    return _coordinates(w, sys.P, sys.M0)
+    return _finite_map(_coordinates, w, sys.P, sys.M0)
 
 
 def _coordinates(w, P, M0) -> np.ndarray:

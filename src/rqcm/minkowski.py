@@ -156,6 +156,30 @@ def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
     return v, 1.0 / np.sqrt(1.0 - v2)
 
 
+def _finite_map(f, w, *args):
+    """f(w, *args) for a map f of the 4-vector w, a boost or the constraint map, with
+    numpy's overflow and invalid warnings off; ValueError naming the first vector of w,
+    or else of its image, that is not finite. The public 4-vector maps read this rule,
+    the stacked private ones do not."""
+    w = _components(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f(w, *args)
+    for v, what in ((w, "4-vector"), (out, "boosted 4-vector")):
+        if not np.isfinite(v).all():  # the per-vector test costs ten times more
+            raise ValueError(f"non-finite {what} {v[~np.isfinite(v).all(axis=-1)][0].tolist()}:"
+                             " a 4-vector and its boosts must not be NaN or infinite")
+    return out
+
+
+def _boost(w, v, g):
+    """The components w (..., 4) boosted by velocities v (..., 3) with gamma factors g."""
+    w1, w2, w3, w4 = _parts(w)
+    vx = v[..., 0] * w1 + v[..., 1] * w2 + v[..., 2] * w3
+    shift = g * vx / (1.0 + g) - w4
+    return np.concatenate((w[..., :3] + g[..., None] * v * shift[..., None],
+                           (g * (w4 - vx))[..., None]), axis=-1)
+
+
 def general_boost(x, v):
     """Pure Lorentz boost of x into a frame moving with velocity v.
 
@@ -164,14 +188,10 @@ def general_boost(x, v):
 
     x is a FourVector or a real or complex (..., 4) array, v real of shape (3,)
     or (..., 3), broadcasting against x; one FourVector and one v give a FourVector.
+    ValueError where x or its boost is not finite.
     """
     v, g = _lorentz(v)
-    w = _components(x)
-    w1, w2, w3, w4 = _parts(w)
-    vx = v[..., 0] * w1 + v[..., 1] * w2 + v[..., 2] * w3
-    shift = g * vx / (1.0 + g) - w4
-    out = np.concatenate((w[..., :3] + g[..., None] * v * shift[..., None],
-                          (g * (w4 - vx))[..., None]), axis=-1)
+    out = _finite_map(_boost, x, v, g)
     four = out.ndim == 1 and isinstance(x, FourVector)
     return FourVector.from_components(out.tolist()) if four else out
 

@@ -193,6 +193,15 @@ def test_tables_near_the_float_maximum_are_zero(capsys, argv):
             assert {float(v) for c, v in r.items() if c not in ("xi", "pi", "c1", "c4")} == {0.0}
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_boost_past_the_float_range_is_a_usage_error(capsys):
+    # the grid is finite, but its points boosted to |v| = 0.9 overflow
+    code, out, err = run_cli(capsys, "eval", "--v", "0.9", "0", "0", "--grid-min=-1.7e308",
+                             "--grid-max", "1.7e308", "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: non-finite boosted 4-vector") and err.count("\n") == 1
+
+
 def test_grid_has_the_bits_of_linspace():
     # halving the bounds and doubling the samples moves no bit short of the subnormal range
     rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rqcm.constraint import constraint_coordinates
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, cm_and_relative,
                             eta_params, general_boost, minkowski_dot,
                             momentum_cm_and_relative, on_shell_momentum,
@@ -243,3 +244,23 @@ def test_bound_system_boosted_and_with_sigma():
     assert retuned.sigma == 0.5
     assert retuned.M0 > sys.M0
     np.testing.assert_allclose(retuned.velocity, sys.velocity, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_vectors_and_boosts_raise():
+    sys = bound_system(1.0, 1.3, 0.5, (0.3, 0.0, 0.0))
+    for w in (FourVector(math.inf, 0, 0, 0), np.array([[0.0, 0, 0, 1], [0, 0, math.nan, 1]]),
+              np.array([0.0, 0, 1j * math.inf, 1])):
+        with pytest.raises(ValueError, match="non-finite 4-vector"):
+            general_boost(w, (0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite 4-vector"):
+            constraint_coordinates(w, sys)
+    # finite vectors whose boost overflows
+    with pytest.raises(ValueError, match=r"non-finite boosted 4-vector \[-?inf"):
+        general_boost(np.array([[0.0, 0, 0, 1], [1.7e308, 0, 0, 0]]), (-0.9, 0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite boosted 4-vector"):
+        constraint_coordinates(FourVector(1.79e308, 0, 0, 1.0), sys)
+    # up to there, the bits of the map itself
+    x = np.array([[1e307, 0, 0, 0], [0.3, -0.2, 0.1, 0.5]])
+    assert general_boost(x, (-0.9, 0.0, 0.0)).tolist() == [
+        list(general_boost(FourVector(*row), (-0.9, 0.0, 0.0)).components) for row in x]

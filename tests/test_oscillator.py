@@ -484,6 +484,23 @@ def test_infinite_arguments_give_exactly_zero(factor, l):
     assert got.tolist() == [0.0, 0.0]
 
 
+# non-finite points of every psi_*: an infinite component, in a FourVector, an array and
+# one row of a stack, and a finite point whose constraint coordinates overflow
+_NON_FINITE_POINTS = {"inf_FourVector": FourVector(math.inf, 0.0, 0.0, 0.0),
+                      "minus_inf_time": np.array([0.0, 0.0, 0.0, -math.inf]),
+                      "inf_in_a_stack": np.array([[0.1, 0.2, 0.0, 0.0], [math.inf, 0, 0, 0]]),
+                      "overflowing_coordinates": FourVector(1.79e308, 0.0, 0.0, 1.0)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", _NON_FINITE_POINTS.values(), ids=_NON_FINITE_POINTS.keys())
+@pytest.mark.parametrize("psi", [psi_position, psi_momentum, psi_position_gradient,
+                                 psi_bargmann])
+def test_non_finite_points_raise(psi, x):
+    with pytest.raises(ValueError, match="non-finite (boosted )?4-vector"):
+        psi(_MOVING_STATE, x)
+
+
 _OMEGA_CALLS = {
     "ladder_explicit_value": lambda om: ladder_explicit_value(
         "raise", 1, om, _MOVING_STATE.sys, np.zeros(4), 1.0, np.zeros(4)),
