@@ -248,13 +248,14 @@ def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
     ends = np.cumsum([len(t) for t in distinct.values()])[:-1]
     table = dict(zip(distinct, np.split(joined, ends, axis=1)))
     if callable(g):
-        x = scale * rule.nodes
-        G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
         # kernel column j: the synthesis of node j's coefficients (projector column j),
         # in C order, which keeps the bits of the einsum that reads it
         kernel = {k: np.ascontiguousarray(_synthesis(H, math.sqrt(scale) * rule.projector.T,
                                                      sign).T)
                   for k, H in table.items()}
+        del joined, table  # spent: the samples need not share the peak with them
+        x = scale * rule.nodes
+        G = np.asarray(g(x[:, None, None], x[None, :, None], x[None, None, :]), dtype=complex)
         kernels = [kernel[k] for k in keys]
         if grid:
             out = np.einsum('ai,bj,ck,ijk->abc', *kernels, G, optimize=True)

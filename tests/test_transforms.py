@@ -310,10 +310,10 @@ def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
     assert fourier_forward(pos, (np.array([1.0]),) * 3, rule, om)[0, 0, 0] != 0
 
 
-# tracemalloc peak of a 2000-point, order-64 evaluator list, in MB: the 64^3 samples, the
-# three (2000, 64) kernels and their synthesis (15.5 MB on numpy 2.4.6); contracting all
-# points at once would hold a (2000, 64, 64) intermediate of 131 MB
-EVALUATOR_PEAK_MB = 16.0
+# tracemalloc bound of a 2000-point, order-64 evaluator list, in MB: the peak of einsum's
+# own path (numpy 2.4.6). Chunked, with the level tables freed before the 64^3 samples,
+# it reads 12.5; all points at once would hold a (2000, 64, 64) intermediate of 131 MB
+EVALUATOR_PEAK_MB = 15.5
 
 
 def test_evaluator_point_lists_agree_with_factors_in_bounded_memory():
