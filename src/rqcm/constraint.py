@@ -30,7 +30,7 @@ def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
     for a real w and complex128 for a complex one. ValueError where w or the
     result is not finite.
     """
-    return _finite_map(_coordinates, w, sys.P, sys.M0)
+    return _finite_map(_coordinates, w, sys.P, sys.M0, image="constraint coordinates")
 
 
 def _coordinates(w, P, M0) -> np.ndarray:

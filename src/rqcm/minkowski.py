@@ -156,19 +156,19 @@ def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
     return v, 1.0 / np.sqrt(1.0 - v2)
 
 
-def _finite_map(f, w, *args):
+def _finite_map(f, w, *args, image: str):
     """f(w, *args) for a map f of the 4-vector w, a boost or the constraint map, with
     numpy's overflow and invalid warnings off; ValueError naming the first vector of w,
-    or else of its image, that is not finite. The public 4-vector maps read this rule,
-    the stacked private ones do not."""
+    or else of its image (what `image` calls it), that is not finite. Both maps carry a
+    NaN or an infinity of w into its image, so a finite image needs no test of w."""
     w = _components(w)
     with np.errstate(over="ignore", invalid="ignore"):
         out = f(w, *args)
-    for v, what in ((w, "4-vector"), (out, "boosted 4-vector")):
-        if not np.isfinite(v).all():  # the per-vector test costs ten times more
-            raise ValueError(f"non-finite {what} {v[~np.isfinite(v).all(axis=-1)][0].tolist()}:"
-                             " a 4-vector and its boosts must not be NaN or infinite")
-    return out
+    if np.isfinite(out).all():  # the per-vector test costs ten times more
+        return out
+    v, what = (w, "4-vector") if not np.isfinite(w).all() else (out, image)
+    raise ValueError(f"non-finite {what} {v[~np.isfinite(v).all(axis=-1)][0].tolist()}:"
+                     " its entries must not be NaN or infinite")
 
 
 def _boost(w, v, g):
@@ -191,7 +191,7 @@ def general_boost(x, v):
     ValueError where x or its boost is not finite.
     """
     v, g = _lorentz(v)
-    out = _finite_map(_boost, x, v, g)
+    out = _finite_map(_boost, x, v, g, image="boosted 4-vector")
     four = out.ndim == 1 and isinstance(x, FourVector)
     return FourVector.from_components(out.tolist()) if four else out
 

@@ -268,12 +268,12 @@ def _per_state(a, states: int, ndim: int):
     return np.reshape(a, shape[:states] + (1,) * (ndim - 1 - states) + shape[states:])
 
 
-def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False, finite: bool = False):
+def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
     """psi_position at x, and with gradient also its partials (..., 4), for stacked
     states at one Omega: levels ls (S..., 3), momenta P (S..., 4) and rest masses
     M0 (S...) against points x and X (S..., ..., 4), or one state's three levels, P and
     M0. Each entry has the bits of its own state's call; one FourVector x gives a 0-d
-    result. With finite, the points and their coordinates must be finite."""
+    result. ValueError where a point or its coordinates are not finite."""
     x = _components(x)
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
@@ -281,9 +281,8 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False, finite: boo
     # one recurrence per axis, on its own contiguous argument, as phi_1d and
     # phi_1d_derivative run it; the coordinates are freed once each axis has its levels
     offsets = (0, -1, 1) if gradient else (0,)
-    chart = functools.partial(_finite_map, _coordinates) if finite else _coordinates
-    hs = [_hermite_at(l, xi, math.sqrt(omega), offsets)
-          for l, xi in zip(ls, np.moveaxis(chart(x, P, M0), -1, 0))]
+    hs = [_hermite_at(l, xi, math.sqrt(omega), offsets) for l, xi in zip(ls, np.moveaxis(
+          _finite_map(_coordinates, x, P, M0, image="constraint coordinates"), -1, 0))]
     v1, v2, v3 = [omega ** 0.25 * h.pop(0) for h in hs]  # each level freed once scaled
     phase = _phase(P, X)
     value = _product(v1 * v2 * v3, phase)
@@ -303,7 +302,7 @@ def _state_args(state: OscillatorState):
 
 def psi_position(state: OscillatorState, x, X=None):
     """Position-representation wave function phi(xi_1) phi(xi_2) phi(xi_3) exp(i P.X)."""
-    return _scalar(_psi(*_state_args(state), x, X, finite=True))
+    return _scalar(_psi(*_state_args(state), x, X))
 
 
 def psi_momentum(state: OscillatorState, p, X=None):
@@ -323,7 +322,7 @@ def psi_bargmann(state: OscillatorState, a, X=None):
 
 def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
     """Closed-form partials (dpsi/dc1, ..., dpsi/dc4) of psi_position at x, shape (..., 4)."""
-    return _psi(*_state_args(state), x, X, gradient=True, finite=True)[1]
+    return _psi(*_state_args(state), x, X, gradient=True)[1]
 
 
 def _ladder_sign(direction: str, axis: int) -> tuple[int, int]:

@@ -232,11 +232,6 @@ def _targets(targets):
     return list(pts.reshape(-1, 3).T), False, lambda out: _shaped(out, pts.shape[:-1])
 
 
-# points per contraction of the evaluator branch: its (chunk, N, N) intermediate stays
-# within the N^3 samples for N >= 16, and below 60 kB for N < 16
-_POINT_CHUNK = 16
-
-
 def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
     """The kernel on each of three axes in the direction sign; see fourier_forward."""
     scale = _scale(omega, sign)
@@ -260,9 +255,11 @@ def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
         if grid:
             out = np.einsum('ai,bj,ck,ijk->abc', *kernels, G, optimize=True)
         else:  # one node axis at a time, the last first, in chunks of points
-            path = ['einsum_path', (2, 3), (1, 2), (0, 1)]
-            chunks = [[k[i:i + _POINT_CHUNK] for k in kernels]
-                      for i in range(0, max(len(axes[0]), 1), _POINT_CHUNK)]
+            # points per contraction: the (chunk, N, N) intermediate stays near 1 MB,
+            # and within the N^3 samples for N >= 16
+            path, step = ['einsum_path', (2, 3), (1, 2), (0, 1)], max(16, 65536 // rule.order ** 2)
+            chunks = [[k[i:i + step] for k in kernels]
+                      for i in range(0, max(len(axes[0]), 1), step)]
             out = np.concatenate([np.einsum('ai,aj,ak,ijk->a', *c, G, optimize=path)
                                   for c in chunks])
     elif len(g) == 3:

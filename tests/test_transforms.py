@@ -333,6 +333,13 @@ def test_evaluator_point_lists_agree_with_factors_in_bounded_memory():
             tracemalloc.stop()
         assert got.shape == (2000,) and np.max(np.abs(got - want)) <= 1e-13
         assert peak <= EVALUATOR_PEAK_MB, peak
+    # a list ending in a part chunk, at a low order, whose chunks are longer
+    low = gauss_hermite(8)
+    pts = np.random.default_rng(25).uniform(-2.0, 2.0, (2500, 3))
+    want = fourier_forward([lambda x, l=l: phi_1d(l, om, x) for l in st.q.as_tuple()],
+                           pts, low, om)
+    got = fourier_forward(position_profile(st), pts, low, om)
+    assert got.shape == (2500,) and np.max(np.abs(got - want)) <= 1e-13
     # no points, and one point alone
     assert fourier_forward(position_profile(st), np.zeros((2, 0, 3)), rule, om).shape == (2, 0)
     one = fourier_forward(position_profile(st), pts[0], rule, om)
