@@ -340,9 +340,10 @@ def perp_projection(w, P, M0):
 
     P must pass BoundSystem's checks for M0; the result satisfies P.w_perp = 0.
     FourVectors w and P give a FourVector, else w, P (..., 4) and M0 (...) broadcast.
+    ValueError where w or the result is not finite.
     """
     _check_momentum(P, M0)
-    k = minkowski_dot(P, w) / (M0 * M0)
-    if isinstance(w, FourVector) and isinstance(P, FourVector):
-        return w + k * P
-    return _components(w) + np.asarray(k)[..., None] * _components(P)
+    four, P = isinstance(w, FourVector) and isinstance(P, FourVector), _components(P)
+    out = _finite_map(lambda w: w + np.asarray(_over_real(minkowski_dot(P, w), M0 * M0))[
+        ..., None] * P, w, image="projection")
+    return FourVector.from_components(out.tolist()) if four else out

@@ -20,7 +20,7 @@ from sys import float_info
 
 import numpy as np
 
-from .constraint import _axis, _coordinates, _jacobian, constraint_coordinates
+from .constraint import _axis, _coordinates, _jacobian
 from .minkowski import (BoundSystem, _all, _complex, _components, _finite_map, _positive,
                         bound_system, minkowski_dot, reduced_mass)
 
@@ -58,32 +58,49 @@ def _clipped(t, scale: float):
     return y
 
 
-def _hermite_at(ls, t, scale: float, offsets=(0,)) -> list:
-    """For each offset d, the Hermite function of level ls + d at scale t (t as _clipped
-    reads it), ls an int or an int array broadcasting against t, and 0.0 where ls + d < 0:
-    entries of one _hermite_levels pass up to the top level, each with its own level's bits."""
+def _scale(omega: float, sign: int) -> float:
+    """Omega**(sign / 2) for a positive finite Omega: the argument scale of the factor of
+    direction sign, and the sample scale of the transform in that direction."""
+    return _positive(omega, "spring constant") ** (0.5 * sign)
+
+
+def _pick(want, level):
+    """level(k) at each entry's level k of want, an int or an int array broadcasting
+    against level's arrays, and 0.0 where k < 0: level(k) itself where want holds one
+    level, so each entry has the bits of its own level's array."""
+    got = {want} if isinstance(want, int) else set(want.ravel().tolist())
+    if len(got) == 1 or max(got) < 0:
+        return level(k) if (k := max(got)) >= 0 else 0.0
+    rows = {k: level(k) for k in got if k >= 0}
+    return np.select([want == k for k in rows], list(rows.values()), 0.0)
+
+
+def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False) -> list:
+    """The 1D factor of direction sign (+1 position, -1 momentum) at t (as _clipped reads
+    it), Omega^(sign/4) h_k(Omega^(sign/2) t), at the level k = ls + d for each offset d,
+    0.0 where k < 0, and with slope then its t-derivative at the level ls, Omega^(3 sign/4)
+    (sqrt(ls/2) h_(ls-1) - sqrt((ls+1)/2) h_(ls+1)). ls is an int or an int array
+    broadcasting against t; one _hermite_levels pass gives every entry its level's bits."""
+    scale = _scale(omega, sign)
     y = _clipped(t, scale)
     y *= scale  # in place: one argument-sized temporary fewer, the same bits
-    wants = [ls + d for d in offsets]
-    if isinstance(ls, int):
-        h = _hermite_levels(max(wants), y)
-        return [h[k] if k >= 0 else 0.0 for k in wants]
-    h = _hermite_levels(int(max(map(np.max, wants))), y)
-    outs = []
-    for want in wants:
-        if len(got := set(want.flat)) == 1:  # one level everywhere: that level itself
-            outs.append(h[k] if (k := got.pop()) >= 0 else 0.0)
-            continue
-        outs.append(np.zeros(np.broadcast_shapes(want.shape, np.shape(y))))
-        for k in got:
-            if k >= 0:
-                np.copyto(outs[-1], h[k], where=want == k)
-    return outs
+    wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
+    h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
+    rows = [_pick(want, h.__getitem__) for want in wants]
+    out = [omega ** (0.25 * sign) * row for row in rows[:len(offsets)]]
+    if slope:
+        lower, upper = rows[len(offsets):]
+        out.append(omega ** (0.75 * sign)
+                   * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper))
+    return out
 
 
-def _slope(ls, omega: float, lower, upper):
-    """d/dxi of phi_1d at level ls, from h_{ls-1} and h_{ls+1} at sqrt(Omega) xi."""
-    return omega ** 0.75 * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper)
+def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
+    """The factor of direction sign at the levels 0..top, shape (top + 1, *t.shape): row l
+    has the bits of the level-l factor at t; ValueError unless t is real and finite."""
+    if not np.all(np.isfinite(np.asarray(t, dtype=complex))):  # complex reads any number
+        raise ValueError("targets must be finite")
+    return np.array(_factor(sign, 0, omega, t, range(top + 1)))
 
 
 def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
@@ -94,37 +111,28 @@ def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
     return value if type(value) is int else int(value)  # int() would return it, at a call's cost
 
 
-def _check_1d_args(l: int, omega: float) -> int:
-    _positive(omega, "spring constant")
-    return _level(l, "quantum number")
-
-
 def phi_1d(l: int, omega: float, xi):
     """Position-space factor (Omega/pi)^(1/4)/sqrt(2^l l!) H_l(sqrt(Omega) xi) exp(-Omega xi^2/2)."""
-    l = _check_1d_args(l, omega)
-    out = omega ** 0.25 * _hermite_at(l, xi, math.sqrt(omega))[0]
+    out = _factor(+1, _level(l, "quantum number"), omega, xi)[0]
     return out if out.ndim else float(out)
-
-
-def _phi_levels(top: int, omega: float, xi) -> np.ndarray:
-    """phi_1d at the levels 0..top, shape (top + 1, ...), from one recurrence: row l has
-    the bits of phi_1d(l, omega, xi)."""
-    return omega ** 0.25 * np.array(_hermite_at(0, xi, math.sqrt(omega), range(top + 1)))
 
 
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
-    l, root = _check_1d_args(l, omega), math.sqrt(omega)
-    # a division, not _hermite_at's multiply by 1 / sqrt(Omega), which rounds differently
-    out = omega ** -0.25 * _hermite_levels(l, _clipped(pi_, 1.0 / root) / root)[l]
+    out = _factor(-1, _level(l, "quantum number"), omega, pi_)[0]
     return out if out.ndim else float(out)
+
+
+def _monomial(l: int, alpha):
+    """alpha^l / sqrt(l!) as complex, with numpy's overflow warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(alpha, dtype=complex) ** l / math.sqrt(math.factorial(l))
 
 
 def phi_1d_bargmann(l: int, omega: float, alpha):
     """Bargmann-space factor alpha^l / sqrt(l!), complex; Omega is checked, not used."""
-    l = _check_1d_args(l, omega)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(alpha, dtype=complex) ** l / math.sqrt(math.factorial(l))
+    _positive(omega, "spring constant")
+    out = _monomial(l := _level(l, "quantum number"), alpha)
     if not _all(np.isfinite(out)):
         raise ValueError(f"the Bargmann factor alpha^{l} / sqrt({l}!) is non-finite")
     return out if out.ndim else complex(out)
@@ -132,8 +140,7 @@ def phi_1d_bargmann(l: int, omega: float, alpha):
 
 def phi_1d_derivative(l: int, omega: float, xi):
     """d/dxi of phi_1d: sqrt(Omega) (sqrt(l/2) phi_{l-1} - sqrt((l+1)/2) phi_{l+1})."""
-    l = _check_1d_args(l, omega)
-    out = _slope(l, omega, *_hermite_at(l, xi, math.sqrt(omega), (-1, 1)))
+    out = _factor(+1, _level(l, "quantum number"), omega, xi, (), slope=True)[0]
     return out if np.ndim(out) else float(out)
 
 
@@ -255,12 +262,6 @@ def _scalar(value):
     return value if np.ndim(value) else complex(value)
 
 
-def _separable(factor, state: OscillatorState, w, X):
-    c = constraint_coordinates(w, state.sys)
-    return _scalar(_product(_profile(factor, state)(c[..., 0], c[..., 1], c[..., 2]),
-                            _phase(state.sys.P, X)))
-
-
 def _per_state(a, states: int, ndim: int):
     """a, whose first `states` axes run over stacked states, with ones inserted after
     them, so that it broadcasts against (S..., ..., k) points of ndim axes."""
@@ -268,28 +269,32 @@ def _per_state(a, states: int, ndim: int):
     return np.reshape(a, shape[:states] + (1,) * (ndim - 1 - states) + shape[states:])
 
 
-def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False):
-    """psi_position at x, and with gradient also its partials (..., 4), for stacked
-    states at one Omega: levels ls (S..., 3), momenta P (S..., 4) and rest masses
-    M0 (S...) against points x and X (S..., ..., 4), or one state's three levels, P and
-    M0. Each entry has the bits of its own state's call; one FourVector x gives a 0-d
-    result. ValueError where a point or its coordinates are not finite."""
+def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False, rep: str = "position"):
+    """psi_position, psi_momentum or psi_bargmann (rep) at x, and with gradient also the
+    partials (..., 4) of psi_position, for stacked states at one Omega: levels ls (S..., 3),
+    momenta P (S..., 4) and rest masses M0 (S...) against points x and X (S..., ..., 4), or
+    one state's three levels, P and M0. Each entry has the bits of its own state's call; one
+    FourVector x gives a 0-d result. ValueError where a point or its coordinates are not
+    finite, or a Bargmann value overflows."""
     x = _components(x)
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    # one recurrence per axis, on its own contiguous argument, as phi_1d and
-    # phi_1d_derivative run it; the coordinates are freed once each axis has its levels
-    offsets = (0, -1, 1) if gradient else (0,)
-    hs = [_hermite_at(l, xi, math.sqrt(omega), offsets) for l, xi in zip(ls, np.moveaxis(
-          _finite_map(_coordinates, x, P, M0, image="constraint coordinates"), -1, 0))]
-    v1, v2, v3 = [omega ** 0.25 * h.pop(0) for h in hs]  # each level freed once scaled
+    # one recurrence per axis, on its own contiguous argument, as the 1D factors run it;
+    # the coordinates are freed once each axis has its factor
+    (v1, *d1), (v2, *d2), (v3, *d3) = [
+        [_pick(l, lambda k: _monomial(k, t))] if rep == "bargmann" else
+        _factor(-1 if rep == "momentum" else +1, l, omega, t, slope=gradient)
+        for l, t in zip(ls, np.moveaxis(_finite_map(_coordinates, x, P, M0,
+                                                    image="constraint coordinates"), -1, 0))]
     phase = _phase(P, X)
-    value = _product(v1 * v2 * v3, phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Bargmann product may overflow
+        value = _product(_product(_product(v1, v2), v3), phase)
+    if rep == "bargmann" and not _all(np.isfinite(value)):
+        raise ValueError("the Bargmann wave function is non-finite")
     if not gradient:
         return value
-    d1, d2, d3 = [_slope(l, omega, *h) for l, h in zip(ls, hs)]
-    grad_xi = np.stack([d1 * v2 * v3, v1 * d2 * v3, v1 * v2 * d3], axis=-1)
+    grad_xi = np.stack([d1[0] * v2 * v3, v1 * d2[0] * v3, v1 * v2 * d3[0]], axis=-1)
     # one vector-matrix product per point: a plain 2-D @ rounds differently
     grad = np.matmul(grad_xi[..., None, :], _jacobian(P, M0))[..., 0, :]
     return value, grad * np.asarray(phase)[..., None]
@@ -307,17 +312,13 @@ def psi_position(state: OscillatorState, x, X=None):
 
 def psi_momentum(state: OscillatorState, p, X=None):
     """Momentum-representation wave function, the product of momentum factors times exp(i P.X)."""
-    return _separable(phi_1d_momentum, state, p, X)
+    return _scalar(_psi(*_state_args(state), p, X, rep="momentum"))
 
 
 def psi_bargmann(state: OscillatorState, a, X=None):
     """Bargmann-representation wave function, the product of Bargmann factors times exp(i P.X);
-    ValueError where that product of finite factors overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _separable(phi_1d_bargmann, state, a, X)
-    if not _all(np.isfinite(out)):
-        raise ValueError("the Bargmann wave function is non-finite")
-    return out
+    ValueError where a factor or that product overflows."""
+    return _scalar(_psi(*_state_args(state), a, X, rep="bargmann"))
 
 
 def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
@@ -367,7 +368,7 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     Derivative part: the constraint-space derivative reduced with the
     transversality condition, d_i + P_i/(M0 + P4) d_4 on stored components.
     Multiplicative part: Omega xi_i(x). Valid for fields satisfying
-    P^mu d_mu f = 0; oscillator eigenfunctions do.
+    P^mu d_mu f = 0; oscillator eigenfunctions do. ValueError where x is not finite.
     """
     sign, i = _ladder_sign(direction, axis)
     _positive(omega, "spring constant")
@@ -389,7 +390,7 @@ def _ladder_explicit(sign, i, omega: float, P, M0, x, value, grad4):
     arrays broadcasting against value, at stacked systems P (..., 4) and M0 (...)."""
     g = np.asarray(grad4)
     d_xi = _component(g, i) + (_component(P, i) / (M0 + P[..., 3])) * g[..., 3]
-    xi_i = _component(_coordinates(x, P, M0), i)
+    xi_i = _component(_finite_map(_coordinates, x, P, M0, image="constraint coordinates"), i)
     return (-sign * d_xi + omega * xi_i * value) / math.sqrt(2.0 * omega)
 
 
@@ -400,7 +401,8 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     Each component is (-+ d^mu + Omega x^mu)/sqrt(2 Omega) on contravariant
     components (the time component's derivative picks up the metric sign),
     combined with the constraint-coordinate map applied to the component
-    values. Agrees with ladder_explicit_value on transversal fields.
+    values. Agrees with ladder_explicit_value on transversal fields. ValueError where
+    x or the map of the components is not finite.
     """
     sign, i = _ladder_sign(direction, axis)
     _positive(omega, "spring constant")
@@ -411,9 +413,9 @@ def _ladder_explicit_4d(sign, i, omega: float, P, M0, x, value, grad4):
     """ladder_explicit_4d_value as _ladder_explicit takes its arguments."""
     g = np.asarray(grad4)
     d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
-    a_mu = ((-np.asarray(sign)[..., None] * d_contra
-             + omega * _components(x) * np.expand_dims(value, -1)) / math.sqrt(2.0 * omega))
-    return _component(_coordinates(a_mu, P, M0), i)
+    a_mu = lambda w: _coordinates((-np.asarray(sign)[..., None] * d_contra + omega * w
+                                   * np.expand_dims(value, -1)) / math.sqrt(2.0 * omega), P, M0)
+    return _component(_finite_map(a_mu, x, image="map of the ladder components"), i)
 
 
 def _factors(factor, state: OscillatorState):
@@ -423,7 +425,7 @@ def _factors(factor, state: OscillatorState):
 
 def _profile(factor, state: OscillatorState):
     f1, f2, f3 = _factors(factor, state)
-    return lambda x1, x2, x3: _product(_product(f1(x1), f2(x2)), f3(x3))
+    return lambda x1, x2, x3: f1(x1) * f2(x2) * f3(x3)
 
 
 def position_profile(state: OscillatorState):

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .minkowski import _positive
-from .oscillator import (OscillatorState, _factors, _hermite_at, _hermite_levels, _phi_levels,
+from .oscillator import (OscillatorState, _factor_table, _factors, _hermite_levels, _scale,
                          phi_1d)
 
 MAX_ORDER = 256
@@ -155,15 +155,10 @@ def _overlaps(la, lb, omega: float, rule: QuadratureRule):
                           "the result is not exact", InsufficientOrderWarning, stacklevel=3)
     pts, eff = rescaled_nodes(rule, omega)
     # phi_1d's rows, from one recurrence up to the highest level of any state
-    phi = _phi_levels(max(la.max(initial=0), lb.max(initial=0)), omega, pts)
+    phi = _factor_table(+1, max(la.max(initial=0), lb.max(initial=0)), omega, pts)
     fa = phi[la]
     axes = (eff * fa * (fa if lb is la else phi[lb])).sum(axis=-1)
     return axes[..., 0] * axes[..., 1] * axes[..., 2]
-
-
-def _scale(omega: float, sign: int) -> float:
-    """Omega**(sign / 2) for a positive finite Omega: the sample scale of sign -1 (forward)."""
-    return _positive(omega, "spring constant") ** (0.5 * sign)
 
 
 def _shaped(out, shape: tuple):
@@ -185,15 +180,6 @@ def _coefficients(g, rule: QuadratureRule, scale: float):
     return math.sqrt(scale) * (rule.projector @ samples[..., None])[..., 0]
 
 
-def _level_table(t, scale: float, order: int):
-    """sqrt(scale) h_l(scale t), shape (order, len(t)), real: up to the phase (sign i)^l
-    that _synthesis puts on the coefficients, the transform of h_l(x / scale) / sqrt(scale)
-    under the kernel exp(sign i t x) / sqrt(2 pi); ValueError unless t is real and finite."""
-    if not np.all(np.isfinite(np.asarray(t, dtype=complex))):  # complex reads any number
-        raise ValueError("targets must be finite")
-    return math.sqrt(scale) * np.array(_hermite_at(0, t, scale, range(order)))
-
-
 def _synthesis(table, c, sign: int):
     """sum_l (sign i)^l c[..., l] table[l] for coefficients c (..., order), shape (..., M):
     the phase multiplies c, exactly, and the real table meets the real and imaginary
@@ -205,9 +191,10 @@ def _synthesis(table, c, sign: int):
 
 def _fourier1d(g, t, rule: QuadratureRule, omega: float, sign: int):
     """The kernel on one axis in the direction sign: g sampled at _scale(omega, sign) *
-    nodes, (..., order), at the targets t (M,), shape (..., M)."""
-    scale = _scale(omega, sign)
-    return _synthesis(_level_table(t, scale, rule.order), _coefficients(g, rule, scale), sign)
+    nodes, (..., order), at the targets t (M,), shape (..., M); level l synthesises to the
+    factor of direction sign, times the phase (sign i)^l that _synthesis puts on it."""
+    return _synthesis(_factor_table(sign, rule.order - 1, omega, t),
+                      _coefficients(g, rule, _scale(omega, sign)), sign)
 
 
 def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
@@ -239,7 +226,7 @@ def _transform3(g, targets, rule: QuadratureRule, omega: float, sign: int):
     keys = [(t.dtype, t.tobytes()) for t in axes]  # equal axes of one dtype share one table
     distinct = dict(zip(keys, axes))
     # one recurrence over the distinct axes joined, split back into one table per axis
-    joined = _level_table(np.concatenate(list(distinct.values())), scale, rule.order)
+    joined = _factor_table(sign, rule.order - 1, omega, np.concatenate(list(distinct.values())))
     ends = np.cumsum([len(t) for t in distinct.values()])[:-1]
     table = dict(zip(distinct, np.split(joined, ends, axis=1)))
     if callable(g):

@@ -38,6 +38,12 @@ DEFAULT_H_SECOND = 1e-5
 # field once, on the whole stencil stacked as a (..., k, 4) array; field
 # returns the (..., k) values. Steps scale as h * max(1, |component|).
 
+def _point(x) -> np.ndarray:
+    """The components (..., 4) of x; ValueError, before any field call, naming a point
+    that is not finite."""
+    return minkowski._finite_map(_components, x, image="point")
+
+
 def _axis_steps(x: np.ndarray, h: float) -> np.ndarray:
     return h * np.maximum(1.0, np.abs(x))
 
@@ -52,7 +58,7 @@ def finite_difference_gradient4(field, x, h: float = DEFAULT_H_FIRST) -> np.ndar
     Shape (..., 4), from one call on the 8-point stencil; the result is
     complex when the field is.
     """
-    x = _components(x)
+    x = _point(x)
     step = _axis_steps(x, h)
     shift = step[..., None] * np.eye(4)
     f = field(np.concatenate([x[..., None, :] + shift, x[..., None, :] - shift], axis=-2))
@@ -79,14 +85,14 @@ def _wave(d2: np.ndarray):
 
 def finite_difference_second4(field, x, mu: int, h: float = DEFAULT_H_SECOND):
     """Central second difference along one stored component."""
-    x = _components(x)
+    x = _point(x)
     d2, _ = _second_differences(field, x, np.eye(4)[[mu]], _axis_steps(x, h)[..., [mu]])
     return d2[..., 0][()]
 
 
 def finite_difference_directional2(field, x, direction, h: float = DEFAULT_H_SECOND):
     """Second derivative along a 4-direction in component space."""
-    x = _components(x)
+    x = _point(x)
     d = np.asarray(direction, dtype=float).reshape(1, 4)
     d2, _ = _second_differences(field, x, d, _direction_step(x, h))
     return d2[..., 0][()]
@@ -94,7 +100,7 @@ def finite_difference_directional2(field, x, direction, h: float = DEFAULT_H_SEC
 
 def box4(field, x, h: float = DEFAULT_H_SECOND):
     """Wave operator: spatial second derivatives minus the time one."""
-    x = _components(x)
+    x = _point(x)
     d2, _ = _second_differences(field, x, np.eye(4), _axis_steps(x, h))
     return _wave(d2)
 
@@ -362,13 +368,13 @@ def _internal_residual_analytic(stack, x, sigma_used):
     xi = constraint._coordinates(x, P[:, None], M0[:, None])
     vals, secs = [], []
     for l, c in zip(ls.T[..., None], np.moveaxis(xi, -1, 0)):
-        h, down, up = oscillator._hermite_at(l, c, math.sqrt(omega), (0, -2, 2))
+        phi, down, up = oscillator._factor(+1, l, omega, c, (0, -2, 2))
         # phi_l'' = Omega [ sqrt(l(l-1))/2 phi_{l-2} - (2l+1)/2 phi_l + sqrt((l+1)(l+2))/2 phi_{l+2} ]
         # (independent of the eigenvalue relation it is used to check)
-        vals.append(omega ** 0.25 * h)
-        secs.append(omega ** 1.25 * (np.sqrt(l * (l - 1)) / 2.0 * down
-                                     - (2.0 * l + 1.0) / 2.0 * h
-                                     + np.sqrt((l + 1) * (l + 2)) / 2.0 * up))
+        vals.append(phi)
+        secs.append(omega * (np.sqrt(l * (l - 1)) / 2.0 * down
+                             - (2.0 * l + 1.0) / 2.0 * phi
+                             + np.sqrt((l + 1) * (l + 2)) / 2.0 * up))
     lap = (secs[0] * vals[1] * vals[2] + vals[0] * secs[1] * vals[2]
            + vals[0] * vals[1] * secs[2])
     # psi itself, with the bits of oscillator._psi's product of the same factors
@@ -706,8 +712,8 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     up_to = lambda n: pool[:(n + 1) * (n + 2) * (n + 3) // 6]
     states = up_to(max_n)
     # the 1D factors as stacks: those of the states' levels, and the levels 0..8
-    phis = lambda xi: oscillator._phi_levels(max_n, omega, xi)
-    factors = lambda xi: oscillator._phi_levels(8, omega, xi)
+    phis = lambda xi: oscillator._factor_table(+1, max_n, omega, xi)
+    factors = lambda xi: oscillator._factor_table(+1, 8, omega, xi)
     grids = lambda rows, ls: transforms._join(*rows[ls.T], True)  # each state's grid
     reach = 3.5 * math.sqrt(omega)
     axis_targets = np.linspace(-reach, reach, 5)
@@ -716,8 +722,7 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
         for top in dict.fromkeys(np.max(states, axis=1).tolist()):
             transforms._warn_unresolved((top,), rule)
         fwd = transforms.fourier_forward1d(phis, axis_targets, rule, omega)
-        mom = np.array([oscillator.phi_1d_momentum(l, omega, axis_targets)
-                        for l in range(max_n + 1)])
+        mom = oscillator._factor_table(-1, max_n, omega, axis_targets)
         # a state's 5^3 grid counts as four stencil points per grid point: the complex
         # transform and the moduli it is compared through
         errs = [np.max(np.abs(np.abs(grids(fwd, ls)) - np.abs(grids(mom, ls))),

@@ -125,9 +125,10 @@ def test_stacked_systems_rows(systems_pts, cplx):
         got = constraint._coordinates(pts, P, M0)
         want = [constraint_coordinates(four(p), s) for p, s in zip(pts, systems)]
         assert got.dtype == pts.dtype and np.array_equal(got, want)
-    perp = perp_projection(real, P, M0)
-    assert np.array_equal(perp, [perp_projection(four(w), s.P, s.M0).components
-                                 for w, s in zip(real, systems)])
+    for pts in (real, cplx[:1].repeat(len(systems), axis=0)):
+        perp = perp_projection(pts, P, M0)
+        assert np.array_equal(perp, [perp_projection(four(w), s.P, s.M0).components
+                                     for w, s in zip(pts, systems)])
 
 
 @SETTINGS
@@ -195,7 +196,8 @@ def stacked_states(draw):
 @given(stacked_states(), batches())
 def test_stacked_states_rows(group, pts):
     # the suites' evaluator over stacked states: each state's slice has the bits of
-    # psi_position and psi_position_gradient for that state alone
+    # psi_position and psi_position_gradient for that state alone, and in the other two
+    # representations those of psi_momentum and psi_bargmann (real and complex points)
     ls = np.array([state.q.as_tuple() for state in group])
     P = np.array([state.sys.P.components for state in group])
     M0 = np.array([state.sys.M0 for state in group])
@@ -207,6 +209,25 @@ def test_stacked_states_rows(group, pts):
         assert np.array_equal(value[k], psi_position(state, x[k], X[k]))
         assert np.array_equal(grad[k], psi_position_gradient(state, x[k], X[k]))
         assert np.array_equal(plain[k], psi_position(state, x[k]))
+    for rep, psi, w in (("momentum", psi_momentum, x), ("bargmann", psi_bargmann, x),
+                        ("bargmann", psi_bargmann, x + 1j * X)):
+        got = oscillator._psi(ls, group[0].omega, P, M0, w, X, rep=rep)
+        for k, state in enumerate(group):
+            assert np.array_equal(got[k], psi(state, w[k], X[k])), rep
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_bargmann_stack_raises_only_for_an_overflowing_row():
+    # 1e10^64 overflows at level 64 but not at level 0: each row keeps its own level
+    group = [oscillator_state((64, 0, 0), 1.0, 1.0, 1.3), oscillator_state((0, 1, 0), 1.0, 1.0, 1.3)]
+    ls = np.array([state.q.as_tuple() for state in group])
+    P, M0 = stack([state.sys for state in group])
+    small, huge = [0.5, 0.2, 0.1, 0.0], [1e10, 0.0, 0.0, 0.0]
+    got = oscillator._psi(ls, 1.0, P, M0, np.array([[small], [huge]]), rep="bargmann")
+    assert np.array_equal(got[:, 0], [psi_bargmann(group[0], four(small)),
+                                      psi_bargmann(group[1], four(huge))])
+    with pytest.raises(ValueError, match="Bargmann wave function is non-finite"):
+        oscillator._psi(ls, 1.0, P, M0, np.array([[huge], [small]]), rep="bargmann")
 
 
 @SETTINGS

@@ -10,7 +10,8 @@ import pytest
 import rqcm
 from rqcm.constraint import xi_directional_derivative
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
-                            general_boost, minkowski_dot, reduced_mass, rest_mass)
+                            general_boost, minkowski_dot, perp_projection, reduced_mass,
+                            rest_mass)
 from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, _hermite_levels,
                              degeneracy, ladder_apply, ladder_explicit_4d_value,
                              ladder_explicit_value, nr_spring_constant, oscillator_state,
@@ -499,6 +500,29 @@ _NON_FINITE_POINTS = {"inf_FourVector": FourVector(math.inf, 0.0, 0.0, 0.0),
 def test_non_finite_points_raise(psi, x):
     with pytest.raises(ValueError, match="non-finite (4-vector|constraint coordinates)"):
         psi(_MOVING_STATE, x)
+
+
+_INFINITE_POINTS = {**{tag: x for tag, x in _NON_FINITE_POINTS.items()
+                       if tag != "overflowing_coordinates"},
+                    "nan_in_a_stack": np.array([[0.1, 0.2, 0.0, 0.0], [0.0, math.nan, 0, 0]])}
+_POINT_MAPS = {
+    "perp_projection": lambda x: perp_projection(x, _MOVING_STATE.sys.P, _MOVING_STATE.sys.M0),
+    **{f"{explicit.__name__}_{direction}": (
+        lambda x, explicit=explicit, direction=direction: explicit(
+            direction, 1, 1.0, _MOVING_STATE.sys, x, value, np.zeros(4)))
+       for explicit in (ladder_explicit_value, ladder_explicit_4d_value)
+       for direction, value in (("raise", 1.0), ("lower", 0.0))},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", _INFINITE_POINTS.values(), ids=_INFINITE_POINTS.keys())
+@pytest.mark.parametrize("call", _POINT_MAPS.values(), ids=_POINT_MAPS.keys())
+def test_projection_and_explicit_ladders_refuse_non_finite_points(call, x):
+    # numpy warned "invalid value encountered in multiply" here, then gave NaN
+    with pytest.raises(ValueError, match="non-finite 4-vector"):
+        call(x)
+    assert np.all(np.isfinite(np.asarray(call(np.full(4, 0.3)), dtype=complex)))
 
 
 _OMEGA_CALLS = {

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rqcm import transforms, verify
+from rqcm import oscillator, transforms, verify
 from rqcm.minkowski import FourVector
 from rqcm.oscillator import (_hermite_levels, oscillator_state, phi_1d, phi_1d_momentum,
                              position_profile, momentum_profile, psi_bargmann,
@@ -240,8 +240,9 @@ def _complex_table_synthesis(t, scale, order, sign, c):
 @pytest.mark.parametrize("sign", [-1, +1])
 def test_real_level_synthesis_matches_a_complex_table(order, sign):
     rng = np.random.default_rng(order)
-    t, scale = rng.normal(scale=4.0, size=37), 0.8
-    table = transforms._level_table(t, scale, order)
+    t, omega = rng.normal(scale=4.0, size=37), 0.8 ** (2 * sign)
+    scale = oscillator._scale(omega, sign)  # 0.8 up to rounding, in either direction
+    table = oscillator._factor_table(sign, order - 1, omega, t)
     assert table.dtype == float and table.shape == (order, t.size)
     for c in (rng.normal(size=order), rng.normal(size=order) + 1j * rng.normal(size=order)):
         want, bound = _complex_table_synthesis(t, scale, order, sign, c)
@@ -297,9 +298,9 @@ def test_shared_grid_axis_gives_the_bits_of_copies(monkeypatch):
     assert np.array_equal(fourier_forward(pos, axes, rule, om).view(float), want.view(float))
     # equal axes share one table, whether or not they are one array
     builds = []
-    table = transforms._level_table
-    monkeypatch.setattr(transforms, "_level_table",
-                        lambda t, *rest: builds.append(t) or table(t, *rest))
+    table = transforms._factor_table
+    monkeypatch.setattr(transforms, "_factor_table",
+                        lambda *args: builds.append(args[-1]) or table(*args))
     fourier_forward(pos, (t, t.copy(), t.copy()), rule, om)
     assert len(builds) == 1
     # an int axis whose bytes are those of a float axis is another axis: 1.0 and the
@@ -355,9 +356,9 @@ def test_a_point_list_builds_one_table(monkeypatch):
     want = np.einsum('a,a,a->a', *(fourier_forward1d(f, a, rule, om)
                                    for f, a in zip(pos, pts.T)))
     builds = []
-    table = transforms._level_table
-    monkeypatch.setattr(transforms, "_level_table",
-                        lambda t, *rest: builds.append(t) or table(t, *rest))
+    table = transforms._factor_table
+    monkeypatch.setattr(transforms, "_factor_table",
+                        lambda *args: builds.append(args[-1]) or table(*args))
     got = fourier_forward(pos, pts, rule, om)
     assert len(builds) == 1 and builds[0].shape == (27,)
     assert np.array_equal(got.view(float), want.view(float))
@@ -385,10 +386,10 @@ def test_huge_finite_targets_give_exactly_zero(omega):
     assert np.all(np.isfinite(grid)) and not np.any(grid[[0, 2]]) and not np.any(grid[:, 1])
     # entries short of the clip keep their bits
     t = np.array([HUGE, 0.3, -1e200, 45.0, -2.0, 1e140])
-    for scale in (omega ** -0.5, omega ** 0.5):
-        table = transforms._level_table(t, scale, 64)
+    for sign in (-1, +1):
+        table = oscillator._factor_table(sign, 63, omega, t)
         assert np.array_equal(table[:, [1, 3, 4, 5]],
-                              transforms._level_table(t[[1, 3, 4, 5]], scale, 64))
+                              oscillator._factor_table(sign, 63, omega, t[[1, 3, 4, 5]]))
         assert not np.any(table[:, [0, 2]])
 
 

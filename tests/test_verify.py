@@ -94,6 +94,29 @@ def test_box_of_interval_field():
     assert abs(got - 8.0) < 1e-5  # spatial seconds 2+2+2, minus the time second -2
 
 
+_FD_ENGINES = {
+    "gradient4": finite_difference_gradient4,
+    "second4": lambda f, x: verify.finite_difference_second4(f, x, 3),
+    "directional2": lambda f, x: finite_difference_directional2(f, x, (1, 0, 0, 1)),
+    "box4": box4,
+}
+_FD_POINTS = {"inf_list": [math.inf, 0, 0, 0], "nan_FourVector": FourVector(0, 0, 0, math.nan),
+              "inf_in_a_stack": np.array([[0.3, 0.1, 0, 0.2], [0, -math.inf, 0, 0]])}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", _FD_POINTS.values(), ids=_FD_POINTS.keys())
+@pytest.mark.parametrize("engine", _FD_ENGINES.values(), ids=_FD_ENGINES.keys())
+def test_finite_differences_refuse_a_non_finite_point(engine, x):
+    # the point is refused before the field sees it; numpy warned and gave NaN here
+    calls = []
+    field = lambda pt: calls.append(pt) or np.sum(pt * pt, axis=-1)
+    with pytest.raises(ValueError, match="non-finite 4-vector"):
+        engine(field, x)
+    assert not calls
+    assert np.all(np.isfinite(engine(field, np.full(4, 0.3)))) and calls
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 
