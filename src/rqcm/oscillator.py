@@ -5,10 +5,11 @@ constraint coordinates times the centre-of-mass plane wave exp(i P.X).
 The spring constant Omega carries units of mass squared; the separation
 constant of the level with total quantum number n is sigma_n = Omega (3/2 + n).
 
-Hermite-Gaussian factors are evaluated with the orthonormal-function
-three-term recurrence (values stay O(1) for any quantum number), never
-through the raw 2^l l! normalisation, so no overflow occurs anywhere in
-the admitted range l <= 64.
+One owner, _factor, evaluates the 1D factor of direction sign (+1 position,
+-1 momentum), Omega^(sign/4) h_l(_scale(Omega, sign) t), for the factors, the
+transforms' tables, verify and every psi_*: h_l comes from the orthonormal-function
+three-term recurrence (values stay O(1) for any quantum number), never from the raw
+2^l l! normalisation, so no overflow occurs anywhere in the admitted range l <= 64.
 """
 from __future__ import annotations
 
@@ -42,9 +43,9 @@ def _hermite_levels(top: int, y) -> list:
 
 
 def _clipped(t, scale: float):
-    """Real t as float64, clipped at +-1e150 / scale before a caller scales it: every
-    Hermite level is exactly 0 past |scale t| = 38.6, so the clip moves no value, and it
-    keeps scale t from overflowing and the recurrence from inf * 0 = nan. ValueError for
+    """scale t for a real t, as float64, clipped at +-1e150 / scale before it is scaled:
+    every Hermite level is exactly 0 past |scale t| = 38.6, so the clip moves no value, and
+    it keeps scale t from overflowing and the recurrence from inf * 0 = nan. ValueError for
     a complex or NaN argument; +-inf clips, so its levels are exactly 0."""
     t = np.asarray(t)
     if t.dtype.kind == "c":  # costs less than np.iscomplexobj on a Python float
@@ -55,6 +56,7 @@ def _clipped(t, scale: float):
     # one BLAS pass costs less than np.isnan(y).any()
     if math.isnan(np.vdot(y, y) if y.ndim else y):
         raise ValueError("Hermite arguments must not be NaN")
+    y *= scale  # in place: one argument-sized temporary fewer, the same bits
     return y
 
 
@@ -65,34 +67,37 @@ def _scale(omega: float, sign: int) -> float:
 
 
 def _pick(want, level):
-    """level(k) at each entry's level k of want, an int or an int array broadcasting
-    against level's arrays, and 0.0 where k < 0: level(k) itself where want holds one
-    level, so each entry has the bits of its own level's array."""
-    got = {want} if isinstance(want, int) else set(want.ravel().tolist())
-    if len(got) == 1 or max(got) < 0:
-        return level(k) if (k := max(got)) >= 0 else 0.0
-    rows = {k: level(k) for k in got if k >= 0}
-    return np.select([want == k for k in rows], list(rows.values()), 0.0)
+    """level(k) at each entry's level k of want, an int or an int array broadcasting against
+    level's arrays, 0.0 where k < 0: each entry has the bits of its own level's array."""
+    if isinstance(want, int):
+        return level(want) if want >= 0 else 0.0 * level(0)
+    if len(got := set(want.ravel().tolist())) == 1:
+        return _pick(got.pop(), level)
+    row = level(0)  # every level has its shape and dtype
+    out = np.zeros_like(row, shape=np.broadcast_shapes(want.shape, row.shape))
+    for k in got:
+        if k >= 0:
+            np.copyto(out, level(k), where=want == k)
+    return out
 
 
-def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False) -> list:
+def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
     """The 1D factor of direction sign (+1 position, -1 momentum) at t (as _clipped reads
     it), Omega^(sign/4) h_k(Omega^(sign/2) t), at the level k = ls + d for each offset d,
-    0.0 where k < 0, and with slope then its t-derivative at the level ls, Omega^(3 sign/4)
-    (sqrt(ls/2) h_(ls-1) - sqrt((ls+1)/2) h_(ls+1)). ls is an int or an int array
-    broadcasting against t; one _hermite_levels pass gives every entry its level's bits."""
-    scale = _scale(omega, sign)
-    y = _clipped(t, scale)
-    y *= scale  # in place: one argument-sized temporary fewer, the same bits
+    0.0 where k < 0, as the rows of one array; with slope, a list of those rows and then
+    the t-derivative at the level ls, Omega^(3 sign/4) (sqrt(ls/2) h_(ls-1) - sqrt((ls+1)/2)
+    h_(ls+1)). ls is an int or an int array broadcasting against t; one _hermite_levels
+    pass gives every entry its level's bits."""
+    y = _clipped(t, _scale(omega, sign))
     wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
     h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
     rows = [_pick(want, h.__getitem__) for want in wants]
-    out = [omega ** (0.25 * sign) * row for row in rows[:len(offsets)]]
-    if slope:
-        lower, upper = rows[len(offsets):]
-        out.append(omega ** (0.75 * sign)
-                   * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper))
-    return out
+    values = omega ** (0.25 * sign) * np.array(rows[:len(offsets)])  # one multiply for all
+    if not slope:
+        return values
+    lower, upper = rows[len(offsets):]
+    return [*values, omega ** (0.75 * sign)
+            * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper)]
 
 
 def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
@@ -100,7 +105,7 @@ def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
     has the bits of the level-l factor at t; ValueError unless t is real and finite."""
     if not np.all(np.isfinite(np.asarray(t, dtype=complex))):  # complex reads any number
         raise ValueError("targets must be finite")
-    return np.array(_factor(sign, 0, omega, t, range(top + 1)))
+    return _factor(sign, 0, omega, t, range(top + 1))
 
 
 def _level(value, name: str = "level", top=MAX_LEVEL) -> int:

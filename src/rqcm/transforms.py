@@ -11,8 +11,8 @@ at y / sqrt(Omega) (position) or y sqrt(Omega) (momentum) to its
 coefficients on the levels l < order. Level l maps to (-i)^l phi_l^mom
 (forward Fourier), (+i)^l phi_l (inverse) or alpha^l / sqrt(l!)
 (Segal-Bargmann, also summed about Re(alpha)). A Fourier synthesis table
-holds the real Hermite levels at the targets; the phase (-i)^l or (+i)^l
-multiplies the coefficients instead, so no complex table is built.
+holds the real factors at the targets (oscillator._factor_table); the phase
+(-i)^l or (+i)^l multiplies the coefficients instead, so no complex table is built.
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
@@ -26,8 +26,8 @@ fourier_forward1d and bargmann_transform (and _fourier1d, _overlaps) take
 stacked integrands: g may return (..., order) samples, or (..., order, centres)
 for Segal-Bargmann, for a result (..., *targets.shape). Each BLAS product runs
 once per slice, at the shape of one integrand's call, so every slice has the
-bits it has alone. _scale owns the sample scale, _join the three-axis product
-and _shaped the result's shape; verify's transforms suite reads the same code.
+bits it has alone. oscillator._scale owns the sample scale, _join the three-axis
+product and _shaped the result's shape; verify's transforms suite reads the same code.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .minkowski import _positive
-from .oscillator import (OscillatorState, _factor_table, _factors, _hermite_levels, _scale,
-                         phi_1d)
+from .oscillator import (OscillatorState, _factor, _factor_table, _factors, _hermite_levels,
+                         _scale, phi_1d)
 
 MAX_ORDER = 256
 
@@ -154,8 +154,8 @@ def _overlaps(la, lb, omega: float, rule: QuadratureRule):
             warnings.warn(f"level sum {top} exceeds 2 * order - 1 = {2 * rule.order - 1}: "
                           "the result is not exact", InsufficientOrderWarning, stacklevel=3)
     pts, eff = rescaled_nodes(rule, omega)
-    # phi_1d's rows, from one recurrence up to the highest level of any state
-    phi = _factor_table(+1, max(la.max(initial=0), lb.max(initial=0)), omega, pts)
+    # phi_1d's rows up to the highest level of any state, at nodes, which need no target check
+    phi = _factor(+1, 0, omega, pts, range(max(la.max(initial=0), lb.max(initial=0)) + 1))
     fa = phi[la]
     axes = (eff * fa * (fa if lb is la else phi[lb])).sum(axis=-1)
     return axes[..., 0] * axes[..., 1] * axes[..., 2]
@@ -191,8 +191,7 @@ def _synthesis(table, c, sign: int):
 
 def _fourier1d(g, t, rule: QuadratureRule, omega: float, sign: int):
     """The kernel on one axis in the direction sign: g sampled at _scale(omega, sign) *
-    nodes, (..., order), at the targets t (M,), shape (..., M); level l synthesises to the
-    factor of direction sign, times the phase (sign i)^l that _synthesis puts on it."""
+    nodes, (..., order), at the targets t (M,), shape (..., M)."""
     return _synthesis(_factor_table(sign, rule.order - 1, omega, t),
                       _coefficients(g, rule, _scale(omega, sign)), sign)
 

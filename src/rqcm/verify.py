@@ -39,8 +39,7 @@ DEFAULT_H_SECOND = 1e-5
 # returns the (..., k) values. Steps scale as h * max(1, |component|).
 
 def _point(x) -> np.ndarray:
-    """The components (..., 4) of x; ValueError, before any field call, naming a point
-    that is not finite."""
+    """The components (..., 4) of x; ValueError naming a point that is not finite."""
     return minkowski._finite_map(_components, x, image="point")
 
 
