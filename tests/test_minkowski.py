@@ -188,6 +188,19 @@ def test_perp_projection_orthogonality_and_idempotency():
         np.testing.assert_allclose(again.components, perp.components, atol=1e-12)
 
 
+def test_perp_projection_of_four_vectors_has_the_bits_of_python_arithmetic():
+    # w + P (P.w) / M0^2 in Python floats and complex numbers, Bargmann points included
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        M0 = rng.uniform(0.5, 4.0)
+        P = on_shell_momentum(M0, rng.uniform(-0.5, 0.5, 3))
+        for w in (rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4)):
+            w = FourVector.from_components(w.tolist())
+            k = (P.c1 * w.c1 + P.c2 * w.c2 + P.c3 * w.c3 - P.c4 * w.c4) / (M0 * M0)
+            want = [w.c1 + k * P.c1, w.c2 + k * P.c2, w.c3 + k * P.c3, w.c4 + k * P.c4]
+            assert perp_projection(w, P, M0).components.tolist() == want
+
+
 def test_perp_projection_requires_on_shell():
     with pytest.raises(ValueError):
         perp_projection(FourVector(1, 0, 0, 0), FourVector(0, 0, 0, 3.0), 2.0)
