@@ -344,7 +344,6 @@ def perp_projection(w, P, M0):
     """
     _check_momentum(P, M0)
     four, P = isinstance(w, FourVector) and isinstance(P, FourVector), _components(P)
-    # P.w / M0^2 part by part, so a complex row has the bits of its FourVector's arithmetic
     k = lambda w: np.asarray(_over_real(minkowski_dot(P, w), M0 * M0))[..., None]
     out = _finite_map(lambda w: w + k(w) * P, w, image="projection")
     return FourVector.from_components(out.tolist()) if four else out

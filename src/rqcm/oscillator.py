@@ -92,7 +92,9 @@ def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
     wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
     h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
     rows = [_pick(want, h.__getitem__) for want in wants]
-    values = omega ** (0.25 * sign) * np.array(rows[:len(offsets)])  # one multiply for all
+    # the value rows as one array, for one multiply by the prefactor; one row needs no copy
+    values = rows[0][None] if len(offsets) == 1 else np.array(rows[:len(offsets)])
+    values = omega ** (0.25 * sign) * values
     if not slope:
         return values
     lower, upper = rows[len(offsets):]
@@ -103,7 +105,7 @@ def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
 def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
     """The factor of direction sign at the levels 0..top, shape (top + 1, *t.shape): row l
     has the bits of the level-l factor at t; ValueError unless t is real and finite."""
-    if not np.all(np.isfinite(np.asarray(t, dtype=complex))):  # complex reads any number
+    if not np.isfinite(np.asarray(t, dtype=complex)).all():  # complex reads any number
         raise ValueError("targets must be finite")
     return _factor(sign, 0, omega, t, range(top + 1))
 
@@ -285,8 +287,7 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False, rep: str = 
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    # one recurrence per axis, on its own contiguous argument, as the 1D factors run it;
-    # the coordinates are freed once each axis has its factor
+    # one recurrence per axis, as the 1D factors run it; the coordinates are a temporary
     (v1, *d1), (v2, *d2), (v3, *d3) = [
         [_pick(l, lambda k: _monomial(k, t))] if rep == "bargmann" else
         _factor(-1 if rep == "momentum" else +1, l, omega, t, slope=gradient)
