@@ -69,12 +69,11 @@ def _scale(omega: float, sign: int) -> float:
 def _pick(want, level):
     """level(k) at each entry's level k of want, an int or an int array broadcasting against
     level's arrays, 0.0 where k < 0: each entry has the bits of its own level's array."""
-    if isinstance(want, int):
-        return level(want) if want >= 0 else 0.0 * level(0)
-    if len(got := set(want.ravel().tolist())) == 1:
-        return _pick(got.pop(), level)
+    got = {want} if isinstance(want, int) else set(want.ravel().tolist())
+    if len(got) == 1:
+        return level(k) if (k := got.pop()) >= 0 else 0.0 * level(0)
     row = level(0)  # every level has its shape and dtype
-    out = np.zeros_like(row, shape=np.broadcast_shapes(want.shape, row.shape))
+    out = np.zeros(np.broadcast_shapes(want.shape, row.shape), row.dtype)
     for k in got:
         if k >= 0:
             np.copyto(out, level(k), where=want == k)
@@ -91,15 +90,14 @@ def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
     y = _clipped(t, _scale(omega, sign))
     wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
     h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
-    rows = [_pick(want, h.__getitem__) for want in wants]
-    # the value rows as one array, for one multiply by the prefactor; one row needs no copy
-    values = rows[0][None] if len(offsets) == 1 else np.array(rows[:len(offsets)])
-    values = omega ** (0.25 * sign) * values
-    if not slope:
-        return values
-    lower, upper = rows[len(offsets):]
-    return [*values, omega ** (0.75 * sign)
-            * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper)]
+    rows = [h[want] if isinstance(want, int) and want >= 0 else _pick(want, h.__getitem__)
+            for want in wants]  # a table's rows, read directly: no call per row
+    if slope:  # before the value rows are scaled in place, as they may hold these levels
+        lower, upper = rows[len(offsets):]
+        d = omega ** (0.75 * sign) * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper)
+    values = np.asarray(rows[0])[None] if len(offsets) == 1 else np.array(rows[:len(offsets)])
+    values *= omega ** (0.25 * sign)  # one multiply, in place: a single row is not copied
+    return [*values, d] if slope else values
 
 
 def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
