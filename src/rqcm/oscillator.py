@@ -7,7 +7,7 @@ constant of the level with total quantum number n is sigma_n = Omega (3/2 + n).
 
 One owner, _factor, evaluates the 1D factor of direction sign (+1 position,
 -1 momentum), Omega^(sign/4) h_l(_scale(Omega, sign) t), for the factors, the
-transforms' tables, verify and every psi_*: h_l comes from the orthonormal-function
+transforms' tables, verify and the position and momentum psi_*: h_l comes from the
 three-term recurrence (values stay O(1) for any quantum number), never from the raw
 2^l l! normalisation, so no overflow occurs anywhere in the admitted range l <= 64.
 """

@@ -508,7 +508,7 @@ _INFINITE_POINTS = {**{tag: x for tag, x in _NON_FINITE_POINTS.items()
 _POINT_MAPS = {
     "perp_projection": lambda x: perp_projection(x, _MOVING_STATE.sys.P, _MOVING_STATE.sys.M0),
     **{f"{explicit.__name__}_{direction}": (
-        lambda x, explicit=explicit, direction=direction: explicit(
+        lambda x, explicit=explicit, direction=direction, value=value: explicit(
             direction, 1, 1.0, _MOVING_STATE.sys, x, value, np.zeros(4)))
        for explicit in (ladder_explicit_value, ladder_explicit_4d_value)
        for direction, value in (("raise", 1.0), ("lower", 0.0))},
