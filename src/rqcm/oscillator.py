@@ -285,7 +285,7 @@ def _psi(ls, omega: float, P, M0, x, X=None, gradient: bool = False, rep: str = 
     if states := getattr(M0, "ndim", 0):
         ls, P, M0 = (_per_state(a, states, x.ndim) for a in (ls, _components(P), M0))
         ls = np.moveaxis(ls, -1, 0)
-    # one recurrence per axis, as the 1D factors run it; the coordinates are a temporary
+    # one recurrence per axis, as the 1D factors run it; the coordinates are freed after the loop
     (v1, *d1), (v2, *d2), (v3, *d3) = [
         [_pick(l, lambda k: _monomial(k, t))] if rep == "bargmann" else
         _factor(-1 if rep == "momentum" else +1, l, omega, t, slope=gradient)

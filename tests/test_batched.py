@@ -219,7 +219,7 @@ def test_stacked_states_rows(group, pts):
 @pytest.mark.filterwarnings("error")
 def test_a_bargmann_stack_raises_only_for_an_overflowing_row():
     # 1e10^64 overflows at level 64 but not at level 0: each row keeps its own level
-    group = [oscillator_state((64, 0, 0), 1.0, 1.0, 1.3), oscillator_state((0, 1, 0), 1.0, 1.0, 1.3)]
+    group = [oscillator_state(l, 1.0, 1.0, 1.3) for l in ((64, 0, 0), (0, 1, 0))]
     ls = np.array([state.q.as_tuple() for state in group])
     P, M0 = stack([state.sys for state in group])
     small, huge = [0.5, 0.2, 0.1, 0.0], [1e10, 0.0, 0.0, 0.0]
