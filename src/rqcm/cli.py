@@ -235,7 +235,7 @@ def cmd_verify(args, cfg) -> int:
     kwargs = {name: {key: value for key, value in options.items()
                      if value is not None and name in _VERIFY_OPTIONS[key]} for name in names}
     for name in names:  # every option, before the first suite runs
-        verify._check_options(**kwargs[name])
+        verify._check_options(seed=seed, **kwargs[name])
     reports = {name: verify.SUITES[name](seed=seed, **kwargs[name]) for name in names}
     if args.report:
         with open(args.report, "w") as fh:

@@ -340,29 +340,21 @@ def _ladder_sign(direction: str, axis: int) -> tuple[int, int]:
     raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
-def _ladder_step(direction: str, axis: int, q: QuantumNumbers):
-    """The coefficient and the new level of one axis of q: sqrt(l) and l - 1 to
-    lower (0.0 and None at l = 0), sqrt(l + 1) and l + 1 to raise."""
-    sign, i = _ladder_sign(direction, axis)
-    li = q.as_tuple()[i]
-    if sign > 0:
-        return math.sqrt(li + 1), li + 1
-    return (math.sqrt(li), li - 1) if li else (0.0, None)
-
-
 def ladder_apply(direction: str, axis: int, state: OscillatorState):
-    """Raise or lower one axis quantum number; returns (coefficient, new state).
+    """Raise or lower one axis quantum number; returns (coefficient, new state):
+    sqrt(l + 1) to raise, sqrt(l) to lower.
 
     Lowering a zero quantum number annihilates the state: the coefficient
     is 0.0 and the state slot holds None. The new state's system keeps the
     velocity and gets the eigenvalue of the new level.
     """
-    coeff, new_li = _ladder_step(direction, axis, state.q)
-    if new_li is None:
-        return coeff, None
-    q_new = state.q.replace_axis(axis, new_li)
+    sign, i = _ladder_sign(direction, axis)
+    li = state.q.as_tuple()[i]
+    if sign < 0 and not li:
+        return 0.0, None
+    q_new = state.q.replace_axis(axis, li + sign)
     sys_new = state.sys.with_sigma(sigma_n(state.omega, q_new.n))
-    return coeff, OscillatorState(q_new, state.omega, sys_new)
+    return math.sqrt(li + 1 if sign > 0 else li), OscillatorState(q_new, state.omega, sys_new)
 
 
 def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSystem,

@@ -416,6 +416,7 @@ def test_negative_inputs_are_usage_errors(capsys, argv, message):
     ("--order 0", "order must be an integer in [1, 256], got 0"),
     ("--sigma-perturb nan", "sigma_perturb must be finite"),
     ("--points 0", "points must be a positive integer"),
+    ("--seed -1", "seed must be a non-negative integer"),
 ])
 def test_verify_checks_every_option_before_any_suite_runs(capsys, monkeypatch, argv, message):
     def never(**kwargs):

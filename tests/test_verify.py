@@ -96,8 +96,8 @@ def test_box_of_interval_field():
 
 _FD_ENGINES = {
     "gradient4": finite_difference_gradient4,
-    "second4": lambda f, x: verify.finite_difference_second4(f, x, 3),
-    "directional2": lambda f, x: finite_difference_directional2(f, x, (1, 0, 0, 1)),
+    "second4": lambda f, x, **kw: verify.finite_difference_second4(f, x, 3, **kw),
+    "directional2": lambda f, x, **kw: finite_difference_directional2(f, x, (1, 0, 0, 1), **kw),
     "box4": box4,
 }
 _FD_POINTS = {"inf_list": [math.inf, 0, 0, 0], "nan_FourVector": FourVector(0, 0, 0, math.nan),
@@ -117,6 +117,50 @@ def test_finite_differences_refuse_a_non_finite_point(engine, x):
     assert np.all(np.isfinite(engine(field, np.full(4, 0.3)))) and calls
 
 
+def _refused(call, match):
+    """call(field) raises ValueError matching match before it calls field."""
+    calls = []
+    field = lambda pt: calls.append(pt) or np.sum(pt * pt, axis=-1)
+    with pytest.raises(ValueError, match=match):
+        call(field)
+    assert not calls
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan])
+@pytest.mark.parametrize("engine", _FD_ENGINES.values(), ids=_FD_ENGINES.keys())
+def test_finite_differences_refuse_a_bad_step(engine, h):
+    # numpy warned and gave NaN here for 0 and inf, and gave NaN silently for NaN
+    _refused(lambda f: engine(f, np.full(4, 0.3), h=h), "step h must be positive and finite")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [4, -1, 1.0, True, "1", np.int64(4)], ids=repr)
+def test_second_difference_refuses_a_bad_axis(mu):
+    # IndexError here, and the time axis for -1
+    _refused(lambda f: verify.finite_difference_second4(f, np.full(4, 0.3), mu),
+             "mu must be an integer from 0 to 3")
+
+
+def test_second_difference_reads_a_numpy_integer_axis():
+    f = lambda x: x[..., 0] ** 2 + 3.0 * x[..., 2] ** 2
+    x = FourVector(0.3, -0.5, 0.2, 0.9)
+    for mu in range(4):
+        got = verify.finite_difference_second4(f, x, np.int64(mu))
+        assert got == verify.finite_difference_second4(f, x, mu)
+        assert abs(got - [2.0, 0.0, 6.0, 0.0][mu]) < 1e-5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("direction", [(math.nan, 0, 0, 1), (0, math.inf, 0, 0), (1j, 0, 0, 1),
+                                       np.array([1, 0, 0, 1j]), (1, 0, 0), np.ones((1, 4))],
+                         ids=repr)
+def test_directional_difference_refuses_a_bad_direction(direction):
+    # NaN here for a NaN direction, TypeError for a complex one
+    _refused(lambda f: finite_difference_directional2(f, np.full(4, 0.3), direction),
+             "4-vector")
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 
@@ -131,8 +175,8 @@ _ERROR_VALUES = [0.0, -0.0, 0.5, -2.5, 1.0, 1e308, -5e-324, math.inf, -math.inf,
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_one_case_record_has_the_errors_of_a_block():
-    # the one-case path takes max(|observed|, |expected|, 1) in Python, a block in numpy:
-    # the same values, signs of zero included, and NaN wherever either has it
+    # one case (shape ()) and a row of one have the errors of the same case in a
+    # block: signs of zero included, and NaN wherever either has it
     same = lambda a, b: (math.isnan(a) and math.isnan(b)) or (
         a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
     observed, expected = (a.ravel() for a in np.meshgrid(_ERROR_VALUES, _ERROR_VALUES))
@@ -470,7 +514,19 @@ def ladder_one_pair_at_a_time(max_n, points, seed):
             "decomposition_field", {"field": k},
             "4-space decomposition on test fields", 1.0, sys, x, fld(x),
             finite_difference_gradient4(fld, x)))
-    return VerificationReport("ladder", 1e-5, cases, [f"seed={seed}", "vmax=0.9"])
+    return VerificationReport("ladder", 1e-5, by_check(cases, LADDER_GROUPS),
+                              [f"seed={seed}", "vmax=0.9"])
+
+
+def by_check(records, groups):
+    """The records stably sorted by the group of their check, in the order of groups:
+    a suite's report lists its cases check by check, each check state by state."""
+    return sorted(records, key=lambda record: groups[str(record.check)])
+
+
+LADDER_GROUPS = {"annihilation": 0, "explicit_lower": 0, "explicit_raise": 0, "commutator": 1,
+                 "eigenvalue_identity": 2, "decomposition_state": 3, "decomposition_field": 4}
+PDE_GROUPS = {"internal_equation": 0, "cm_wave": 1, "transversality": 2}
 
 
 @pytest.mark.parametrize("max_n, points, seed", [(2, 5, 0), (2, 5, 1), (2, 5, 2), (2, 5, 3),
@@ -541,7 +597,7 @@ def pde_one_state_at_a_time(max_n, points, seed, mode="fd", sigma_perturb=0.0):
                                     contraction / max(norm * math.sqrt(grad @ grad), 1e-3), 0.0,
                                     "P^mu d_mu psi = 0", tol))
     notes = [f"seed={seed}", f"mode={mode}", f"sigma_perturb={sigma_perturb}"]
-    return VerificationReport("pde", tol, cases, notes)
+    return VerificationReport("pde", tol, by_check(cases, PDE_GROUPS), notes)
 
 
 @pytest.mark.parametrize("max_n, points, seed, mode, sigma_perturb", [
@@ -669,6 +725,28 @@ def test_stacked_suites_keep_their_memory_bound(suite):
         finally:
             tracemalloc.stop()
         assert peak <= bound, (kwargs, peak)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "a", -1, np.float64(1.0)], ids=repr)
+@pytest.mark.parametrize("suite", verify.SUITES.values(), ids=verify.SUITES.keys())
+def test_suites_refuse_a_bad_seed(suite, seed):
+    # nr-limit ran seed 1 for True and wrote seed=True in its notes; numpy raised
+    # TypeError for 1.5 and "a"
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        suite(seed=seed)
+
+
+def test_a_numpy_integer_seed_is_the_int():
+    assert run_nr_limit_suite(seed=np.int64(3)).to_json() == run_nr_limit_suite(seed=3).to_json()
+
+
+@pytest.mark.parametrize("suite, small", [(run_pde_suite, {"max_n": 0, "points": 1}),
+                                          (run_ladder_suite, {"max_n": 0, "points": 1}),
+                                          (run_nr_limit_suite, {"seed": 1})],  # no size option
+                         ids=["pde", "ladder", "nr-limit"])
+def test_suites_hold_one_record_per_check_at_any_size(suite, small):
+    # each check is one block over all states: the records do not grow with them
+    assert len(suite(**small).records) == len(suite().records)
 
 
 def test_nr_limit_suite_passes():
