@@ -441,7 +441,7 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     # then three transversality points, each drawn on [-half, half]
     half = np.repeat([1.5, 1.0, 2.0, 1.5], [4 * points, 4 * fd, 4 * fd, 12])
     states = _draw_states(rng, max_n, moving=fd)
-    internal, cm_wave, transversality = [], [], []  # per chunk, (states, ...)
+    internal, cm_wave, transversality = [], [], []  # per chunk (states, ...); cm_wave per state
     # stencil points per state: 11 per residual point, 9 for the phase, 8 per gradient
     for _, chunk in _chunks(states, 11 * points + 33):
         stack = _stack(chunk)
