@@ -521,7 +521,7 @@ def ladder_one_pair_at_a_time(max_n, points, seed):
 def by_check(records, groups):
     """The records stably sorted by the group of their check, in the order of groups:
     a suite's report lists its cases check by check, each check state by state."""
-    return sorted(records, key=lambda record: groups[str(record.check)])
+    return sorted(records, key=lambda record: groups[record.check])
 
 
 LADDER_GROUPS = {"annihilation": 0, "explicit_lower": 0, "explicit_raise": 0, "commutator": 1,
