@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import transforms, verify
 from .minkowski import general_boost, reduced_mass, rest_mass
 from .oscillator import (QuantumNumbers, degeneracy, nr_spring_constant, oscillator_state,
                          phi_1d, phi_1d_bargmann, phi_1d_momentum, psi_bargmann,
@@ -64,6 +63,9 @@ _SETTINGS = {
 }
 _GRID_KEYS = {"axis": "grid_axis", "min": "grid_min", "max": "grid_max", "samples": "samples"}
 _CONFIG_KEYS = ("grid", *(key for key in _SETTINGS if key not in _GRID_KEYS.values()))
+
+# the names of verify.SUITES, in its order, so that building the parser loads no verify
+_SUITES = ("invariance", "pde", "ladder", "nr-limit", "transforms")
 
 # each `verify` option and the suites that take it; a suite gets it when it is set
 _VERIFY_OPTIONS = {
@@ -204,6 +206,7 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_transform(args, cfg) -> int:
+    from . import transforms
     _, _, omega = _physics(args, cfg)
     ls = QuantumNumbers(*_get(args, cfg, "l")).as_tuple()
     # target -> (numeric transform of one factor, its closed form, coordinate column)
@@ -228,6 +231,7 @@ def cmd_transform(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
+    from . import verify
     seed = _get(args, cfg, "seed")
     options = {key: getattr(args, key) for key in _VERIFY_OPTIONS}
     options["order"] = _get(args, cfg, "order")
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", parents=[config],
                         help="run verification suites, exit 1 on failure")
-    vf.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
+    vf.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     setting(vf, "--seed", type=int)
     vf.add_argument("--trials", type=int)
     vf.add_argument("--points", type=int)

@@ -127,9 +127,12 @@ def _all(mask) -> bool:
 
 def _positive(x, name: str):
     """x once it is positive and finite, each entry of an array; else ValueError.
-    The bound is the float maximum, not inf, so an int beyond the float range fails."""
+    The bound is the float maximum, not inf, so an int beyond the float range fails,
+    and a bool (Python's, numpy's or a bool array) is not a number here."""
     # one float takes the chained comparison, which costs less than the array test
-    if not (0.0 < x <= _MAX if isinstance(x, float) else _all((0.0 < x) & (x <= _MAX))):
+    if not (0.0 < x <= _MAX if isinstance(x, float) else
+            not (isinstance(x, bool) or getattr(x, "dtype", None) == bool)
+            and _all((0.0 < x) & (x <= _MAX))):
         raise ValueError(f"{name} must be positive and finite, got {np.asarray(x).tolist()!r}")
     return x
 

@@ -167,7 +167,8 @@ class CaseRecord:
     def _json_rows(self, pad: str):
         """The rows as json.dumps(..., sort_keys=True, indent=2) writes them in the cases
         of a report whose lines start with pad, each led by ',\\n', in pieces of at most
-        _BLOCK_CASES rows. A value shared by all cases is encoded once."""
+        _BLOCK_CASES rows. A value shared by all cases is encoded once, and so is each
+        entry of a broadcast column (an array without the record's shape) in a piece."""
         shape = np.shape(self.abs_err)
         if not (n := math.prod(shape)):
             return
@@ -184,10 +185,22 @@ class CaseRecord:
         seps = (f',\n{pad}    {{{q}"abs_err": \0,{q}"check": \0,{q}"expected": \0,'
                 f'{q}"inputs": {{{ins[:-1]}{q if ins else ""}}},{q}"observed": \0,'
                 f'{q}"provenance": \0,{q}"rel_err": \0,{q}"tol": \0\n{pad}    }}').split("\0")
+
+        def column(a):
+            """The texts of a column's cases i to i + m, given i and m."""
+            if a.shape == shape:
+                return lambda i, m: _json_values(a.flat[i:i + m].tolist())
+            index = np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
+
+            def texts(i, m):
+                entries, at = np.unique(index.flat[i:i + m], return_inverse=True)
+                return np.array(_json_values(a.flat[entries].tolist()), dtype=object)[at].tolist()
+            return texts
+
         parts, text = [], seps[0]  # constant texts alternating with value columns
         for a, sep in zip(arrays, seps[1:]):
             if a.ndim:
-                parts += [text, a if a.shape == shape else np.broadcast_to(a, shape)]
+                parts += [text, column(a)]
                 text = sep
             else:
                 text += next(shared) + sep
@@ -195,8 +208,7 @@ class CaseRecord:
         for i in range(0, n, _BLOCK_CASES):
             m = min(_BLOCK_CASES, n - i)
             yield "".join(map("".join, zip(*(
-                repeat(p, m) if isinstance(p, str) else _json_values(p.flat[i:i + m].tolist())
-                for p in parts))))
+                repeat(p, m) if isinstance(p, str) else p(i, m) for p in parts))))
 
 
 @dataclass

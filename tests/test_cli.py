@@ -481,13 +481,52 @@ def test_verify_flags_reach_the_suites_that_take_them(capsys, suite, flags, kwar
     assert json.loads(out) == json.loads(json.dumps({suite: report.to_dict()}))
 
 
-def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # every CLI command pays for what `import rqcm.cli` loads
+def _child(probe, *argv):
+    """The stdout of probe run by a fresh interpreter with argv, which must exit 0."""
     src = str(Path(rqcm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, rqcm.cli; assert 'numpy.polynomial' not in sys.modules"
-    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # every CLI command pays for what `import rqcm.cli` loads
+    _child("import sys, rqcm.cli; assert 'numpy.polynomial' not in sys.modules")
+
+
+def test_cli_import_leaves_transforms_and_verify_unloaded():
+    _child("import sys, rqcm.cli\n"
+           "assert not {'rqcm.transforms', 'rqcm.verify'} & set(sys.modules)")
+
+
+# a command, its exit code and the modules of the two that it loads
+_LOADS = {
+    "spectrum": (["spectrum", "--nmax", "3"], 0, []),
+    "eval": (["eval", "--samples", "3", "--rep", "momentum"], 0, []),
+    "transform": (["transform", "--samples", "3"], 0, ["rqcm.transforms"]),
+    "verify": (["verify", "--suite", "nr-limit"], 0, ["rqcm.transforms", "rqcm.verify"]),
+    # the parser knows the suites without verify
+    "verify_bogus_suite": (["verify", "--suite", "bogus"], 2, []),
+}
+
+
+@pytest.mark.parametrize("argv, code, loads", _LOADS.values(), ids=_LOADS.keys())
+def test_each_command_loads_only_what_it_runs(argv, code, loads):
+    out = _child("import sys\n"
+                 "from rqcm.cli import main\n"
+                 "try:\n"
+                 "    code = main(sys.argv[1:])\n"
+                 "except SystemExit as exc:\n"
+                 "    code = exc.code\n"
+                 "print(code, sorted({'rqcm.transforms', 'rqcm.verify'} & set(sys.modules)))\n",
+                 *argv)
+    assert out.splitlines()[-1] == f"{code} {loads}"
+
+
+def test_the_cli_suites_are_the_verify_suites():
+    assert list(cli._SUITES) == list(verify.SUITES)
+    assert {s for suites in cli._VERIFY_OPTIONS.values() for s in suites} <= set(cli._SUITES)
 
 
 def test_hbar_omega_helper(capsys):

@@ -8,6 +8,7 @@ from rqcm.minkowski import (BoundSystem, FourVector, bound_system, cm_and_relati
                             eta_params, general_boost, minkowski_dot,
                             momentum_cm_and_relative, on_shell_momentum,
                             perp_projection, reduced_mass, rest_mass)
+from rqcm.oscillator import phi_1d
 
 
 def test_dot_signature():
@@ -245,6 +246,22 @@ def test_bound_system_rejects_bad_inputs():
         BoundSystem(1.0, 1.0, 0.0, 2.0, 0.5, 0.5, FourVector(0, 0, 0, 3.0))  # off shell
     with pytest.raises(ValueError):
         BoundSystem(1.0, 1.0, 0.0, 2.0, 0.5, 0.5, FourVector(0, 0, 0, -2.0))  # negative energy
+
+
+# a bool passed as a mass or a spring constant, which was read as 1
+_BOOL_CALLS = {
+    "rest_mass": lambda: rest_mass(True, 1.0, 0.0),
+    "reduced_mass": lambda: reduced_mass(np.True_, 2.0),
+    "bound_system": lambda: bound_system(True, True),
+    "phi_1d": lambda: phi_1d(0, True, 0.3),
+    "phi_1d_bool_array": lambda: phi_1d(0, np.array([True, True]), 0.3),
+}
+
+
+@pytest.mark.parametrize("call", _BOOL_CALLS.values(), ids=_BOOL_CALLS.keys())
+def test_a_bool_is_not_a_positive_number(call):
+    with pytest.raises(ValueError, match="must be positive and finite, got"):
+        call()
 
 
 def test_bound_system_boosted_and_with_sigma():

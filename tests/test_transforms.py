@@ -673,6 +673,7 @@ BAD_INPUTS = {
     "of_state target nan": (fourier_of_state, (GROUND, np.array([math.nan, 0.0, 0.0]),
                                                gauss_hermite(16))),
     "rescaled_nodes rate nan": (rescaled_nodes, (gauss_hermite(16), math.nan)),
+    "rescaled_nodes rate True": (rescaled_nodes, (gauss_hermite(16), True)),
     "gauss_hermite 32.5": (gauss_hermite, (32.5,)),
     "gauss_hermite True": (gauss_hermite, (True,)),
     # unhashable: checked before the cache lookup, which would raise TypeError

@@ -127,10 +127,11 @@ def _refused(call, match):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan])
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan, True, np.True_])
 @pytest.mark.parametrize("engine", _FD_ENGINES.values(), ids=_FD_ENGINES.keys())
 def test_finite_differences_refuse_a_bad_step(engine, h):
-    # numpy warned and gave NaN here for 0 and inf, and gave NaN silently for NaN
+    # numpy warned and gave NaN here for 0 and inf, and gave NaN silently for NaN;
+    # a bool step was read as 1
     _refused(lambda f: engine(f, np.full(4, 0.3), h=h), "step h must be positive and finite")
 
 
@@ -268,6 +269,23 @@ def test_report_json_is_json_dumps_of_the_data_view(records, suite, tolerance, n
     both = {suite: rep, "other": VerificationReport("other", 1e-9, [], ["é"])}
     assert "".join(verify._reports_json(both)) == json.dumps(
         {name: r.to_dict() for name, r in both.items()}, sort_keys=True, indent=2) + "\n"
+
+
+# a broadcast column's shape and the record's, whose cases span more than one piece;
+# the (1, 1500) column wraps around inside a piece
+BROADCASTS = [((1, 1500), (3, 1500)), ((2500, 1), (2500, 3)), ((7,), (400, 7)),
+              ((1, 3, 1), (700, 3, 2))]
+
+
+@pytest.mark.parametrize("column, shape", BROADCASTS, ids=map(str, BROADCASTS))
+def test_broadcast_columns_over_several_pieces_are_json_dumps(column, shape):
+    rng = np.random.default_rng(5)
+    record = CaseRecord("c", {"x": rng.normal(size=column), "k": np.arange(math.prod(shape))
+                              .reshape(shape)}, rng.normal(size=column), 0.0,
+                        np.where(rng.random(column) < 0.5, "a", "b"), rng.uniform(size=column))
+    rep = VerificationReport("demo", 1e-3, [record], [])
+    assert math.prod(shape) > verify._BLOCK_CASES
+    assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [1j, np.array([1.0, 2j])])
