@@ -24,8 +24,7 @@ import numpy as np
 from . import constraint, minkowski, oscillator, transforms
 from .minkowski import (_components, _dot, _over_real, bound_system, eta_params,
                         minkowski_dot, reduced_mass, rest_mass)
-from .oscillator import (OscillatorState, ladder_explicit_value, oscillator_state,
-                         psi_position)
+from .oscillator import ladder_explicit_value, oscillator_state, psi_position
 
 DEFAULT_H_FIRST = 1e-6
 DEFAULT_H_SECOND = 1e-5
@@ -290,6 +289,28 @@ def _draw_velocity(rng, vmax: float, size=()) -> np.ndarray:
     return rng.uniform(0.0, vmax, (*size, 1)) * direction
 
 
+def _systems(m1, m2, sigma, v):
+    """The momenta (..., 4) and rest masses (...) of a stack of bound systems: masses and
+    separation constants broadcasting to the rest masses' shape, velocities v (..., 3) to
+    the momenta's. Each row has the bits of its own bound_system, after its checks:
+    rest_mass and eta_params once per distinct row, then the stack's mass shell."""
+    columns = np.broadcast_arrays(m1, m2, sigma)
+    rows = list(zip(*(a.ravel().tolist() for a in columns)))
+    M0 = {row: rest_mass(*row) for row in dict.fromkeys(rows)}
+    for (a, b, _), m in M0.items():
+        eta_params(a, b, m)  # raises unless eta1 + eta2 == 1
+    M0 = np.reshape([M0[row] for row in rows], columns[0].shape)
+    P = minkowski.on_shell_momentum(M0, v)
+    minkowski._check_momentum(P, M0)
+    return P, M0
+
+
+def _levels(max_n: int) -> np.ndarray:
+    """The levels (S, 3) of the eigenstates up to level max_n, in level order."""
+    return np.array([q.as_tuple() for n in range(max_n + 1)
+                     for q in oscillator.quantum_numbers_at_level(n)])
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -329,17 +350,14 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     if not 0.0 < vmax < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    m1, m2, sigma = (m.tolist() for m in _draw_masses(rng, (trials,)))
-    M0 = np.array([[rest_mass(*ms)] for ms in zip(m1, m2, sigma)])  # (trials, 1)
-    for ms in zip(m1, m2, M0[:, 0].tolist()):
-        eta_params(*ms)  # raises unless eta1 + eta2 == 1
-    v_a, v_b = _draw_velocity(rng, vmax, (2, trials))
+    m1, m2, sigma = _draw_masses(rng, (trials, 1))
+    v_a, v_b = _draw_velocity(rng, vmax, (2, trials, 1))
     xp = rng.uniform(-2.0, 2.0, (trials, 2, 4))
-    P_a = minkowski.on_shell_momentum(M0, v_a[:, None])  # (trials, 1, 4)
+    P_a, M0 = _systems(m1, m2, sigma, v_a)  # (trials, 1, 4), (trials, 1)
     frame_a = np.concatenate((P_a, xp), axis=1)  # P, x and p of each trial
-    frames = np.stack((frame_a, minkowski.general_boost(frame_a, v_b[:, None])))
+    frames = np.stack((frame_a, minkowski.general_boost(frame_a, v_b)))
     P = frames[:, :, :1]  # in both frames, (2, trials, 1, 4)
-    minkowski._check_momentum(P, M0)
+    minkowski._check_momentum(P[1], M0)
     k = constraint._coordinates(frames[:, :, 1:], P, M0)
     # row by row, the bits of a left-to-right sum; other orders can differ
     dot3 = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
@@ -365,7 +383,7 @@ def _internal_residual(om: float, xi, lap_xi, psi, sigma_used: float):
 
 def _internal_residual_analytic(stack, x, sigma_used):
     """The residual with closed-form second derivatives of the 1D factors, for the
-    stacked states of _stack at points x (S, ..., 4)."""
+    stacked states (the arguments of oscillator._psi before the points) at x (S, ..., 4)."""
     ls, omega, P, M0 = stack
     xi = constraint._coordinates(x, P[:, None], M0[:, None])
     vals, secs = [], []
@@ -398,31 +416,15 @@ def _internal_residual_fd(stack, x, sigma_used):
     return _internal_residual(stack[1], xi, _wave(d2) - d2[..., 4], psi, sigma_used)
 
 
-def _draw_states(rng, max_n: int, moving: bool) -> list[OscillatorState]:
-    """Eigenstates up to level max_n at Omega = 1, m1 = 1, m2 = 1.3 in level order;
-    moving states draw |v| < 0.9 one by one, resting ones draw nothing."""
-    return [oscillator_state(q, 1.0, 1.0, 1.3,
-                             _draw_velocity(rng, 0.9) if moving else (0.0, 0.0, 0.0))
-            for n in range(max_n + 1) for q in oscillator.quantum_numbers_at_level(n)]
-
-
 # stencil points per chunk of states in the stacked suites: their memory bound
 _CHUNK_POINTS = 8192
 
 
-def _chunks(states: list, stencil: int):
-    """Runs of consecutive states, as many per run as _CHUNK_POINTS holds at stencil
-    points per state (at least one), each as (index of its first state, its states)."""
+def _chunks(count: int, stencil: int):
+    """Slices of a stack of count states, runs of consecutive ones, as many per run as
+    _CHUNK_POINTS holds at stencil points per state (at least one)."""
     size = max(1, _CHUNK_POINTS // stencil)
-    return [(i, states[i:i + size]) for i in range(0, len(states), size)]
-
-
-def _stack(states: list):
-    """The levels (S, 3), Omega, momenta (S, 4) and rest masses (S,) of states at one
-    Omega, the arguments of oscillator._psi before the points."""
-    return (np.array([state.q.as_tuple() for state in states]), states[0].omega,
-            np.array([state.sys.P.components for state in states]),
-            np.array([state.sys.M0 for state in states]))
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
@@ -452,18 +454,20 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     # per state: its points, in fd mode a cm_wave point x0 and a centre of mass X0,
     # then three transversality points, each drawn on [-half, half]
     half = np.repeat([1.5, 1.0, 2.0, 1.5], [4 * points, 4 * fd, 4 * fd, 12])
-    states = _draw_states(rng, max_n, moving=fd)
+    ls = _levels(max_n)
+    sigma = np.array([oscillator.sigma_n(1.0, n) for n in ls.sum(axis=-1).tolist()])
+    P, M0 = _systems(1.0, 1.3, sigma, [_draw_velocity(rng, 0.9) for _ in ls] if fd else
+                     (0.0, 0.0, 0.0))  # moving states draw one by one, resting ones nothing
     internal, cm_wave, transversality = [], [], []  # per chunk (states, ...); cm_wave per state
     # stencil points per state: 11 per residual point, 9 for the phase, 8 per gradient
-    for _, chunk in _chunks(states, 11 * points + 33):
-        stack = _stack(chunk)
+    for chunk in _chunks(len(ls), 11 * points + 33):
+        stack = ls[chunk], 1.0, P[chunk], M0[chunk]
         # rng.uniform(-half, half) for each state in turn, with its bits
-        draws = -half + 2.0 * half * rng.random((len(chunk), len(half)))
-        x = draws[:, :4 * points].reshape(len(chunk), points, 4)
+        draws = -half + 2.0 * half * rng.random((len(stack[0]), len(half)))
+        x = draws[:, :4 * points].reshape(-1, points, 4)
         x0, X0 = draws[:, 4 * points:4 * points + 4], draws[:, 4 * points + 4:-12]
-        xs = draws[:, -12:].reshape(len(chunk), 3, 4)
-        sigma_used = np.array([[state.sigma + sigma_perturb * state.omega] for state in chunk])
-        resids, scales = residual(stack, x, sigma_used)
+        xs = draws[:, -12:].reshape(-1, 3, 4)
+        resids, scales = residual(stack, x, sigma[chunk, None] + sigma_perturb * 1.0)
         internal.append(resids / np.maximum(np.max(scales, axis=-1, keepdims=True), 1e-30))
         # the plane-wave phase, and the gradients for transversality of the internal factor
         if fd:
@@ -475,15 +479,14 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
             grads = finite_difference_gradient4(lambda pt: oscillator._psi(*stack, pt).real, xs)
         else:
             grads = oscillator._psi(*stack, xs, gradient=True)[1].real
-        P = stack[2][:, None]
-        contraction = _dot(grads[..., :3], P[..., :3]) + P[..., 3] * grads[..., 3]
-        scale = np.maximum(np.sqrt(_dot(P, P)) * np.sqrt(_dot(grads, grads)), 1e-3)
+        Pc = P[chunk, None]
+        contraction = _dot(grads[..., :3], Pc[..., :3]) + Pc[..., 3] * grads[..., 3]
+        scale = np.maximum(np.sqrt(_dot(Pc, Pc)) * np.sqrt(_dot(grads, grads)), 1e-3)
         transversality.append(contraction / scale)
-    state = np.arange(len(states))
+    state = np.arange(len(ls))
     if fd:
         cm = (cm_wave, 0.0, "plane-wave phase, finite differences")
     else:  # centre-of-mass wave equation, exact
-        _, _, P, M0 = _stack(states)
         cm = (-minkowski_dot(P, P), [m ** 2 for m in M0.tolist()], "plane-wave phase, exact")
     records = [CaseRecord("internal_equation",
                           {"state": state[:, None], "point": np.arange(points), "mode": mode},
@@ -531,49 +534,47 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     then raise), and three decomposition points. The states run in chunks, each
     drawing its states' points in one block: the wave function, its
     finite-difference gradient, the explicit operators and the wave functions of
-    the raised and lowered states run once over the chunk, whose new systems pass
-    the checks ladder_apply's BoundSystem runs. The 20 test fields run as one batch,
-    the coefficient algebra as one over all states, and each check is one block.
+    the raised and lowered states run once over the chunk; their systems and the
+    states' are one stack each, with BoundSystem's checks. The 20 test fields run as
+    one batch, the coefficient algebra as one over all states, and each check is one block.
     """
     _check_options(points=points, max_n=max_n, seed=seed)
     rng = np.random.default_rng(seed)
-    states = _draw_states(rng, max_n, moving=True)
-    omega, m1, m2 = states[0].omega, states[0].sys.m1, states[0].sys.m2
-    # the rest mass at each level a move reaches; eta_params raises unless eta1 + eta2 == 1
-    level_M0 = np.array([rest_mass(m1, m2, oscillator.sigma_n(omega, n))
-                         for n in range(max_n + 2)])
-    for M0 in level_M0.tolist():
-        eta_params(m1, m2, M0)
+    # the states up to level max_n at Omega = 1, m1 = 1, m2 = 1.3, each drawing its velocity
+    # in turn, and the eigenvalue of each level a move reaches
+    omega, m1, m2 = 1.0, 1.0, 1.3
+    ls = _levels(max_n)
+    sigmas = np.array([oscillator.sigma_n(omega, n) for n in range(max_n + 2)])
+    sigma = sigmas[ls.sum(axis=-1)]
+    P, M0 = _systems(m1, m2, sigma, [_draw_velocity(rng, 0.9) for _ in ls])
     # each (state, axis, direction) move, lower then raise: its coefficient, sqrt(l) or
     # sqrt(l + 1), and its new level; lowering l = 0 annihilates, with coefficient 0.0
-    ls = np.array([state.q.as_tuple() for state in states])
     coeffs = np.sqrt(ls[..., None] + [0, 1])
     levels = ls[..., None] + [-1, 1]
     gone = levels < 0
     # the levels of each move's new state (state, move, axis); an annihilated one at 0
     on_axis = np.repeat(np.eye(3, dtype=bool), 2, axis=0)  # (move, axis)
     new_ls = np.where(on_axis, np.maximum(levels, 0).reshape(-1, 6, 1), ls[:, None])
+    # the systems of ladder_apply's new states: with_sigma keeps the velocity
+    new_P, new_M0 = _systems(m1, m2, sigmas[new_ls.sum(axis=-1)],
+                             (P[:, :3] / P[:, 3:])[:, None])
     point, move_axis = np.arange(points), np.repeat([1, 2, 3], 2)  # input columns all share
     sign = np.array([[-1], [+1]])  # (direction, point): lower, raise
     errs, decomposition = [], []  # per chunk, (states, ...)
     # stencil points per state: 8 per gradient at its 6 * points, and 3 closed-form ones
-    for first, chunk in _chunks(states, 8 * 6 * points + 3):
-        stack = _stack(chunk)
-        _, _, P, M0 = stack
-        n, moved = len(chunk), slice(first, first + len(chunk))
-        xs = rng.uniform(-1.5, 1.5, (n, 6 * points + 3, 4))
-        x = xs[:, :6 * points].reshape(n, 3, 2, points, 4)  # state, axis, direction
+    for moved in _chunks(len(ls), 8 * 6 * points + 3):
+        stack = ls[moved], omega, P[moved], M0[moved]
+        xs = rng.uniform(-1.5, 1.5, (len(stack[0]), 6 * points + 3, 4))
+        x = xs[:, :6 * points].reshape(-1, 3, 2, points, 4)  # state, axis, direction
         field = lambda pt: oscillator._psi(*stack, pt)
         values, grads = field(x), finite_difference_gradient4(field, x)
         gots = oscillator._ladder_explicit(sign, np.arange(3)[:, None, None], omega,
-                                           P[:, None, None, None], M0[:, None, None, None],
+                                           P[moved, None, None, None],
+                                           M0[moved, None, None, None],
                                            x, values, grads)
-        # the systems of ladder_apply's new states: with_sigma keeps the velocity
-        new_M0 = level_M0[new_ls[moved].sum(axis=-1)]
-        new_P = minkowski.on_shell_momentum(new_M0, (P[:, :3] / P[:, 3:])[:, None])
-        minkowski._check_momentum(new_P, new_M0)
         wants = coeffs[moved, ..., None] * oscillator._psi(
-            new_ls[moved], omega, new_P, new_M0, x.reshape(n, 6, points, 4)).reshape(gots.shape)
+            new_ls[moved], omega, new_P[moved], new_M0[moved],
+            x.reshape(-1, 6, points, 4)).reshape(gots.shape)
         scale = np.maximum(np.max(np.abs(wants), axis=-1, keepdims=True), 1e-3)
         # the values are complex with zero imaginary parts, so numpy's abs
         # has the bits of Python's on each one
@@ -581,13 +582,13 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
                              np.abs(gots - wants) / scale))
         # decomposition into flat 4-space ladder components, on the states themselves
         x = xs[:, 6 * points:]
-        decomposition.append(_decomposition(omega, P[:, None], M0[:, None], x,
+        decomposition.append(_decomposition(omega, P[moved, None], M0[moved, None], x,
                                             *oscillator._psi(*stack, x, gradient=True)))
     # coefficient algebra, exact in integer arithmetic: lower-then-raise gives
     # sqrt(l) sqrt(l), raise-then-lower sqrt(l + 1) sqrt(l + 1)
     down_up, up_down = np.moveaxis(coeffs * coeffs, -1, 0)
     number = down_up[:, 0] + down_up[:, 1] + down_up[:, 2]
-    state = np.arange(len(states))
+    state = np.arange(len(ls))
     axis = np.arange(1, 4)
     pick = lambda annihilated, explicit: np.where(gone[..., None], annihilated, explicit)
     records = [
@@ -599,7 +600,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
         CaseRecord("commutator", {"state": state[:, None], "axis": axis}, down_up - up_down,
                    -1.0, "raise-lower minus lower-raise", 1e-12),
         CaseRecord("eigenvalue_identity", {"state": state}, omega * (number + 1.5),
-                   [s.sigma for s in states], "number operator plus zero point", 1e-12),
+                   sigma, "number operator plus zero point", 1e-12),
         CaseRecord("decomposition_state", {"state": state[:, None, None], "axis": move_axis},
                    np.concatenate(decomposition), 0.0,
                    "4-space decomposition on eigenstates", 1e-5)]
@@ -705,10 +706,8 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     rule = transforms.gauss_hermite(order)
     rule_rt = transforms.gauss_hermite(64)
     rule_bg = transforms.gauss_hermite(48)
-    # the levels (S, 3) of the states up to max(max_n, 6) in level order, so every set
-    # of states used below is a prefix of the pool
-    pool = np.array([q.as_tuple() for n in range(max(max_n, 6) + 1)
-                     for q in oscillator.quantum_numbers_at_level(n)])
+    # every set of states used below is a prefix of the pool, in level order
+    pool = _levels(max(max_n, 6))
     up_to = lambda n: pool[:(n + 1) * (n + 2) * (n + 3) // 6]
     states = up_to(max_n)
     # the 1D factors as stacks: those of the states' levels, and the levels 0..8
@@ -718,15 +717,16 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     reach = 3.5 * math.sqrt(omega)
     axis_targets = np.linspace(-reach, reach, 5)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        # order warnings become notes; others meet the caller's filters, and show after the run
+        warnings.simplefilter("always", transforms.InsufficientOrderWarning)
         for top in dict.fromkeys(np.max(states, axis=1).tolist()):
             transforms._warn_unresolved((top,), rule)
         fwd = transforms.fourier_forward1d(phis, axis_targets, rule, omega)
         mom = oscillator._factor_table(-1, max_n, omega, axis_targets)
         # a state's 5^3 grid counts as four stencil points per grid point: the complex
         # transform and the moduli it is compared through
-        errs = [np.max(np.abs(np.abs(grids(fwd, ls)) - np.abs(grids(mom, ls))),
-                       axis=(1, 2, 3)) for _, ls in _chunks(states, 4 * axis_targets.size ** 3)]
+        errs = [np.max(np.abs(np.abs(grids(fwd, states[c])) - np.abs(grids(mom, states[c]))),
+                       axis=(1, 2, 3)) for c in _chunks(len(states), 4 * axis_targets.size ** 3)]
         records = [CaseRecord("fourier_modulus", {"state": np.arange(len(states))},
                               np.concatenate(errs), 0.0,
                               "numeric transform vs closed momentum form", tol)]
@@ -791,10 +791,10 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
                                             np.max(np.abs(bargmann), axis=-1)], axis=-1),
                                   0.0, "spectral kernel vs direct quadrature", 1e-12))
     for w in caught:
-        if issubclass(w.category, transforms.InsufficientOrderWarning):
-            note = f"insufficient order: {w.message}"
-            if note not in notes:
-                notes.append(note)
+        if not issubclass(w.category, transforms.InsufficientOrderWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        elif (note := f"insufficient order: {w.message}") not in notes:
+            notes.append(note)
     return VerificationReport("transforms", tol, records, notes)
 
 

@@ -62,7 +62,10 @@ def test_second_differences_quadratic_scaling(monkeypatch):
     # equation residual by roughly four
     # (the step is the module's DEFAULT_H_SECOND, set here for each run)
     st = oscillator_state((1, 0, 1), 1.0, 1.0, 1.3, (0.0, 0.5, 0.0))
-    stack, x = verify._stack([st]), np.array([[[0.4, -0.3, 0.6, 0.2]]])  # one state, one point
+    # the arguments of oscillator._psi before the points for one state, and one point
+    stack = (np.array([st.q.as_tuple()]), st.omega,
+             *verify._systems(1.0, 1.3, [st.sigma], [(0.0, 0.5, 0.0)]))
+    x = np.array([[[0.4, -0.3, 0.6, 0.2]]])
     monkeypatch.setattr(verify, "DEFAULT_H_SECOND", 2e-2)
     r_coarse = abs(verify._internal_residual_fd(stack, x, st.sigma)[0].item())
     monkeypatch.setattr(verify, "DEFAULT_H_SECOND", 1e-2)
@@ -389,6 +392,39 @@ def invariance_one_trial_at_a_time(trials, vmax, seed):
 def test_stacked_invariance_suite_matches_per_trial_loop(seed, vmax):
     got = run_invariance_suite(trials=50, vmax=vmax, seed=seed).to_json()
     assert got == invariance_one_trial_at_a_time(50, vmax, seed).to_json()
+
+
+@pytest.mark.parametrize("shape, v_shape",
+                         [((5, 1), (5, 1, 3)), ((5,), (5, 3)), ((5, 6), (5, 1, 3))],
+                         ids=["trials", "states", "moves"])
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_systems_have_the_bits_of_bound_system(shape, v_shape, seed):
+    # the suites' three stacks: trials, states, and each state's moves at its velocity;
+    # masses and sigma from a few values each, so rows repeat as the suites' levels do
+    rng = np.random.default_rng(seed)
+    m1, m2 = rng.choice(rng.uniform(0.5, 3.0, 3), (2, *shape))
+    sigma = rng.choice([0.0, 0.4, 1.7], shape)
+    v = rng.uniform(-0.5, 0.5, v_shape)
+    P, M0 = verify._systems(m1, m2, sigma, v)
+    assert P.shape == (*shape, 4) and M0.shape == shape
+    v = np.broadcast_to(v, (*shape, 3))
+    systems = [bound_system(m1[i], m2[i], sigma[i], v[i]) for i in np.ndindex(shape)]
+    assert P.tobytes() == np.array([s.P.components for s in systems]).tobytes()
+    assert M0.tobytes() == np.array([s.M0 for s in systems]).tobytes()
+
+
+@pytest.mark.parametrize("m1, sigma, v, message", [
+    (0.0, 0.2, (0.1, 0.2, 0.3), "m1 must be positive"),
+    (-1.0, 0.2, (0.1, 0.2, 0.3), "m1 must be positive"),
+    (1.0, -0.6, (0.1, 0.2, 0.3), "negative inner radicand"),
+    (1.0, 0.2, (1.0, 0.0, 0.0), "luminal"),
+    (1.0, 0.2, (0.6, 0.6, 0.6), "luminal")])
+def test_stacked_systems_refuse_what_bound_system_refuses(m1, sigma, v, message):
+    with pytest.raises(ValueError, match=message):
+        bound_system(m1, 1.3, sigma, v)
+    # one bad row among good ones
+    with pytest.raises(ValueError, match=message):
+        verify._systems([1.0, m1, 2.0], 1.3, [0.2, sigma, 0.2], [(0.0, 0.1, 0.0), v, (0, 0, 0)])
 
 
 @pytest.mark.parametrize("scale, message", [(1.01, "off shell"), (-1.0, "positive-energy")])
@@ -794,6 +830,24 @@ def test_transform_suite_negative_controls():
     rep = run_transform_suite(max_n=6, order=7)
     assert rep.passed
     assert not any("insufficient order" in note for note in rep.notes)
+
+
+def test_transform_suite_passes_other_warnings_to_the_caller(monkeypatch):
+    # only the order warnings become notes; any other meets the caller's filters
+    forward = transforms.fourier_forward1d
+
+    def warned(*args, **kwargs):
+        warnings.warn("from inside the suite", RuntimeWarning)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "fourier_forward1d", warned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="from inside the suite"):
+            run_transform_suite(max_n=1)
+    with pytest.warns(RuntimeWarning, match="from inside the suite"):
+        rep = run_transform_suite(max_n=1)
+    assert rep.passed and not any("inside" in note for note in rep.notes)
 
 
 def test_run_all_aggregates():
