@@ -199,6 +199,28 @@ def general_boost(x, v):
     return FourVector.from_components(out.tolist()) if four else out
 
 
+def _by_rows(f, *args):
+    """f(*args, True) on the arrays args, broadcast and as floats, with numpy's overflow and
+    invalid warnings off: f's expressions run once over the stack, each entry with the bits
+    of f on its row alone. A bool array stays one, for _positive to refuse. Where f refuses
+    the stack, f runs row by row, so the stack raises the ValueError of its first bad row."""
+    arrays = np.broadcast_arrays(*args)
+    try:
+        if not all(a.dtype.kind in "biuf" for a in arrays):
+            raise ValueError("stacked arguments must be real numbers")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f(*(a if a.dtype.kind in "bf" else a.astype(float) for a in arrays), True)
+    except ValueError:
+        for row in zip(*(a.ravel().tolist() for a in arrays)):
+            f(*row, False)
+        raise
+
+
+def _stacked(a, b, c) -> bool:
+    """Whether a, b or c is an array: then they describe a stack of systems, not one."""
+    return isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray)
+
+
 def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> float:
     """Total rest mass of the bound system from the separation constant.
 
@@ -208,22 +230,44 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
     inner square root; it is the branch that gives M0 = m1 + m2 at sigma = 0
     and the correct Schroedinger limit. The "plus" branch keeps the inner
     addition for audits; it does neither for unequal masses.
+
+    Masses and sigma may be arrays, broadcasting to the rest masses' shape. Each entry
+    has the bits of the call on its row, and a stack with a row that call refuses raises
+    its ValueError: numpy's sqrt and float_power run the expressions that math.sqrt and
+    ** run on one system (an array's ** 2 is a square, which is not libm's pow).
     """
+    # one system of floats skips the array test
+    if float is type(m1) is type(m2) is type(sigma) or not _stacked(m1, m2, sigma):
+        return _rest_mass(m1, m2, sigma, branch, False)
+    return _by_rows(lambda m1, m2, sigma, stacked: _rest_mass(m1, m2, sigma, branch, stacked),
+                    m1, m2, sigma)
+
+
+def _rest_mass(m1, m2, sigma, branch, stacked):
+    """rest_mass of one system, or of a stack of them, whose refused rows end in a rest
+    mass that is not positive and finite."""
     _positive(m1, "m1")
     _positive(m2, "m2")
-    if not -_MAX <= sigma <= _MAX:
+    if not stacked and not -_MAX <= sigma <= _MAX:
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
+    sqrt = np.sqrt if stacked else math.sqrt
     a = m1 * m1 + m2 * m2 + 4.0 * sigma
-    b = (m1 * m1 - m2 * m2) ** 2
+    try:
+        b = np.float_power(m1 * m1 - m2 * m2, 2) if stacked else (m1 * m1 - m2 * m2) ** 2
+    except OverflowError:  # a float's ** raises where numpy's gives inf
+        b = math.inf
     inner = a * a - b if branch == "minus" else a * a + b
-    if inner < 0.0:
+    if not stacked and inner < 0.0:
         raise ValueError(f"unbound system: negative inner radicand {inner:.17g}")
-    outer = a + math.sqrt(inner)
-    if outer < 0.0:
+    outer = a + sqrt(inner)
+    if not stacked and outer < 0.0:
         raise ValueError(f"unbound system: negative outer radicand {outer:.17g}")
-    return _positive(math.sqrt(outer), "rest mass M0")
+    M0 = sqrt(outer)
+    if stacked or not 0.0 < M0 <= _MAX:
+        _positive(M0, "rest mass M0")
+    return M0
 
 
 def reduced_mass(m1: float, m2: float) -> float:
@@ -238,19 +282,30 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
     last-ulp nudge absorbs double rounding so eta1 + eta2 == 1.0 always
     holds. The nudge never moves eta2 more than one ulp from the printed
     formula's value.
+
+    Arrays broadcast as in rest_mass: each entry has the bits of the call on its row,
+    the nudge steps only the rows that do not yet sum to one, and a stack with a row
+    that call refuses raises its ValueError.
     """
+    if float is type(m1) is type(m2) is type(M0) or not _stacked(m1, m2, M0):
+        return _eta_params(m1, m2, M0, False)
+    return _by_rows(_eta_params, m1, m2, M0)
+
+
+def _eta_params(m1, m2, M0, stacked):
+    """eta_params of one system, or of a stack of them."""
     M0_sq = _positive(_positive(M0, "M0") * M0, "M0^2")
     d = (_positive(m1, "m1") * m1 - _positive(m2, "m2") * m2) / M0_sq
     eta1 = 0.5 + d
     eta2 = 1.0 - eta1
     for _ in range(20):
         s = eta1 + eta2
-        if s == 1.0:
+        if _all(s == 1.0) if stacked else s == 1.0:
             return eta1, eta2
         stepped = eta2 + (1.0 - s)
-        if stepped == eta2:
-            stepped = np.nextafter(eta2, math.copysign(math.inf, 1.0 - s))
-        eta2 = float(stepped)
+        stepped = np.where(stepped == eta2, np.nextafter(eta2, np.copysign(math.inf, 1.0 - s)),
+                           stepped)
+        eta2 = np.where(s == 1.0, eta2, stepped) if stacked else float(stepped)
     raise ValueError(f"eta weights cannot sum to one exactly for m1={m1!r}, m2={m2!r}, M0={M0!r}")
 
 
@@ -321,8 +376,9 @@ class BoundSystem:
 def bound_system(m1: float, m2: float, sigma: float = 0.0,
                  velocity=(0.0, 0.0, 0.0)) -> BoundSystem:
     """Construct an on-shell BoundSystem from masses, sigma and a velocity."""
-    M0 = rest_mass(m1, m2, sigma)
-    eta1, eta2 = eta_params(m1, m2, M0)
+    # one system: the scalar bodies, without rest_mass's and eta_params' array test
+    M0 = _rest_mass(m1, m2, sigma, "minus", False)
+    eta1, eta2 = _eta_params(m1, m2, M0, False)
     return BoundSystem(m1, m2, float(sigma), M0, eta1, eta2,
                        on_shell_momentum(M0, velocity))
 

@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from types import SimpleNamespace
 
@@ -293,22 +294,23 @@ def _systems(m1, m2, sigma, v):
     """The momenta (..., 4) and rest masses (...) of a stack of bound systems: masses and
     separation constants broadcasting to the rest masses' shape, velocities v (..., 3) to
     the momenta's. Each row has the bits of its own bound_system, after its checks:
-    rest_mass and eta_params once per distinct row, then the stack's mass shell."""
-    columns = np.broadcast_arrays(m1, m2, sigma)
-    rows = list(zip(*(a.ravel().tolist() for a in columns)))
-    M0 = {row: rest_mass(*row) for row in dict.fromkeys(rows)}
-    for (a, b, _), m in M0.items():
-        eta_params(a, b, m)  # raises unless eta1 + eta2 == 1
-    M0 = np.reshape([M0[row] for row in rows], columns[0].shape)
+    rest_mass and eta_params over the stack, then its mass shell."""
+    m1, m2, sigma = np.broadcast_arrays(m1, m2, sigma)
+    M0 = rest_mass(m1, m2, sigma)
+    eta_params(m1, m2, M0)  # raises unless eta1 + eta2 == 1 in every row
     P = minkowski.on_shell_momentum(M0, v)
     minkowski._check_momentum(P, M0)
     return P, M0
 
 
+@lru_cache(maxsize=16)
 def _levels(max_n: int) -> np.ndarray:
-    """The levels (S, 3) of the eigenstates up to level max_n, in level order."""
-    return np.array([q.as_tuple() for n in range(max_n + 1)
-                     for q in oscillator.quantum_numbers_at_level(n)])
+    """The levels (S, 3) of the eigenstates up to level max_n, in level order; one
+    read-only array per max_n, built once."""
+    levels = np.array([q.as_tuple() for n in range(max_n + 1)
+                       for q in oscillator.quantum_numbers_at_level(n)])
+    levels.flags.writeable = False
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +443,10 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     deliberate failure control.
 
     The states run in chunks: each chunk draws its states' points in one block,
-    and the wave function and its differences run once over the chunk. Each check
-    is one block over all states.
+    and the wave function and its differences at the residual points run once over
+    the chunk. The plane-wave phase and transversality, at a few points per state,
+    run after the chunks, once over all states, at the points kept from those draws.
+    Each check is one block over all states.
     """
     _check_options(points=points, max_n=max_n, sigma_perturb=sigma_perturb, seed=seed)
     if mode not in ("analytic", "fd"):
@@ -458,19 +462,25 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     sigma = np.array([oscillator.sigma_n(1.0, n) for n in ls.sum(axis=-1).tolist()])
     P, M0 = _systems(1.0, 1.3, sigma, [_draw_velocity(rng, 0.9) for _ in ls] if fd else
                      (0.0, 0.0, 0.0))  # moving states draw one by one, resting ones nothing
-    internal, cm_wave, transversality = [], [], []  # per chunk (states, ...); cm_wave per state
-    # stencil points per state: 11 per residual point, 9 for the phase, 8 per gradient
-    for chunk in _chunks(len(ls), 11 * points + 33):
+    internal, kept = [], []  # per chunk: residuals (states, points), the other points
+    # stencil points per state: 11 per residual point
+    for chunk in _chunks(len(ls), 11 * points):
         stack = ls[chunk], 1.0, P[chunk], M0[chunk]
         # rng.uniform(-half, half) for each state in turn, with its bits
         draws = -half + 2.0 * half * rng.random((len(stack[0]), len(half)))
         x = draws[:, :4 * points].reshape(-1, points, 4)
-        x0, X0 = draws[:, 4 * points:4 * points + 4], draws[:, 4 * points + 4:-12]
-        xs = draws[:, -12:].reshape(-1, 3, 4)
         resids, scales = residual(stack, x, sigma[chunk, None] + sigma_perturb * 1.0)
         internal.append(resids / np.maximum(np.max(scales, axis=-1, keepdims=True), 1e-30))
-        # the plane-wave phase, and the gradients for transversality of the internal factor
+        kept.append(draws[:, 4 * points:].copy())  # a view would keep the whole draw alive
+    kept = np.concatenate(kept)
+    cm_wave, transversality = [], []  # per chunk (states, ...); cm_wave per state
+    # the plane-wave phase, and the gradients for transversality of the internal factor, at
+    # few points per state: 9 stencil points for the phase, 8 per gradient
+    for chunk in _chunks(len(ls), 33):
+        stack = ls[chunk], 1.0, P[chunk], M0[chunk]
+        xs = kept[chunk, -12:].reshape(-1, 3, 4)
         if fd:
+            x0, X0 = kept[chunk, :4], kept[chunk, 4:8]
             lap = box4(lambda X: oscillator._psi(*stack, x0[:, None], X), X0, 1e-4)
             wants = [m ** 2 * z for m, z in zip(stack[3].tolist(),
                                                 oscillator._psi(*stack, x0, X0).tolist())]
@@ -535,8 +545,10 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     drawing its states' points in one block: the wave function, its
     finite-difference gradient, the explicit operators and the wave functions of
     the raised and lowered states run once over the chunk; their systems and the
-    states' are one stack each, with BoundSystem's checks. The 20 test fields run as
-    one batch, the coefficient algebra as one over all states, and each check is one block.
+    states' are one stack each, with BoundSystem's checks. The decomposition on the
+    states runs after the chunks, once over all of them, at the points kept from those
+    draws. The 20 test fields run as one batch, the coefficient algebra as one over all
+    states, and each check is one block.
     """
     _check_options(points=points, max_n=max_n, seed=seed)
     rng = np.random.default_rng(seed)
@@ -560,9 +572,9 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
                              (P[:, :3] / P[:, 3:])[:, None])
     point, move_axis = np.arange(points), np.repeat([1, 2, 3], 2)  # input columns all share
     sign = np.array([[-1], [+1]])  # (direction, point): lower, raise
-    errs, decomposition = [], []  # per chunk, (states, ...)
-    # stencil points per state: 8 per gradient at its 6 * points, and 3 closed-form ones
-    for moved in _chunks(len(ls), 8 * 6 * points + 3):
+    errs, kept = [], []  # per chunk: errors (states, ...), the decomposition points
+    # stencil points per state: 8 per gradient at its 6 * points
+    for moved in _chunks(len(ls), 8 * 6 * points):
         stack = ls[moved], omega, P[moved], M0[moved]
         xs = rng.uniform(-1.5, 1.5, (len(stack[0]), 6 * points + 3, 4))
         x = xs[:, :6 * points].reshape(-1, 3, 2, points, 4)  # state, axis, direction
@@ -580,10 +592,12 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
         # has the bits of Python's on each one
         errs.append(np.where(gone[moved, ..., None], np.abs(gots),
                              np.abs(gots - wants) / scale))
-        # decomposition into flat 4-space ladder components, on the states themselves
-        x = xs[:, 6 * points:]
-        decomposition.append(_decomposition(omega, P[moved, None], M0[moved, None], x,
-                                            *oscillator._psi(*stack, x, gradient=True)))
+        kept.append(xs[:, 6 * points:].copy())  # a view would keep the whole draw alive
+    # decomposition into flat 4-space ladder components, on the states themselves, at their
+    # three closed-form points
+    kept = np.concatenate(kept)
+    decomposition = [_decomposition(omega, P[c, None], M0[c, None], kept[c], *oscillator._psi(
+        ls[c], omega, P[c], M0[c], kept[c], gradient=True)) for c in _chunks(len(ls), 3)]
     # coefficient algebra, exact in integer arithmetic: lower-then-raise gives
     # sqrt(l) sqrt(l), raise-then-lower sqrt(l + 1) sqrt(l + 1)
     down_up, up_down = np.moveaxis(coeffs * coeffs, -1, 0)

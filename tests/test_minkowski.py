@@ -251,6 +251,8 @@ def test_bound_system_rejects_bad_inputs():
 # a bool passed as a mass or a spring constant, which was read as 1
 _BOOL_CALLS = {
     "rest_mass": lambda: rest_mass(True, 1.0, 0.0),
+    "rest_mass_bool_array": lambda: rest_mass(np.array([True, True]), 1.0, 0.0),
+    "eta_params_bool_array": lambda: eta_params(1.0, np.array([True]), np.array([2.0])),
     "reduced_mass": lambda: reduced_mass(np.True_, 2.0),
     "bound_system": lambda: bound_system(True, True),
     "phi_1d": lambda: phi_1d(0, True, 0.3),
