@@ -209,7 +209,7 @@ def _by_rows(f, *args):
         if not all(a.dtype.kind in "biuf" for a in arrays):
             raise ValueError("stacked arguments must be real numbers")
         with np.errstate(over="ignore", invalid="ignore"):
-            return f(*(a if a.dtype.kind in "bf" else a.astype(float) for a in arrays), True)
+            return f(*(a if a.dtype == bool else a.astype(float, copy=False) for a in arrays), True)
     except ValueError:
         for row in zip(*(a.ravel().tolist() for a in arrays)):
             f(*row, False)

@@ -445,7 +445,8 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     The states run in chunks: each chunk draws its states' points in one block,
     and the wave function and its differences at the residual points run once over
     the chunk. The plane-wave phase and transversality, at a few points per state,
-    run after the chunks, once over all states, at the points kept from those draws.
+    run after the chunks over all states (in runs of the same budget), at the points
+    kept from those draws.
     Each check is one block over all states.
     """
     _check_options(points=points, max_n=max_n, sigma_perturb=sigma_perturb, seed=seed)
@@ -546,8 +547,8 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     finite-difference gradient, the explicit operators and the wave functions of
     the raised and lowered states run once over the chunk; their systems and the
     states' are one stack each, with BoundSystem's checks. The decomposition on the
-    states runs after the chunks, once over all of them, at the points kept from those
-    draws. The 20 test fields run as one batch, the coefficient algebra as one over all
+    states runs after the chunks over all of them (in runs of the same budget), at the
+    points kept from those draws. The 20 test fields run as one batch, the coefficient algebra as one over all
     states, and each check is one block.
     """
     _check_options(points=points, max_n=max_n, seed=seed)

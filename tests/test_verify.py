@@ -443,6 +443,16 @@ def test_stacked_kinematics_have_the_bits_of_one_system_at_a_time(seed):
     assert P.tobytes() == np.array([[s.P.components for s in ss] for ss in systems]).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_stacks_of_other_dtypes_run_as_their_rows_do(dtype):
+    m1, m2 = np.array([1.3, 2.7, 2.2]).astype(dtype), np.array([1, 2, 3])
+    rows = list(zip(m1.tolist(), m2.tolist()))
+    M0 = rest_mass(m1, m2, 0.25)
+    assert M0.tobytes() == np.array([rest_mass(a, b, 0.25) for a, b in rows]).tobytes()
+    etas = [eta_params(a, b, m) for (a, b), m in zip(rows, M0.tolist())]
+    assert np.stack(eta_params(m1, m2, M0), -1).tobytes() == np.array(etas).tobytes()
+
+
 def test_one_system_gives_python_floats():
     M0 = rest_mass(1.0, 1.3, 0.2)
     assert type(M0) is float and type(rest_mass(2, 1, 0)) is float
@@ -490,14 +500,17 @@ def test_a_stack_refuses_a_row_as_that_row_alone(call, row):
     with pytest.raises(ValueError) as stack:
         call(*stacked)
     assert str(stack.value) == str(one.value)
-    assert str(stack.value) == str(pytest.raises(ValueError, call, *(a[:, None] for a in stacked)).value)
+    with pytest.raises(ValueError) as column:  # the stack as a column (3, 1)
+        call(*(a[:, None] for a in stacked))
+    assert str(column.value) == str(one.value)
 
 
 def test_a_complex_stack_is_refused_as_its_rows_are():
     # numpy orders complex numbers, so the stack's own checks would pass them
-    for m1 in (1.0 + 0j, np.array([2.0, 1.0 + 0j])):
-        with pytest.raises(TypeError):
-            rest_mass(m1, 1.3, 0.2)
+    with pytest.raises((TypeError, ValueError)) as one:
+        rest_mass(1.0 + 0j, 1.3, 0.2)
+    with pytest.raises(type(one.value)):
+        rest_mass(np.array([2.0, 1.0 + 0j]), 1.3, 0.2)
 
 
 @pytest.mark.parametrize("n", range(9))
