@@ -25,6 +25,7 @@ _SPEED_LIMIT = 1.0 - 1e-12
 
 _COMPLEX = (complex, np.complexfloating)
 _MAX = float_info.max
+_FLOAT = np.dtype(float)  # the kind _positive reads for a number without a dtype
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,11 @@ def _all(mask) -> bool:
 def _positive(x, name: str):
     """x once it is positive and finite, each entry of an array; else ValueError.
     The bound is the float maximum, not inf, so an int beyond the float range fails,
-    and a bool (Python's, numpy's or a bool array) is not a number here."""
+    and a bool or a complex number (Python's, numpy's or an array of them) is not a
+    number here: numpy orders complex numbers, and Python refuses to."""
     # one float takes the chained comparison, which costs less than the array test
     if not (0.0 < x <= _MAX if isinstance(x, float) else
-            not (isinstance(x, bool) or getattr(x, "dtype", None) == bool)
+            not isinstance(x, (bool, complex)) and getattr(x, "dtype", _FLOAT).kind not in "bc"
             and _all((0.0 < x) & (x <= _MAX))):
         raise ValueError(f"{name} must be positive and finite, got {np.asarray(x).tolist()!r}")
     return x
@@ -248,8 +250,10 @@ def _rest_mass(m1, m2, sigma, branch, stacked):
     mass that is not positive and finite."""
     _positive(m1, "m1")
     _positive(m2, "m2")
-    if not stacked and not -_MAX <= sigma <= _MAX:
-        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    # a float skips the complex test, which costs as much as the comparison
+    if not stacked and (type(sigma) is not float and isinstance(sigma, _COMPLEX)
+                        or not -_MAX <= sigma <= _MAX):
+        raise ValueError(f"sigma must be real and finite, got {sigma!r}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
     sqrt = np.sqrt if stacked else math.sqrt

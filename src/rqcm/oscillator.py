@@ -10,6 +10,8 @@ One owner, _factor, evaluates the 1D factor of direction sign (+1 position,
 transforms' tables, verify and the position and momentum psi_*: h_l comes from the
 three-term recurrence (values stay O(1) for any quantum number), never from the raw
 2^l l! normalisation, so no overflow occurs anywhere in the admitted range l <= 64.
+_hermite_levels writes every level into one array, in place; the transforms' tables, the
+projector and _overlaps read that array without a copy.
 """
 from __future__ import annotations
 
@@ -29,17 +31,35 @@ from .minkowski import (BoundSystem, _all, _complex, _components, _finite_map, _
 MAX_LEVEL = 64
 
 
-def _hermite_levels(top: int, y) -> list:
+def _hermite_levels(top: int, y) -> np.ndarray:
     """Orthonormal Hermite functions H_l(y) exp(-y^2/2) / sqrt(2^l l! sqrt(pi)) for
-    l = 0..top, from one pass of the three-term recurrence; entry l is level l."""
+    l = 0..top, from one pass of the three-term recurrence, as one array (top + 1, *y.shape)
+    whose row l is level l. The rows are written in place, with one scratch array; real
+    products and differences round the same in place, so every entry has the bits of
+    sqrt(2/(k+1)) * y * h_k - sqrt(k/(k+1)) * h_(k-1) computed out of place."""
     y = np.asarray(y, dtype=float)
-    levels = [np.pi ** -0.25 * np.exp(-0.5 * y * y)]
-    if top > 0:
-        levels.append(math.sqrt(2.0) * y * levels[0])
-    for k in range(1, top):
-        levels.append(math.sqrt(2.0 / (k + 1)) * y * levels[k]
-                      - math.sqrt(k / (k + 1)) * levels[k - 1])
-    return levels
+    if y.size == 1:  # one value: Python's floats round as numpy's do, and cost less
+        v = y.item()
+        levels = [float(np.pi ** -0.25 * np.exp(-0.5 * v * v))]
+        if top > 0:
+            levels.append(math.sqrt(2.0) * v * levels[0])
+        for k in range(1, top):
+            levels.append(math.sqrt(2.0 / (k + 1)) * v * levels[k]
+                          - math.sqrt(k / (k + 1)) * levels[k - 1])
+        return np.array(levels).reshape(top + 1, *y.shape)
+    h = np.empty((top + 1, *y.shape))
+    level = h[0]
+    np.multiply(np.exp(-0.5 * y * y), np.pi ** -0.25, out=level)
+    scratch = np.empty_like(y) if top > 1 else None
+    for k in range(top):
+        upper = h[k + 1]  # a view: h[k + 1] *= ... would assign the row to itself as well
+        np.multiply(y, math.sqrt(2.0 / (k + 1)), out=upper)
+        upper *= level
+        if k:
+            np.multiply(lower, math.sqrt(k / (k + 1)), out=scratch)
+            upper -= scratch
+        lower, level = level, upper
+    return h
 
 
 def _clipped(t, scale: float):
@@ -86,23 +106,30 @@ def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
     0.0 where k < 0, as the rows of one array; with slope, a list of those rows and then
     the t-derivative at the level ls, Omega^(3 sign/4) (sqrt(ls/2) h_(ls-1) - sqrt((ls+1)/2)
     h_(ls+1)). ls is an int or an int array broadcasting against t; one _hermite_levels
-    pass gives every entry its level's bits."""
+    pass gives every entry its level's bits. A range of offsets at an int ls, without slope,
+    is a table: the recurrence's own array, scaled in place, with no copy."""
     y = _clipped(t, _scale(omega, sign))
     wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
     h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
+    if isinstance(offsets, range):
+        table = h[ls + offsets.start:]
+        table *= omega ** (0.25 * sign)
+        return table
     rows = [h[want] if isinstance(want, int) and want >= 0 else _pick(want, h.__getitem__)
             for want in wants]  # a table's rows, read directly: no call per row
-    if slope:  # before the value rows are scaled in place, as they may hold these levels
+    if slope:
         lower, upper = rows[len(offsets):]
         d = omega ** (0.75 * sign) * (np.sqrt(ls / 2.0) * lower - np.sqrt((ls + 1) / 2.0) * upper)
-    values = np.asarray(rows[0])[None] if len(offsets) == 1 else np.array(rows[:len(offsets)])
-    values *= omega ** (0.25 * sign)  # one multiply, in place: a single row is not copied
+    # out of place, so the product is the one copy: a row of h would keep all of h alive
+    values = np.multiply(rows[0][None] if len(offsets) == 1 else rows[:len(offsets)],
+                         omega ** (0.25 * sign))
     return [*values, d] if slope else values
 
 
 def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
-    """The factor of direction sign at the levels 0..top, shape (top + 1, *t.shape): row l
-    has the bits of the level-l factor at t; ValueError unless t is real and finite."""
+    """The factor of direction sign at the levels 0..top, shape (top + 1, *t.shape): the
+    recurrence's array, scaled in place, whose row l has the bits of the level-l factor at t;
+    ValueError unless t is real and finite."""
     if not np.isfinite(np.asarray(t, dtype=complex)).all():  # complex reads any number
         raise ValueError("targets must be finite")
     return _factor(sign, 0, omega, t, range(top + 1))

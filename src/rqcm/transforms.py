@@ -11,8 +11,10 @@ at y / sqrt(Omega) (position) or y sqrt(Omega) (momentum) to its
 coefficients on the levels l < order. Level l maps to (-i)^l phi_l^mom
 (forward Fourier), (+i)^l phi_l (inverse) or alpha^l / sqrt(l!)
 (Segal-Bargmann, also summed about Re(alpha)). A Fourier synthesis table
-holds the real factors at the targets (oscillator._factor_table); the phase
-(-i)^l or (+i)^l multiplies the coefficients instead, so no complex table is built.
+holds the real factors at the targets (oscillator._factor_table): one array that
+the recurrence writes in place, which the synthesis, like the projector and
+_overlaps, reads without a copy. The phase (-i)^l or (+i)^l multiplies the
+coefficients instead, so no complex table is built.
 Once the order exceeds the integrand's highest level, both are exact up to
 rounding: at every target for Fourier, on the real axis for Segal-Bargmann,
 whose rounding grows like exp(Im(alpha)^2 / 2) off it. verify holds the
@@ -67,7 +69,7 @@ class QuadratureRule:
         """P[l, j] = w_j exp(y_j^2) h_l(y_j), read-only: P @ f(nodes) gives the
         coefficients of f on the Hermite functions h_l, l < order, exactly
         when f is a combination of them."""
-        P = np.array(_hermite_levels(self.order - 1, self.nodes))
+        P = _hermite_levels(self.order - 1, self.nodes)
         P *= self.weights * np.exp(self.nodes ** 2)
         P.flags.writeable = False
         return P

@@ -8,7 +8,7 @@ from rqcm.minkowski import (BoundSystem, FourVector, bound_system, cm_and_relati
                             eta_params, general_boost, minkowski_dot,
                             momentum_cm_and_relative, on_shell_momentum,
                             perp_projection, reduced_mass, rest_mass)
-from rqcm.oscillator import phi_1d
+from rqcm.oscillator import phi_1d, sigma_n
 
 
 def test_dot_signature():
@@ -264,6 +264,36 @@ _BOOL_CALLS = {
 def test_a_bool_is_not_a_positive_number(call):
     with pytest.raises(ValueError, match="must be positive and finite, got"):
         call()
+
+
+# each entry point at a complex number in one argument: bound_system is one system, so
+# its sigma is a scalar only
+_COMPLEX_CALLS = {
+    "rest_mass_m1": lambda c: rest_mass(c, 1.0, 0.0),
+    "rest_mass_sigma": lambda c: rest_mass(1.0, 1.3, c),
+    "eta_params_M0": lambda c: eta_params(1.0, 1.3, c),
+    "bound_system_m2": lambda c: bound_system(1.0, c, 0.2),
+    "reduced_mass": lambda c: reduced_mass(c, 2.0),
+    "sigma_n": lambda c: sigma_n(c, 1),
+    "phi_1d": lambda c: phi_1d(0, c, 0.3),
+}
+_COMPLEX_VALUES = {"python": 1j, "python_real_part": 2.0 + 0j, "complex128": np.complex128(2.0),
+                   "complex64": np.complex64(2.0), "stack": np.array([2.0, 1.0 + 0j])}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", _COMPLEX_VALUES.values(), ids=_COMPLEX_VALUES.keys())
+@pytest.mark.parametrize("call", _COMPLEX_CALLS.values(), ids=_COMPLEX_CALLS.keys())
+def test_a_complex_number_is_not_a_real_one(call, value):
+    with pytest.raises(ValueError, match="must be (positive|real) and finite, got"):
+        call(value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1j, 2.0 + 0j, np.complex64(2.0)])
+def test_bound_system_refuses_a_complex_sigma(value):
+    with pytest.raises(ValueError, match="sigma must be real and finite, got"):
+        bound_system(1.0, 1.3, value)
 
 
 def test_bound_system_boosted_and_with_sigma():

@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rqcm
+from rqcm import oscillator
 from rqcm.constraint import xi_directional_derivative
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, eta_params,
                             general_boost, minkowski_dot, perp_projection, reduced_mass,
@@ -406,6 +408,92 @@ def test_the_clip_moves_no_value_short_of_it(omega):
             omega ** 0.25 * _hermite_levels(l, root * xi)[l]).tobytes()
         assert phi_1d_momentum(l, omega, xi).tobytes() == (
             omega ** -0.25 * _hermite_levels(l, xi / root)[l]).tobytes()
+
+
+def _listed_levels(top: int, y) -> list:
+    """The reference recurrence: one fresh array per level, each level out of place."""
+    y = np.asarray(y, dtype=float)
+    levels = [np.pi ** -0.25 * np.exp(-0.5 * y * y)]
+    if top > 0:
+        levels.append(math.sqrt(2.0) * y * levels[0])
+    for k in range(1, top):
+        levels.append(math.sqrt(2.0 / (k + 1)) * y * levels[k]
+                      - math.sqrt(k / (k + 1)) * levels[k - 1])
+    return levels
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# Hermite arguments as _clipped gives them: random values, the clip edges +-1e150 and
+# +-inf (which clip to them), signed zeros, and values past the underflow at 38.6
+_EDGES = [0.0, -0.0, 1e-300, 38.6, -39.0, 1e150, -1e150, math.inf, -math.inf]
+_ARGUMENTS = np.concatenate([np.random.default_rng(30).uniform(-40.0, 40.0, 291), _EDGES])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("top", [0, 1, 2, 64])
+@pytest.mark.parametrize("shape", [(), (1,), (300,), (2, 3, 5)], ids=str)
+def test_the_level_table_has_the_bits_of_the_listed_recurrence(top, shape):
+    y = oscillator._clipped(_ARGUMENTS, 1.0)
+    if shape == ():  # numpy scalars, as _clipped gives one argument, Python floats, 0-d arrays
+        args = [*y, *y.tolist(), *map(np.array, y)]
+    elif shape == (1,):
+        args = [y[i:i + 1] for i in range(y.size)]
+    else:
+        args = [y[:math.prod(shape)].reshape(shape)]
+    for arg in args:
+        got = _hermite_levels(top, arg)
+        want = np.array(_listed_levels(top, arg))
+        assert type(got) is np.ndarray and got.shape == (top + 1, *np.shape(arg))
+        assert (_bits(got) == _bits(want)).all()
+    # the clip edges and the infinities give exactly 0 at every level
+    assert not _hermite_levels(top, oscillator._clipped(_EDGES[-4:], 1.0)).any()
+    for edge in _EDGES[-4:]:
+        assert not _hermite_levels(top, oscillator._clipped(edge, 1.0)).any()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("top", [0, 1, 2, 64])
+@pytest.mark.parametrize("omega", [0.3, 1.0, 2.7])
+@pytest.mark.parametrize("sign, factor", [(+1, phi_1d), (-1, phi_1d_momentum)],
+                         ids=["position", "momentum"])
+def test_table_rows_have_the_bits_of_their_factors(sign, factor, omega, top):
+    t = _ARGUMENTS[:-2]  # a table refuses infinite targets
+    table = oscillator._factor_table(sign, top, omega, t)
+    assert table.shape == (top + 1, t.size)
+    for l, row in enumerate(table):
+        assert (_bits(row) == _bits(factor(l, omega, t))).all()
+    for v in (0.7, -3.1, 1e150):  # one target alone
+        column = oscillator._factor_table(sign, top, omega, v)
+        assert (_bits(column) == _bits([factor(l, omega, v) for l in range(top + 1)])).all()
+
+
+@pytest.mark.parametrize("order", [1, 2, 48, 256])
+def test_the_projector_has_the_bits_of_the_listed_recurrence(order):
+    rule = gauss_hermite(order)
+    want = np.array(_listed_levels(order - 1, rule.nodes)) * (
+        rule.weights * np.exp(rule.nodes ** 2))
+    assert (_bits(rule.projector) == _bits(want)).all()
+    assert not rule.projector.flags.writeable
+
+
+def test_a_table_is_written_in_place():
+    # the traced peak of a 64-level table at 20,000 points stays near the table itself:
+    # a list of levels stacked into one array holds two tables at once
+    t = np.linspace(-12.0, 12.0, 20_000)
+    oscillator._factor_table(+1, 63, 1.0, t[:10])  # imports and caches warm
+    tracemalloc.start()
+    try:
+        table = oscillator._factor_table(+1, 63, 1.0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+    # a single level is its own array: it does not keep the whole table alive
+    for out in (phi_1d(63, 1.0, t), phi_1d_momentum(63, 1.0, t), phi_1d_derivative(63, 1.0, t)):
+        assert out.base is None or out.base.nbytes == out.nbytes
 
 
 def test_position_near_the_float_maximum_is_zero_under_w_error():
