@@ -13,16 +13,15 @@ from .minkowski import (FourVector, BoundSystem,
                         minkowski_dot, general_boost, rest_mass, reduced_mass,
                         eta_params, on_shell_momentum, bound_system,
                         cm_and_relative, momentum_cm_and_relative,
-                        perp_projection, ON_SHELL_RTOL)
+                        perp_projection)
 from .constraint import (constraint_coordinates, xi_jacobian,
                          xi_directional_derivative, invariant_norm)
 from .oscillator import (QuantumNumbers, OscillatorState, phi_1d,
                          phi_1d_momentum, phi_1d_bargmann, phi_1d_derivative, sigma_n,
                          nr_spring_constant, degeneracy, quantum_numbers_at_level,
-                         oscillator_state, states_up_to, psi_position,
-                         psi_momentum, psi_bargmann, psi_position_gradient,
-                         ladder_apply, ladder_explicit_value, ladder_explicit_4d_value,
-                         position_profile, momentum_profile, MAX_LEVEL)
+                         oscillator_state, psi_position, psi_momentum, psi_bargmann,
+                         psi_position_gradient, ladder_apply, ladder_explicit_value,
+                         ladder_explicit_4d_value, momentum_profile, MAX_LEVEL)
 
 # module -> the names it exports here, all bound by the first lookup of any of them
 _LAZY = {

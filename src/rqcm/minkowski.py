@@ -17,7 +17,7 @@ from sys import float_info
 import numpy as np
 
 # Relative tolerance for mass-shell preconditions (P.P = -M0^2).
-ON_SHELL_RTOL = 1e-9
+_ON_SHELL_RTOL = 1e-9
 
 # Boost speeds this close to 1 lose all precision in gamma; reject them.
 _SPEED_LIMIT = 1.0 - 1e-12
@@ -126,15 +126,23 @@ def _all(mask) -> bool:
     return bool(mask.all() if getattr(mask, "ndim", 0) else mask)
 
 
+def _float64(x):
+    """x, or the float64 of a numpy float scalar's value: numpy casts a Python float that
+    meets a float32 or float16 to that type, and the bound _MAX overflows the cast."""
+    return float(x) if isinstance(x, np.floating) else x
+
+
 def _positive(x, name: str):
-    """x once it is positive and finite, each entry of an array; else ValueError.
-    The bound is the float maximum, not inf, so an int beyond the float range fails,
-    and a bool or a complex number (Python's, numpy's or an array of them) is not a
-    number here: numpy orders complex numbers, and Python refuses to."""
-    # one float takes the chained comparison, which costs less than the array test
-    if not (0.0 < x <= _MAX if isinstance(x, float) else
-            not isinstance(x, (bool, complex)) and getattr(x, "dtype", _FLOAT).kind not in "bc"
-            and _all((0.0 < x) & (x <= _MAX))):
+    """x once it is positive and finite, each entry of an array, as _float64 reads it;
+    else ValueError. The bound is the float maximum, not inf, so an int beyond the float
+    range fails, and a bool or a complex number (Python's, numpy's or an array of them)
+    is not a number here: numpy orders complex numbers, and Python refuses to."""
+    # one float takes the chained comparison alone, which costs less than the array test
+    if isinstance(x, float) and 0.0 < x <= _MAX:
+        return x
+    x = _float64(x)
+    if (isinstance(x, (bool, complex)) or getattr(x, "dtype", _FLOAT).kind in "bc"
+            or not _all((0.0 < x) & (x <= _MAX))):
         raise ValueError(f"{name} must be positive and finite, got {np.asarray(x).tolist()!r}")
     return x
 
@@ -248,11 +256,14 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
 def _rest_mass(m1, m2, sigma, branch, stacked):
     """rest_mass of one system, or of a stack of them, whose refused rows end in a rest
     mass that is not positive and finite."""
-    _positive(m1, "m1")
-    _positive(m2, "m2")
-    # a float skips the complex test, which costs as much as the comparison
-    if not stacked and (type(sigma) is not float and isinstance(sigma, _COMPLEX)
-                        or not -_MAX <= sigma <= _MAX):
+    m1, m2 = _positive(m1, "m1"), _positive(m2, "m2")
+    # a float skips the type tests, which cost as much as the comparison; one system's
+    # sigma is one real number
+    if not stacked and type(sigma) is not float:
+        if np.ndim(sigma) or isinstance(sigma, _COMPLEX):
+            raise ValueError(f"sigma must be real and finite, got {np.asarray(sigma).tolist()!r}")
+        sigma = _float64(sigma)
+    if not stacked and not -_MAX <= sigma <= _MAX:
         raise ValueError(f"sigma must be real and finite, got {sigma!r}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
@@ -276,7 +287,8 @@ def _rest_mass(m1, m2, sigma, branch, stacked):
 
 def reduced_mass(m1: float, m2: float) -> float:
     """m1 m2 / (m1 + m2) of two positive finite masses; ValueError if it overflows."""
-    return _positive(_positive(m1, "m1") * _positive(m2, "m2") / (m1 + m2), "reduced mass")
+    m1, m2 = _positive(m1, "m1"), _positive(m2, "m2")
+    return _positive(m1 * m2 / (m1 + m2), "reduced mass")
 
 
 def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
@@ -298,8 +310,9 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
 
 def _eta_params(m1, m2, M0, stacked):
     """eta_params of one system, or of a stack of them."""
-    M0_sq = _positive(_positive(M0, "M0") * M0, "M0^2")
-    d = (_positive(m1, "m1") * m1 - _positive(m2, "m2") * m2) / M0_sq
+    M0 = _positive(M0, "M0")
+    m1, m2, M0_sq = _positive(m1, "m1"), _positive(m2, "m2"), _positive(M0 * M0, "M0^2")
+    d = (m1 * m1 - m2 * m2) / M0_sq
     eta1 = 0.5 + d
     eta2 = 1.0 - eta1
     for _ in range(20):
@@ -326,7 +339,7 @@ def on_shell_momentum(M0, v):
 
 def _check_momentum(P, M0):
     """Raise ValueError unless each P, a FourVector or (..., 4) array, is a real,
-    positive-energy momentum with |P.P + M0^2| <= ON_SHELL_RTOL M0^2 for its M0, a
+    positive-energy momentum with |P.P + M0^2| <= _ON_SHELL_RTOL M0^2 for its M0, a
     float or a (...) array. One FourVector and a float stay Python scalars."""
     pp = minkowski_dot(P, P)
     _positive(M0, "rest mass")
@@ -335,7 +348,7 @@ def _check_momentum(P, M0):
     if not _all(_parts(P)[3] > 0):
         raise ValueError("positive-energy branch requires P.c4 > 0")
     miss = abs(pp + M0 * M0)
-    if not _all(miss <= ON_SHELL_RTOL * M0 * M0):
+    if not _all(miss <= _ON_SHELL_RTOL * M0 * M0):
         raise ValueError(f"total momentum off shell: |P.P + M0^2| = {np.max(miss):.3e}")
 
 

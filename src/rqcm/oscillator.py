@@ -109,6 +109,7 @@ def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
     pass gives every entry its level's bits. A range of offsets at an int ls, without slope,
     is a table: the recurrence's own array, scaled in place, with no copy."""
     y = _clipped(t, _scale(omega, sign))
+    omega = float(omega)  # checked by _scale; a float32 Omega gives its float64 prefactor
     wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
     h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
     if isinstance(offsets, range):
@@ -177,9 +178,10 @@ def phi_1d_derivative(l: int, omega: float, xi):
 
 
 def sigma_n(omega: float, n: int) -> float:
-    """Separation-constant eigenvalue Omega (3/2 + n) of the level n, checked positive
-    and finite: that checks Omega, since 3/2 + n > 0, and catches an overflow."""
-    return _positive(omega * (1.5 + _level(n, "level", float_info.max)), "Omega (3/2 + n)")
+    """Separation-constant eigenvalue Omega (3/2 + n) of the level n, for a positive and
+    finite Omega (a numpy float read as its float64), checked for overflow."""
+    n = _level(n, "level", float_info.max)
+    return _positive(_positive(omega, "spring constant") * (1.5 + n), "Omega (3/2 + n)")
 
 
 def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
@@ -255,13 +257,6 @@ def oscillator_state(l, omega: float, m1: float, m2: float,
     q = l if isinstance(l, QuantumNumbers) else QuantumNumbers(*l)
     sys = bound_system(m1, m2, sigma_n(omega, q.n), velocity)
     return OscillatorState(q, float(omega), sys)
-
-
-def states_up_to(max_n: int, omega: float, m1: float, m2: float) -> list[OscillatorState]:
-    """All eigenstates at rest with total quantum number <= max_n, deterministic order."""
-    return [oscillator_state(q, omega, m1, m2)
-            for n in range(_level(max_n, "max_n", math.inf) + 1)
-            for q in quantum_numbers_at_level(n)]
 
 
 # Each psi_* takes FourVectors, which give a Python complex, or (..., 4)
@@ -446,16 +441,7 @@ def _factors(factor, state: OscillatorState):
     return [functools.partial(factor, l, state.omega) for l in state.q.as_tuple()]
 
 
-def _profile(factor, state: OscillatorState):
-    f1, f2, f3 = _factors(factor, state)
-    return lambda x1, x2, x3: f1(x1) * f2(x2) * f3(x3)
-
-
-def position_profile(state: OscillatorState):
-    """Vectorised (xi1, xi2, xi3) -> product of position factors, phase omitted."""
-    return _profile(phi_1d, state)
-
-
 def momentum_profile(state: OscillatorState):
     """Vectorised (pi1, pi2, pi3) -> product of momentum factors, phase omitted."""
-    return _profile(phi_1d_momentum, state)
+    f1, f2, f3 = _factors(phi_1d_momentum, state)
+    return lambda x1, x2, x3: f1(x1) * f2(x2) * f3(x3)

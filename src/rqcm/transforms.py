@@ -41,6 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .constraint import constraint_coordinates
 from .minkowski import _positive
 from .oscillator import (OscillatorState, _factor, _factor_table, _factors, _hermite_levels,
                          _scale, phi_1d)
@@ -208,13 +209,16 @@ def fourier_forward1d(g, targets, rule: QuadratureRule, omega: float):
     return _shaped(_fourier1d(g, t.reshape(-1), rule, omega, -1), t.shape)
 
 
-def _targets(targets):
+def _targets(targets, sys=None):
     """Three 1D axes, whether they span a product grid, and what shapes the result:
     a tuple of three 1D axes is a grid, and anything else is (..., 3) points, of
-    which one alone gives a Python complex."""
+    which one alone gives a Python complex. With a state's system sys, (..., 4) points
+    are 4-vectors, read at their constraint coordinates."""
     if isinstance(targets, tuple) and len(targets) == 3 and all(np.ndim(t) == 1 for t in targets):
         return [np.asarray(t) for t in targets], True, lambda out: out
     pts = np.asarray(targets)
+    if sys is not None and pts.shape[-1:] == (4,):
+        pts = constraint_coordinates(pts, sys)
     if pts.ndim == 0 or pts.shape[-1] != 3:
         raise ValueError("targets must be (..., 3) points or a tuple of three 1D axis arrays")
     return list(pts.reshape(-1, 3).T), False, lambda out: _shaped(out, pts.shape[:-1])
@@ -337,8 +341,8 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
 def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
     """Segal-Bargmann transform of a state's position profile at complex constraint
     coordinates alphas, one axis at a time; alphas are read as fourier_forward reads
-    its targets: a product grid or (..., 3) points."""
-    axes, grid, shaped = _targets(alphas)
+    its targets, a product grid or (..., 3) points, or are (..., 4) Bargmann points."""
+    axes, grid, shaped = _targets(alphas, state.sys)
     _warn_unresolved(state.q.as_tuple(), rule)
     return shaped(_join(*(bargmann_transform(g, a, state.omega, rule)
                           for g, a in zip(_factors(phi_1d, state), axes)), grid))
@@ -346,6 +350,9 @@ def bargmann_of_state(state: OscillatorState, alphas, rule: QuadratureRule):
 
 def fourier_of_state(state: OscillatorState, targets, rule: QuadratureRule):
     """Forward transform of a state's position profile (phase omitted): its
-    momentum profile times (-i)^n."""
+    momentum profile times (-i)^n. targets are read as fourier_forward reads them,
+    or are (..., 4) momenta."""
     _warn_unresolved(state.q.as_tuple(), rule)
-    return fourier_forward(_factors(phi_1d, state), targets, rule, state.omega)
+    axes, grid, shaped = _targets(targets, state.sys)
+    return shaped(fourier_forward(_factors(phi_1d, state), tuple(axes) if grid
+                                  else np.stack(axes, -1), rule, state.omega))

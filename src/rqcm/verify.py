@@ -37,7 +37,7 @@ DEFAULT_H_SECOND = 1e-5
 # Each function takes a FourVector or a (..., 4) array of points and calls
 # field once, on the whole stencil stacked as a (..., k, 4) array; field
 # returns the (..., k) values. Steps scale as h * max(1, |component|). A bad
-# point, step, axis or direction raises ValueError before field is called.
+# point or step raises ValueError before field is called.
 
 def _point(x, h) -> np.ndarray:
     """The components (..., 4) of x; ValueError naming a point that is not finite,
@@ -83,25 +83,6 @@ def _second_differences(field, x: np.ndarray, directions: np.ndarray, steps: np.
 def _wave(d2: np.ndarray):
     """Spatial second derivatives minus the time one, in that order."""
     return d2[..., 0] + d2[..., 1] + d2[..., 2] - d2[..., 3]
-
-
-def finite_difference_second4(field, x, mu: int, h: float = DEFAULT_H_SECOND):
-    """Central second difference along one stored component, mu = 0, 1, 2 or 3."""
-    if isinstance(mu, bool) or not (isinstance(mu, (int, np.integer)) and 0 <= mu <= 3):
-        raise ValueError(f"mu must be an integer from 0 to 3, got {mu!r}")
-    x = _point(x, h)
-    d2, _ = _second_differences(field, x, np.eye(4)[[mu]], _axis_steps(x, h)[..., [mu]])
-    return d2[..., 0][()]
-
-
-def finite_difference_directional2(field, x, direction, h: float = DEFAULT_H_SECOND):
-    """Second derivative along a real, finite 4-direction in component space."""
-    d = _components(direction)
-    if d.shape != (4,) or d.dtype.kind == "c" or not np.isfinite(d).all():
-        raise ValueError(f"direction must be a real, finite 4-vector, got {d.tolist()!r}")
-    x = _point(x, h)
-    d2, _ = _second_differences(field, x, d[None], _direction_step(x, h))
-    return d2[..., 0][()]
 
 
 def box4(field, x, h: float = DEFAULT_H_SECOND):
@@ -329,12 +310,14 @@ def _check_options(trials=1, points=1, max_n=0, sigma_perturb=0.0, order=None,
     _count("trials", trials)
     _count("points", points)
     _count("max_n", max_n, 0)
-    if not math.isfinite(sigma_perturb):
-        raise ValueError("sigma_perturb must be finite")
+    # a bool is not a number here; the bound refuses an int beyond the float range
+    if isinstance(sigma_perturb, (bool, np.bool_, complex, np.complexfloating)) \
+            or not -minkowski._MAX <= minkowski._float64(sigma_perturb) <= minkowski._MAX:
+        raise ValueError(f"sigma_perturb must be finite and real, got {sigma_perturb!r}")
     if order is not None:
         transforms.gauss_hermite(order)  # raises for a bad order
-    if bargmann_sign not in (+1, -1):
-        raise ValueError("bargmann_sign must be +1 or -1")
+    if isinstance(bargmann_sign, (bool, np.bool_)) or bargmann_sign not in (+1, -1):
+        raise ValueError(f"bargmann_sign must be +1 or -1, got {bargmann_sign!r}")
 
 
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,

@@ -9,9 +9,9 @@ import time
 import numpy as np
 
 from rqcm.constraint import constraint_coordinates, xi_jacobian, xi_directional_derivative
-from rqcm.minkowski import FourVector, bound_system, reduced_mass, rest_mass
-from rqcm.oscillator import (degeneracy, oscillator_state, quantum_numbers_at_level,
-                             sigma_n, states_up_to)
+from rqcm.minkowski import FourVector, bound_system, general_boost, reduced_mass, rest_mass
+from rqcm.oscillator import (degeneracy, oscillator_state, psi_bargmann, psi_momentum,
+                             quantum_numbers_at_level, sigma_n)
 from rqcm import transforms, verify
 
 
@@ -150,7 +150,8 @@ def test_criterion_09_bargmann_monomials():
 def test_criterion_10_normalization():
     rule = transforms.gauss_hermite(32)
     worst = 0.0
-    for state in states_up_to(6, 1.1, 1.0, 1.3):
+    for state in (oscillator_state(q, 1.1, 1.0, 1.3)
+                  for n in range(7) for q in quantum_numbers_at_level(n)):
         worst = max(worst, abs(transforms.normalization_integral(state, rule) - 1.0))
     _criterion(10, "normalisation integral is one to 1e-10 for all states n <= 6",
                worst <= 1e-10, f"worst {worst:.2e}")
@@ -167,3 +168,34 @@ def test_criterion_11_negative_controls():
     _criterion(11, "perturbed sigma, wrong Bargmann kernel sign and order-6 "
                    "under-resolution of level 6 each fail their suite",
                ok, f"flagged={flagged}")
+
+
+def test_criterion_12_transforms_relate_4_space_constraint_spaces():
+    # chart points y lifted to 4-space by the boost to the lab, x(y) = general_boost((y, 0), -v),
+    # and shifted along P: every point of the class x(y) + lambda P has the coordinates y
+    rng = np.random.default_rng(112)
+    rule_f, rule_b = transforms.gauss_hermite(32), transforms.gauss_hermite(48)
+    worst_f = worst_b = worst_shift = 0.0
+    for _ in range(20):
+        ls = tuple(rng.integers(0, 4, 3).tolist())
+        state = oscillator_state(ls, rng.uniform(0.5, 2.0), *rng.uniform(0.5, 3.0, 2),
+                                 rng.uniform(-0.5, 0.5, 3))
+        v, P = state.sys.velocity, state.sys.P.components
+        lift = lambda y: general_boost(np.concatenate([y, np.zeros((len(y), 1))], axis=1), -v)
+        p = lift(rng.uniform(-1.5, 1.5, (6, 3)))
+        p_shifted = p + rng.uniform(-2.0, 2.0, (6, 1)) * P
+        a = lift(rng.uniform(-1.5, 1.5, (6, 3)) + 1j * rng.uniform(-1.5, 1.5, (6, 3)))
+        a_shifted = a + (rng.uniform(-2.0, 2.0, (6, 1)) + 1j * rng.uniform(-2.0, 2.0, (6, 1))) * P
+        momentum = (-1j) ** sum(ls) * psi_momentum(state, p)
+        bargmann = psi_bargmann(state, a)
+        scale = np.maximum(np.abs(bargmann), 1.0)
+        f = [transforms.fourier_of_state(state, t, rule_f) for t in (p, p_shifted)]
+        b = [transforms.bargmann_of_state(state, t, rule_b) for t in (a, a_shifted)]
+        worst_f = max(worst_f, *(float(np.max(np.abs(g - momentum))) for g in f))
+        worst_b = max(worst_b, *(float(np.max(np.abs(g - bargmann) / scale)) for g in b))
+        worst_shift = max(worst_shift, float(np.max(np.abs(f[1] - f[0]))),
+                          float(np.max(np.abs(b[1] - b[0]) / scale)))
+    _criterion(12, "Fourier and Segal-Bargmann transforms of moving states at 4-momenta and "
+                   "Bargmann 4-points match the closed forms and are constant along p + lambda P "
+                   "(1e-13)", max(worst_f, worst_b, worst_shift) <= 1e-13,
+               f"fourier {worst_f:.2e}, bargmann {worst_b:.2e}, shift {worst_shift:.2e}")

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqcm.constraint import constraint_coordinates
 from rqcm.minkowski import (BoundSystem, FourVector, bound_system, cm_and_relative,
                             eta_params, general_boost, minkowski_dot,
                             momentum_cm_and_relative, on_shell_momentum,
                             perp_projection, reduced_mass, rest_mass)
-from rqcm.oscillator import phi_1d, sigma_n
+from rqcm.oscillator import oscillator_state, phi_1d, phi_1d_momentum, sigma_n
 
 
 def test_dot_signature():
@@ -294,6 +296,59 @@ def test_a_complex_number_is_not_a_real_one(call, value):
 def test_bound_system_refuses_a_complex_sigma(value):
     with pytest.raises(ValueError, match="sigma must be real and finite, got"):
         bound_system(1.0, 1.3, value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.array([1.0]), np.array([1.0, 2.0]), np.zeros((1, 1))],
+                         ids=repr)
+def test_bound_system_refuses_an_array_sigma(value):
+    # one system has one sigma: TypeError here for one entry, numpy's ambiguous truth for two
+    with pytest.raises(ValueError, match="sigma must be real and finite, got"):
+        bound_system(1.0, 1.0, value)
+
+
+# each entry point at a float32 or float16 scalar in one argument, which numpy compared
+# with the float maximum in its own width ("overflow encountered in cast")
+_NARROW_CALLS = {
+    "rest_mass_m1": lambda c: rest_mass(c(1.0), 1.0, 0.0),
+    "rest_mass_sigma": lambda c: rest_mass(1.0, 1.3, c(0.3)),
+    "phi_1d_omega": lambda c: phi_1d(2, c(1.1), 0.4),
+    "phi_1d_argument": lambda c: phi_1d(2, 1.1, c(0.4)),
+    "phi_1d_momentum_omega": lambda c: phi_1d_momentum(3, c(0.7), -0.9),
+    "sigma_n": lambda c: sigma_n(c(1.1), 2),
+    "reduced_mass": lambda c: reduced_mass(c(1.1), 2.0),
+    # the state's sigma ran in float32 and missed sigma_n of float(omega)
+    "oscillator_state": lambda c: oscillator_state((0, 0, 0), c(1.1), 1.0, 1.3),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("narrow", [np.float32, np.float16])
+@pytest.mark.parametrize("call", _NARROW_CALLS.values(), ids=_NARROW_CALLS.keys())
+def test_a_narrow_float_reads_as_the_float64_of_its_value(call, narrow):
+    assert call(narrow) == call(lambda x: float(narrow(x)))
+
+
+# the two-body pairing: a random system and real 4-vectors with components in [-5, 5]
+_vectors = st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4).map(FourVector.from_components)
+_systems = st.builds(lambda m1, m2, s, v: bound_system(m1, m2, s * m1 * m2, v),
+                     st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.0, 0.5),
+                     st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_systems, _vectors, _vectors, _vectors, _vectors)
+def test_two_body_pairing_splits_into_cm_and_relative(sys, x1, x2, p1, p2):
+    # p1.x1 + p2.x2 = P.X + p.x, exactly in algebra once eta1 + eta2 = 1: the phase
+    # exp(i P.X) and the relative wave function carry the whole two-body state
+    X, x = cm_and_relative(x1, x2, sys)
+    P, p = momentum_cm_and_relative(p1, p2, sys)
+    lhs = minkowski_dot(p1, x1) + minkowski_dot(p2, x2)
+    rhs = minkowski_dot(P, X) + minkowski_dot(p, x)
+    # the size of the terms: every product of a momentum and a position component
+    terms = sum(abs(a * b) for q in (p1, p2) for y in (x1, x2)
+                for a, b in zip(q.components, y.components))
+    assert abs(lhs - rhs) <= 1e-14 * terms
 
 
 def test_bound_system_boosted_and_with_sigma():

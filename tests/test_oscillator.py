@@ -19,7 +19,7 @@ from rqcm.oscillator import (MAX_LEVEL, OscillatorState, QuantumNumbers, _hermit
                              ladder_explicit_value, nr_spring_constant, oscillator_state,
                              phi_1d, phi_1d_bargmann, phi_1d_derivative, phi_1d_momentum,
                              psi_bargmann, psi_momentum, psi_position, psi_position_gradient,
-                             quantum_numbers_at_level, sigma_n, states_up_to)
+                             quantum_numbers_at_level, sigma_n)
 from rqcm.transforms import gauss_hermite, rescaled_nodes, trust_momentum
 from rqcm.verify import finite_difference_gradient4
 
@@ -178,7 +178,6 @@ _INVALID_INPUTS = {
     "sigma_n_fractional_level": lambda: sigma_n(1.0, 1.5),
     "degeneracy_fractional_level": lambda: degeneracy(1.5),
     "quantum_numbers_fractional_level": lambda: quantum_numbers_at_level(1.5),
-    "states_up_to_negative_level": lambda: states_up_to(-1, 1.0, 1.0, 1.0),
     "reduced_mass_opposite_masses": lambda: reduced_mass(1.0, -1.0),
     "reduced_mass_negative_m1": lambda: reduced_mass(-1.0, 2.0),
     "reduced_mass_overflow": lambda: reduced_mass(1e200, 1e200),
@@ -275,11 +274,6 @@ def test_oscillator_state_factory_and_validation():
     bad_sys = bound_system(1.0, 2.0, 0.123)
     with pytest.raises(ValueError):
         OscillatorState(QuantumNumbers(0, 0, 0), 1.5, bad_sys)
-
-
-def test_states_up_to_count():
-    states = states_up_to(4, 1.0, 1.0, 1.3)
-    assert len(states) == sum(degeneracy(n) for n in range(5)) == 35
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from rqcm import oscillator, transforms, verify
 from rqcm.minkowski import FourVector
-from rqcm.oscillator import (_hermite_levels, oscillator_state, phi_1d, phi_1d_momentum,
-                             position_profile, momentum_profile, psi_bargmann,
-                             states_up_to)
+from rqcm.oscillator import (_hermite_levels, momentum_profile, oscillator_state, phi_1d,
+                             phi_1d_momentum, psi_bargmann, quantum_numbers_at_level)
 from rqcm.transforms import (InsufficientOrderWarning, bargmann_of_state,
                              bargmann_transform, fourier_forward, fourier_forward1d,
                              fourier_inverse, fourier_of_state, gauss_hermite,
@@ -20,6 +19,18 @@ from rqcm.transforms import (InsufficientOrderWarning, bargmann_of_state,
                              trust_momentum)
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def position_profile(state):
+    """(xi1, xi2, xi3) -> the product of the state's three phi_1d factors, phase omitted."""
+    f1, f2, f3 = oscillator._factors(phi_1d, state)
+    return lambda x1, x2, x3: f1(x1) * f2(x2) * f3(x3)
+
+
+def states_up_to(max_n, omega):
+    """The eigenstates at rest of masses 1.0 and 1.3 up to level max_n, in level order."""
+    return [oscillator_state(q, omega, 1.0, 1.3)
+            for n in range(max_n + 1) for q in quantum_numbers_at_level(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +118,7 @@ def test_normalization_ground_state():
 
 def test_normalization_high_levels():
     rule = gauss_hermite(32)
-    for st in states_up_to(6, 0.9, 1.0, 1.3):
+    for st in states_up_to(6, 0.9):
         assert abs(normalization_integral(st, rule) - 1.0) <= 1e-10, st.q
 
 
@@ -652,8 +663,19 @@ def test_bargmann_of_state_point_list_and_grid():
     per_axis = [bargmann_transform(lambda xi, l=l: phi_1d(l, om, xi), t, om, rule)
                 for l, t in zip((2, 1, 3), axes)]
     assert np.array_equal(grid, np.einsum("a,b,c->abc", *per_axis))
+    # (..., 4) targets are Bargmann 4-points, read at their constraint coordinates: at
+    # rest, the spatial components
+    assert np.array_equal(bargmann_of_state(st, a4, rule), got)
     with pytest.raises(ValueError):
-        bargmann_of_state(st, np.zeros((2, 4)), rule)
+        bargmann_of_state(st, np.zeros((2, 5)), rule)
+
+
+@pytest.mark.parametrize("transform", [fourier_forward, fourier_inverse])
+def test_state_free_transforms_refuse_4_vectors(transform):
+    # without a state there is no system to map a 4-vector by
+    with pytest.raises(ValueError, match=r"targets must be \(\.\.\., 3\) points"):
+        transform(position_profile(oscillator_state((1, 0, 0), 1.1, 1.0, 1.3)),
+                  np.zeros((2, 4)), gauss_hermite(8), 1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +829,7 @@ def test_stacked_integrands_at_one_target_give_an_array(kind):
 
 def test_stacked_overlaps_keep_the_bits_of_each_pair():
     om, rule = 1.1, gauss_hermite(12)
-    states = states_up_to(3, om, 1.0, 1.3)
+    states = states_up_to(3, om)
     levels = np.array([s.q.as_tuple() for s in states])
     pairs = np.random.default_rng(3).integers(0, len(states), (40, 2))
     with warnings.catch_warnings():

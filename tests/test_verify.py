@@ -14,14 +14,13 @@ from rqcm.minkowski import (FourVector, bound_system, eta_params, general_boost,
                             minkowski_dot, on_shell_momentum, perp_projection, rest_mass)
 from rqcm.oscillator import (ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
                              momentum_profile, oscillator_state, phi_1d, phi_1d_bargmann,
-                             phi_1d_momentum, position_profile, psi_position,
-                             psi_position_gradient, quantum_numbers_at_level, states_up_to)
+                             phi_1d_momentum, psi_position, psi_position_gradient,
+                             quantum_numbers_at_level)
 from rqcm.transforms import (bargmann_transform, fourier_forward1d, fourier_inverse,
                              fourier_of_state, gauss_hermite, normalization_integral,
                              overlap_integral, rescaled_nodes, trust_momentum)
 from rqcm import minkowski, oscillator, transforms, verify
 from rqcm.verify import (CaseRecord, VerificationReport, box4,
-                         finite_difference_directional2,
                          finite_difference_gradient4, run_invariance_suite,
                          run_ladder_suite, run_nr_limit_suite, run_pde_suite,
                          run_transform_suite)
@@ -85,9 +84,18 @@ def test_first_differences_quadratic_scaling():
     assert 3.0 <= e_coarse / e_fine <= 5.0, (e_coarse, e_fine)
 
 
+def directional2(field, x, direction, h=verify.DEFAULT_H_SECOND):
+    """The engine's second difference of field along a real 4-direction at the points x
+    (..., 4), stepped as the pde suite's residual steps it; shape (...)."""
+    x = np.asarray(x, dtype=float)
+    d2, _ = verify._second_differences(field, x, np.asarray(direction, dtype=float)[None],
+                                       verify._direction_step(x, h))
+    return d2[..., 0]
+
+
 def test_directional_second_derivative():
     f = lambda x: (x[..., 0] + 2 * x[..., 3]) ** 2
-    got = finite_difference_directional2(f, FourVector(0.3, 0, 0, -0.2), (1, 0, 0, 1))
+    got = directional2(f, [0.3, 0, 0, -0.2], (1, 0, 0, 1))
     assert abs(got - 2 * 9.0) < 1e-5  # (d/dt)^2 (t + 2t + c)^2 = 2*3^2
 
 
@@ -99,8 +107,6 @@ def test_box_of_interval_field():
 
 _FD_ENGINES = {
     "gradient4": finite_difference_gradient4,
-    "second4": lambda f, x, **kw: verify.finite_difference_second4(f, x, 3, **kw),
-    "directional2": lambda f, x, **kw: finite_difference_directional2(f, x, (1, 0, 0, 1), **kw),
     "box4": box4,
 }
 _FD_POINTS = {"inf_list": [math.inf, 0, 0, 0], "nan_FourVector": FourVector(0, 0, 0, math.nan),
@@ -136,33 +142,6 @@ def test_finite_differences_refuse_a_bad_step(engine, h):
     # numpy warned and gave NaN here for 0 and inf, and gave NaN silently for NaN;
     # a bool step was read as 1
     _refused(lambda f: engine(f, np.full(4, 0.3), h=h), "step h must be positive and finite")
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mu", [4, -1, 1.0, True, "1", np.int64(4)], ids=repr)
-def test_second_difference_refuses_a_bad_axis(mu):
-    # IndexError here, and the time axis for -1
-    _refused(lambda f: verify.finite_difference_second4(f, np.full(4, 0.3), mu),
-             "mu must be an integer from 0 to 3")
-
-
-def test_second_difference_reads_a_numpy_integer_axis():
-    f = lambda x: x[..., 0] ** 2 + 3.0 * x[..., 2] ** 2
-    x = FourVector(0.3, -0.5, 0.2, 0.9)
-    for mu in range(4):
-        got = verify.finite_difference_second4(f, x, np.int64(mu))
-        assert got == verify.finite_difference_second4(f, x, mu)
-        assert abs(got - [2.0, 0.0, 6.0, 0.0][mu]) < 1e-5
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("direction", [(math.nan, 0, 0, 1), (0, math.inf, 0, 0), (1j, 0, 0, 1),
-                                       np.array([1, 0, 0, 1j]), (1, 0, 0), np.ones((1, 4))],
-                         ids=repr)
-def test_directional_difference_refuses_a_bad_direction(direction):
-    # NaN here for a NaN direction, TypeError for a complex one
-    _refused(lambda f: finite_difference_directional2(f, np.full(4, 0.3), direction),
-             "4-vector")
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +526,11 @@ def test_empty_suites_raise(suite, count, value):
         suite(**{count: value})
 
 
-def test_transform_suite_checks_its_sign_before_running():
+@pytest.mark.parametrize("sign", [0, True, np.True_], ids=repr)
+def test_transform_suite_checks_its_sign_before_running(sign):
+    # True ran as +1 here
     with pytest.raises(ValueError, match="bargmann_sign must be"):
-        run_transform_suite(bargmann_sign=0)
+        run_transform_suite(bargmann_sign=sign)
 
 
 @pytest.mark.parametrize("max_n", [-1, 1.5, True])
@@ -568,7 +549,9 @@ def test_max_n_0_runs_the_ground_state():
     assert [c.inputs["state"] for c in rep.cases if c.check == "fourier_modulus"] == [0]
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+# 10**400 raised OverflowError here, 1j TypeError, and True ran as 1.0
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400, 1j, True, np.True_],
+                         ids=["inf", "-inf", "nan", "10**400", "1j", "True", "np.True_"])
 def test_pde_suite_rejects_non_finite_sigma_perturb(value):
     with pytest.raises(ValueError, match="sigma_perturb must be finite"):
         run_pde_suite(sigma_perturb=value)
@@ -697,7 +680,7 @@ def _phi_second(l, xi):
 
 def pde_one_state_at_a_time(max_n, points, seed, mode="fd", sigma_perturb=0.0):
     """The pde suite through the per-state API at Omega = 1: per state, psi_position on
-    its points with box4 and finite_difference_directional2 (or the closed-form factor
+    its points with box4 and directional2 (or the closed-form factor
     derivatives), box4 of the plane-wave phase, and the transversality gradients, each
     point's residual and contraction in Python floats; the draws as the suite's."""
     rng = np.random.default_rng(seed)
@@ -712,8 +695,7 @@ def pde_one_state_at_a_time(max_n, points, seed, mode="fd", sigma_perturb=0.0):
         xis = constraint_coordinates(xs, sys)
         field = lambda pt: psi_position(state, pt).real
         if fd:  # sum d2/dxi2 = box - (P^mu d_mu / M0)^2
-            laps = box4(field, xs) - finite_difference_directional2(
-                field, xs, sys.P.components / sys.M0)
+            laps = box4(field, xs) - directional2(field, xs, sys.P.components / sys.M0)
         else:
             ls = state.q.as_tuple()
             phis = [phi_1d(l, 1.0, xis[:, k]) for k, l in enumerate(ls)]
@@ -774,7 +756,8 @@ def transforms_one_state_at_a_time(max_n=4, order=32, bargmann_sign=+1, seed=0):
     rng = np.random.default_rng(seed)
     notes = [f"seed={seed}", f"order={order}"]
     rule, rule_rt, rule_bg = gauss_hermite(order), gauss_hermite(64), gauss_hermite(48)
-    pool = states_up_to(max(max_n, 6), omega, m1, m2)
+    pool = [oscillator_state(q, omega, m1, m2)
+            for n in range(max(max_n, 6) + 1) for q in quantum_numbers_at_level(n)]
     up_to = lambda n: [state for state in pool if state.q.n <= n]
     states = up_to(max_n)
     reach = 3.5 * math.sqrt(omega)
@@ -800,7 +783,8 @@ def transforms_one_state_at_a_time(max_n=4, order=32, bargmann_sign=+1, seed=0):
             fwd = [lambda p, f=f: fourier_forward1d(f, p, rule_rt, omega)
                    for f in oscillator._factors(phi_1d, state)]
             back = fourier_inverse(fwd, (rt_targets,) * 3, rule_rt, omega)
-            truth = position_profile(state)(*np.ix_(rt_targets, rt_targets, rt_targets))
+            truth = math.prod(f(t) for f, t in zip(oscillator._factors(phi_1d, state),
+                                                   np.ix_(rt_targets, rt_targets, rt_targets)))
             cases.append(CaseRecord("roundtrip", {"state": idx}, np.max(np.abs(back - truth)),
                                     0.0, "inverse of forward is the identity", tol))
             cases.append(CaseRecord("parseval", {"state": idx},
