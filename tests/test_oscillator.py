@@ -178,6 +178,8 @@ _INVALID_INPUTS = {
     "sigma_n_fractional_level": lambda: sigma_n(1.0, 1.5),
     "degeneracy_fractional_level": lambda: degeneracy(1.5),
     "quantum_numbers_fractional_level": lambda: quantum_numbers_at_level(1.5),
+    "degeneracy_negative_level": lambda: degeneracy(-1),
+    "quantum_numbers_negative_level": lambda: quantum_numbers_at_level(-1),
     "reduced_mass_opposite_masses": lambda: reduced_mass(1.0, -1.0),
     "reduced_mass_negative_m1": lambda: reduced_mass(-1.0, 2.0),
     "reduced_mass_overflow": lambda: reduced_mass(1e200, 1e200),

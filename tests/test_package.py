@@ -74,6 +74,18 @@ def test_a_lazy_name_is_its_module_attribute():
     assert rqcm.gauss_hermite is rqcm.transforms.gauss_hermite
 
 
+# public once, with no caller in the package or the CLI
+REMOVED = {"rqcm": ("position_profile", "states_up_to", "ON_SHELL_RTOL"),
+           "rqcm.verify": ("finite_difference_second4", "finite_difference_directional2")}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in REMOVED.items() for n in names],
+                         ids=lambda v: v)
+def test_a_removed_name_is_not_importable(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'rqcm' has no attribute 'no_such_name'"):
         rqcm.no_such_name

@@ -12,10 +12,10 @@ from hypothesis.extra import numpy as hnp
 from rqcm.constraint import constraint_coordinates, xi_jacobian
 from rqcm.minkowski import (FourVector, bound_system, eta_params, general_boost,
                             minkowski_dot, on_shell_momentum, perp_projection, rest_mass)
-from rqcm.oscillator import (ladder_apply, ladder_explicit_4d_value, ladder_explicit_value,
-                             momentum_profile, oscillator_state, phi_1d, phi_1d_bargmann,
-                             phi_1d_momentum, psi_position, psi_position_gradient,
-                             quantum_numbers_at_level)
+from rqcm.oscillator import (degeneracy, ladder_apply, ladder_explicit_4d_value,
+                             ladder_explicit_value, momentum_profile, oscillator_state, phi_1d,
+                             phi_1d_bargmann, phi_1d_momentum, psi_position,
+                             psi_position_gradient, quantum_numbers_at_level)
 from rqcm.transforms import (bargmann_transform, fourier_forward1d, fourier_inverse,
                              fourier_of_state, gauss_hermite, normalization_integral,
                              overlap_integral, rescaled_nodes, trust_momentum)
@@ -547,6 +547,14 @@ def test_max_n_0_runs_the_ground_state():
     rep = run_transform_suite(max_n=0)
     assert rep.passed
     assert [c.inputs["state"] for c in rep.cases if c.check == "fourier_modulus"] == [0]
+
+
+def test_the_suite_levels_hold_every_state_up_to_a_level_in_level_order():
+    levels = verify._levels(4)
+    assert levels.shape == (sum(degeneracy(n) for n in range(5)), 3) == (35, 3)
+    assert [tuple(q) for q in levels] == [q.as_tuple() for n in range(5)
+                                          for q in quantum_numbers_at_level(n)]
+    assert not levels.flags.writeable and verify._levels(4) is levels
 
 
 # 10**400 raised OverflowError here, 1j TypeError, and True ran as 1.0
