@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from sys import float_info
 
@@ -23,17 +24,16 @@ _ON_SHELL_RTOL = 1e-9
 _SPEED_LIMIT = 1.0 - 1e-12
 
 
-_COMPLEX = (complex, np.complexfloating)
 _MAX = float_info.max
-_FLOAT = np.dtype(float)  # the kind _positive reads for a number without a dtype
+_FLOAT64 = np.dtype(float)  # the dtype _components reads as it is
 
 
 @dataclass(frozen=True)
 class FourVector:
     """Minkowski 4-vector, stored contravariant.
 
-    A complex component (Python or numpy; Bargmann points) stays complex,
-    any other is coerced with float.
+    Each component is one number, read by _components: a complex one (Bargmann
+    points) stays complex, any other is a float. NaN and inf stay, for the maps to refuse.
     """
 
     c1: float
@@ -44,9 +44,11 @@ class FourVector:
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4"):
             value = getattr(self, name)
-            # float is the common case, and a cheaper check than _COMPLEX
-            complex_ = not isinstance(value, float) and isinstance(value, _COMPLEX)
-            object.__setattr__(self, name, complex(value) if complex_ else float(value))
+            # a float (numpy's float64 too) is the common case, and the cheaper test
+            if not isinstance(value, float) and (value := _components(value, None)).ndim:
+                raise ValueError(f"{name} must be one number, got {value.tolist()!r}")
+            object.__setattr__(self, name, value.item() if isinstance(value, np.ndarray)
+                               else float(value))
 
     @classmethod
     def from_components(cls, comps):
@@ -77,14 +79,22 @@ class FourVector:
         return -1.0 * self
 
 
-def _components(w) -> np.ndarray:
-    """The (..., 4) float64 or complex128 component array of a FourVector or array-like."""
-    if isinstance(w, FourVector):
-        return w.components
-    arr = np.asarray(w)
-    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
-    if arr.ndim == 0 or arr.shape[-1] != 4:
-        raise ValueError(f"4-vectors need a trailing axis of length 4, got shape {arr.shape}")
+def _components(w, length=4, real: bool = False) -> np.ndarray:
+    """w, a FourVector or array-like, as float64 or (unless real) complex128 components of
+    shape (..., length), or of any shape for length None; ValueError for a bool, an int
+    beyond the float range or, with real, a complex number. Any width reads as its value."""
+    arr = w.components if isinstance(w, FourVector) else np.asarray(w)
+    if arr.dtype != _FLOAT64:  # float64 is the common case, and needs no reading
+        kind = arr.dtype.kind
+        try:
+            if kind == "b" or kind == "c" and real:
+                raise TypeError(f"got {arr.dtype}")
+            arr = arr.astype(complex if kind == "c" else float, copy=False)
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"components must be {'real ' if real else ''}numbers in the "
+                             f"float range: {err}") from None
+    if length is not None and (arr.ndim == 0 or arr.shape[-1] != length):
+        raise ValueError(f"vectors need a trailing axis of length {length}, got shape {arr.shape}")
     return arr
 
 
@@ -126,25 +136,27 @@ def _all(mask) -> bool:
     return bool(mask.all() if getattr(mask, "ndim", 0) else mask)
 
 
-def _float64(x):
-    """x, or the float64 of a numpy float scalar's value: numpy casts a Python float that
-    meets a float32 or float16 to that type, and the bound _MAX overflows the cast."""
-    return float(x) if isinstance(x, np.floating) else x
-
-
-def _positive(x, name: str):
-    """x once it is positive and finite, each entry of an array, as _float64 reads it;
-    else ValueError. The bound is the float maximum, not inf, so an int beyond the float
-    range fails, and a bool or a complex number (Python's, numpy's or an array of them)
-    is not a number here: numpy orders complex numbers, and Python refuses to."""
-    # one float takes the chained comparison alone, which costs less than the array test
-    if isinstance(x, float) and 0.0 < x <= _MAX:
+def _real(x, name: str, stack: bool = False, positive: bool = True):
+    """x as a float, real, finite and unless positive is False positive, or with stack a
+    float64 array of such entries; else ValueError. A numpy number of any width, a 0-d array
+    too, reads as its float64 (float32 would meet the bound in its own width, and overflow);
+    a bool, a complex number, an array without stack and an int beyond the float range fail."""
+    # one float takes a chained comparison alone, which costs less than any type test
+    if type(x) is float and (0.0 < x <= _MAX if positive else -_MAX <= x <= _MAX):
         return x
-    x = _float64(x)
-    if (isinstance(x, (bool, complex)) or getattr(x, "dtype", _FLOAT).kind in "bc"
-            or not _all((0.0 < x) & (x <= _MAX))):
-        raise ValueError(f"{name} must be positive and finite, got {np.asarray(x).tolist()!r}")
-    return x
+    y = math.nan  # refused below
+    x = np.asarray(x) if stack and isinstance(x, (list, tuple)) else x
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf" and (stack or not x.ndim):
+        y = x.astype(float, copy=False) if x.ndim else float(x)
+    elif isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            y = float(x)
+        except OverflowError:
+            pass
+    if not _all((0.0 < y if positive else -_MAX <= y) & (y <= _MAX)):
+        rule = "positive" if positive else "real"
+        raise ValueError(f"{name} must be {rule} and finite, got {np.asarray(x).tolist()!r}")
+    return y
 
 
 def _dot(u: np.ndarray, w: np.ndarray):
@@ -157,9 +169,7 @@ def _dot(u: np.ndarray, w: np.ndarray):
 
 def _lorentz(v) -> tuple[np.ndarray, np.ndarray]:
     """Finite, subluminal velocities as a float (..., 3) array, and their gamma factors (...)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] != 3:
-        raise ValueError(f"velocities need a trailing axis of length 3, got shape {v.shape}")
+    v = _components(v, 3, real=True)
     v2 = _dot(v, v)
     if not _all(v2 < math.inf):
         raise ValueError(f"velocity must be finite, got {v.tolist()}")
@@ -210,16 +220,13 @@ def general_boost(x, v):
 
 
 def _by_rows(f, *args):
-    """f(*args, True) on the arrays args, broadcast and as floats, with numpy's overflow and
-    invalid warnings off: f's expressions run once over the stack, each entry with the bits
-    of f on its row alone. A bool array stays one, for _positive to refuse. Where f refuses
-    the stack, f runs row by row, so the stack raises the ValueError of its first bad row."""
+    """f(*args, True) on the arrays args, broadcast, with numpy's overflow and invalid warnings
+    off: f's expressions run once over the stack, each entry with the bits of f on its row
+    alone. Where f refuses the stack, f runs row by row, so it raises its first bad row's."""
     arrays = np.broadcast_arrays(*args)
     try:
-        if not all(a.dtype.kind in "biuf" for a in arrays):
-            raise ValueError("stacked arguments must be real numbers")
         with np.errstate(over="ignore", invalid="ignore"):
-            return f(*(a if a.dtype == bool else a.astype(float, copy=False) for a in arrays), True)
+            return f(*arrays, True)
     except ValueError:
         for row in zip(*(a.ravel().tolist() for a in arrays)):
             f(*row, False)
@@ -256,15 +263,8 @@ def rest_mass(m1: float, m2: float, sigma: float, branch: str = "minus") -> floa
 def _rest_mass(m1, m2, sigma, branch, stacked):
     """rest_mass of one system, or of a stack of them, whose refused rows end in a rest
     mass that is not positive and finite."""
-    m1, m2 = _positive(m1, "m1"), _positive(m2, "m2")
-    # a float skips the type tests, which cost as much as the comparison; one system's
-    # sigma is one real number
-    if not stacked and type(sigma) is not float:
-        if np.ndim(sigma) or isinstance(sigma, _COMPLEX):
-            raise ValueError(f"sigma must be real and finite, got {np.asarray(sigma).tolist()!r}")
-        sigma = _float64(sigma)
-    if not stacked and not -_MAX <= sigma <= _MAX:
-        raise ValueError(f"sigma must be real and finite, got {sigma!r}")
+    m1, m2 = _real(m1, "m1", stacked), _real(m2, "m2", stacked)
+    sigma = _real(sigma, "sigma", stacked, positive=False)
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
     sqrt = np.sqrt if stacked else math.sqrt
@@ -281,14 +281,14 @@ def _rest_mass(m1, m2, sigma, branch, stacked):
         raise ValueError(f"unbound system: negative outer radicand {outer:.17g}")
     M0 = sqrt(outer)
     if stacked or not 0.0 < M0 <= _MAX:
-        _positive(M0, "rest mass M0")
+        _real(M0, "rest mass M0", stacked)
     return M0
 
 
 def reduced_mass(m1: float, m2: float) -> float:
     """m1 m2 / (m1 + m2) of two positive finite masses; ValueError if it overflows."""
-    m1, m2 = _positive(m1, "m1"), _positive(m2, "m2")
-    return _positive(m1 * m2 / (m1 + m2), "reduced mass")
+    m1, m2 = _real(m1, "m1"), _real(m2, "m2")
+    return _real(m1 * m2 / (m1 + m2), "reduced mass")
 
 
 def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
@@ -310,8 +310,9 @@ def eta_params(m1: float, m2: float, M0: float) -> tuple[float, float]:
 
 def _eta_params(m1, m2, M0, stacked):
     """eta_params of one system, or of a stack of them."""
-    M0 = _positive(M0, "M0")
-    m1, m2, M0_sq = _positive(m1, "m1"), _positive(m2, "m2"), _positive(M0 * M0, "M0^2")
+    M0 = _real(M0, "M0", stacked)
+    m1, m2 = _real(m1, "m1", stacked), _real(m2, "m2", stacked)
+    M0_sq = _real(M0 * M0, "M0^2", stacked)
     d = (m1 * m1 - m2 * m2) / M0_sq
     eta1 = 0.5 + d
     eta2 = 1.0 - eta1
@@ -329,7 +330,7 @@ def _eta_params(m1, m2, M0, stacked):
 def on_shell_momentum(M0, v):
     """Total momentum (gamma M0 v, gamma M0) of a system of mass M0 moving with v:
     a FourVector for one M0 and v, a (..., 4) array for M0 (...) and v (..., 3)."""
-    M0 = _positive(np.asarray(M0, dtype=float)[()], "M0")
+    M0 = _real(M0, "M0", stack=True)
     v, g = _lorentz(v)
     gM0 = g * M0
     if gM0.ndim == 0:  # one system: skip the array assembly, microseconds a call
@@ -338,11 +339,11 @@ def on_shell_momentum(M0, v):
 
 
 def _check_momentum(P, M0):
-    """Raise ValueError unless each P, a FourVector or (..., 4) array, is a real,
-    positive-energy momentum with |P.P + M0^2| <= _ON_SHELL_RTOL M0^2 for its M0, a
+    """M0 as _real reads it; ValueError unless each P, a FourVector or (..., 4) array, is a
+    real, positive-energy momentum with |P.P + M0^2| <= _ON_SHELL_RTOL M0^2 for its M0, a
     float or a (...) array. One FourVector and a float stay Python scalars."""
     pp = minkowski_dot(P, P)
-    _positive(M0, "rest mass")
+    M0 = _real(M0, "rest mass", stack=True)
     if np.asarray(pp).dtype.kind == "c":
         raise ValueError("total momentum P must be real")
     if not _all(_parts(P)[3] > 0):
@@ -350,6 +351,7 @@ def _check_momentum(P, M0):
     miss = abs(pp + M0 * M0)
     if not _all(miss <= _ON_SHELL_RTOL * M0 * M0):
         raise ValueError(f"total momentum off shell: |P.P + M0^2| = {np.max(miss):.3e}")
+    return M0
 
 
 @dataclass(frozen=True)
@@ -370,8 +372,8 @@ class BoundSystem:
     P: FourVector
 
     def __post_init__(self):
-        _positive(self.m1, "m1")
-        _positive(self.m2, "m2")
+        _real(self.m1, "m1")
+        _real(self.m2, "m2")
         if self.eta1 + self.eta2 != 1.0:
             raise ValueError("eta weights must sum to one exactly")
         _check_momentum(self.P, self.M0)
@@ -418,7 +420,7 @@ def perp_projection(w, P, M0):
     FourVectors w and P give a FourVector, else w, P (..., 4) and M0 (...) broadcast.
     ValueError where w or the result is not finite.
     """
-    _check_momentum(P, M0)
+    M0 = _check_momentum(P, M0)
     four, P = isinstance(w, FourVector) and isinstance(P, FourVector), _components(P)
     k = lambda w: np.asarray(_over_real(minkowski_dot(P, w), M0 * M0))[..., None]
     out = _finite_map(lambda w: w + k(w) * P, w, image="projection")

@@ -24,7 +24,7 @@ from sys import float_info
 import numpy as np
 
 from .constraint import _axis, _coordinates, _jacobian
-from .minkowski import (BoundSystem, _all, _complex, _components, _finite_map, _positive,
+from .minkowski import (BoundSystem, _all, _complex, _components, _finite_map, _real,
                         bound_system, minkowski_dot, reduced_mass)
 
 # Highest admissible 1D quantum number.
@@ -63,15 +63,12 @@ def _hermite_levels(top: int, y) -> np.ndarray:
 
 
 def _clipped(t, scale: float):
-    """scale t for a real t, as float64, clipped at +-1e150 / scale before it is scaled:
-    every Hermite level is exactly 0 past |scale t| = 38.6, so the clip moves no value, and
-    it keeps scale t from overflowing and the recurrence from inf * 0 = nan. ValueError for
-    a complex or NaN argument; +-inf clips, so its levels are exactly 0."""
-    t = np.asarray(t)
-    if t.dtype.kind == "c":  # costs less than np.iscomplexobj on a Python float
-        raise ValueError("Hermite arguments must be real, got complex values")
+    """scale t for a real t, read by _components, clipped at +-1e150 / scale before it is
+    scaled: every Hermite level is exactly 0 past |scale t| = 38.6, so the clip moves no
+    value, and it keeps scale t from overflowing and the recurrence from inf * 0 = nan.
+    ValueError for a complex or NaN argument; +-inf clips, so its levels are exactly 0."""
     bound = 1e150 / scale
-    y = np.minimum(np.maximum(np.asarray(t, dtype=float), -bound), bound)
+    y = np.minimum(np.maximum(_components(t, None, real=True), -bound), bound)
     # y . y is NaN just where an entry is, since its terms are squares (never inf - inf);
     # one BLAS pass costs less than np.isnan(y).any()
     if math.isnan(np.vdot(y, y) if y.ndim else y):
@@ -83,7 +80,7 @@ def _clipped(t, scale: float):
 def _scale(omega: float, sign: int) -> float:
     """Omega**(sign / 2) for a positive finite Omega: the argument scale of the factor of
     direction sign, and the sample scale of the transform in that direction."""
-    return _positive(omega, "spring constant") ** (0.5 * sign)
+    return _real(omega, "spring constant") ** (0.5 * sign)
 
 
 def _pick(want, level):
@@ -108,8 +105,8 @@ def _factor(sign: int, ls, omega: float, t, offsets=(0,), slope: bool = False):
     h_(ls+1)). ls is an int or an int array broadcasting against t; one _hermite_levels
     pass gives every entry its level's bits. A range of offsets at an int ls, without slope,
     is a table: the recurrence's own array, scaled in place, with no copy."""
+    omega = _real(omega, "spring constant")
     y = _clipped(t, _scale(omega, sign))
-    omega = float(omega)  # checked by _scale; a float32 Omega gives its float64 prefactor
     wants = [ls + d for d in (*offsets, *((-1, 1) if slope else ()))]
     h = _hermite_levels(max(wants) if isinstance(ls, int) else int(max(map(np.max, wants))), y)
     if isinstance(offsets, range):
@@ -131,7 +128,7 @@ def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
     """The factor of direction sign at the levels 0..top, shape (top + 1, *t.shape): the
     recurrence's array, scaled in place, whose row l has the bits of the level-l factor at t;
     ValueError unless t is real and finite."""
-    if not np.isfinite(np.asarray(t, dtype=complex)).all():  # complex reads any number
+    if not np.isfinite(t := _components(t, None, real=True)).all():
         raise ValueError("targets must be finite")
     return _factor(sign, 0, omega, t, range(top + 1))
 
@@ -164,8 +161,8 @@ def _monomial(l: int, alpha):
 
 def phi_1d_bargmann(l: int, omega: float, alpha):
     """Bargmann-space factor alpha^l / sqrt(l!), complex; Omega is checked, not used."""
-    _positive(omega, "spring constant")
-    out = _monomial(l := _level(l, "quantum number"), alpha)
+    _real(omega, "spring constant")
+    out = _monomial(l := _level(l, "quantum number"), _components(alpha, None))
     if not _all(np.isfinite(out)):
         raise ValueError(f"the Bargmann factor alpha^{l} / sqrt({l}!) is non-finite")
     return out if out.ndim else complex(out)
@@ -181,13 +178,13 @@ def sigma_n(omega: float, n: int) -> float:
     """Separation-constant eigenvalue Omega (3/2 + n) of the level n, for a positive and
     finite Omega (a numpy float read as its float64), checked for overflow."""
     n = _level(n, "level", float_info.max)
-    return _positive(_positive(omega, "spring constant") * (1.5 + n), "Omega (3/2 + n)")
+    return _real(_real(omega, "spring constant") * (1.5 + n), "Omega (3/2 + n)")
 
 
 def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
     """Map a Schroedinger angular frequency to the covariant spring constant, Omega = m_r omega."""
-    _positive(omega_nr, "Schroedinger frequency")
-    return _positive(reduced_mass(m1, m2) * omega_nr, "spring constant")
+    omega_nr = _real(omega_nr, "Schroedinger frequency")
+    return _real(reduced_mass(m1, m2) * omega_nr, "spring constant")
 
 
 def degeneracy(n: int) -> int:
@@ -386,11 +383,15 @@ def ladder_explicit_value(direction: str, axis: int, omega: float, sys: BoundSys
     Derivative part: the constraint-space derivative reduced with the
     transversality condition, d_i + P_i/(M0 + P4) d_4 on stored components.
     Multiplicative part: Omega xi_i(x). Valid for fields satisfying
-    P^mu d_mu f = 0; oscillator eigenfunctions do. ValueError where x is not finite.
+    P^mu d_mu f = 0; oscillator eigenfunctions do. ValueError where x or the value is not finite.
     """
     sign, i = _ladder_sign(direction, axis)
-    _positive(omega, "spring constant")
-    return _ladder_explicit(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
+    omega = _real(omega, "spring constant")
+    out = _ladder_explicit(sign, i, omega, _components(sys.P), sys.M0, x,
+                           _components(value, None), _components(grad4))
+    if not _all(np.isfinite(out)):
+        raise ValueError("non-finite ladder value: the field and its gradient must be finite")
+    return out
 
 
 def _component(a, i):
@@ -406,8 +407,7 @@ def _component(a, i):
 def _ladder_explicit(sign, i, omega: float, P, M0, x, value, grad4):
     """ladder_explicit_value for signs (+1 raise, -1 lower) and 0-based axes i, ints or
     arrays broadcasting against value, at stacked systems P (..., 4) and M0 (...)."""
-    g = np.asarray(grad4)
-    d_xi = _component(g, i) + (_component(P, i) / (M0 + P[..., 3])) * g[..., 3]
+    d_xi = _component(grad4, i) + (_component(P, i) / (M0 + P[..., 3])) * grad4[..., 3]
     xi_i = _component(_finite_map(_coordinates, x, P, M0, image="constraint coordinates"), i)
     return (-sign * d_xi + omega * xi_i * value) / math.sqrt(2.0 * omega)
 
@@ -423,14 +423,14 @@ def ladder_explicit_4d_value(direction: str, axis: int, omega: float, sys: Bound
     x or the map of the components is not finite.
     """
     sign, i = _ladder_sign(direction, axis)
-    _positive(omega, "spring constant")
-    return _ladder_explicit_4d(sign, i, omega, _components(sys.P), sys.M0, x, value, grad4)
+    omega = _real(omega, "spring constant")
+    return _ladder_explicit_4d(sign, i, omega, _components(sys.P), sys.M0, x,
+                               _components(value, None), _components(grad4))
 
 
 def _ladder_explicit_4d(sign, i, omega: float, P, M0, x, value, grad4):
     """ladder_explicit_4d_value as _ladder_explicit takes its arguments."""
-    g = np.asarray(grad4)
-    d_contra = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
+    d_contra = np.concatenate([grad4[..., :3], -grad4[..., 3:]], axis=-1)
     a_mu = lambda w: _coordinates((-np.asarray(sign)[..., None] * d_contra + omega * w
                                    * np.expand_dims(value, -1)) / math.sqrt(2.0 * omega), P, M0)
     return _component(_finite_map(a_mu, x, image="map of the ladder components"), i)

@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .constraint import constraint_coordinates
-from .minkowski import _positive
+from .minkowski import _components, _real
 from .oscillator import (OscillatorState, _factor, _factor_table, _factors, _hermite_levels,
                          _scale, phi_1d)
 
@@ -102,7 +102,7 @@ def rescaled_nodes(rule: QuadratureRule, rate: float):
     """Substitution y = sqrt(rate) xi: points = nodes / sqrt(rate) and weights
     eff = weights exp(nodes^2) / sqrt(rate), so that sum(eff * F(points)) is the
     integral of F over the line for integrands with envelope exp(-rate xi^2)."""
-    root = math.sqrt(_positive(rate, "rate"))
+    root = math.sqrt(_real(rate, "rate"))
     return rule.nodes / root, rule.weights * np.exp(rule.nodes ** 2) / root
 
 
@@ -110,7 +110,7 @@ def trust_momentum(rule: QuadratureRule, omega: float) -> float:
     """Reach of the direct quadrature of exp(-i pi xi), verify's Fourier oracle:
     an order-N rule resolves exp(i b y) to ~1e-10 (measured against closed
     forms) only for |b| up to 0.196 N - 0.75. The spectral kernel has no limit."""
-    root = math.sqrt(_positive(omega, "spring constant") / 2.0)
+    root = math.sqrt(_real(omega, "spring constant") / 2.0)
     return max(0.5, 0.196 * rule.order - 0.75) * root
 
 
@@ -329,7 +329,7 @@ def bargmann_transform(g, alpha, omega: float, rule: QuadratureRule):
     1e-7 at 6. alpha is a scalar or an array with |alpha| finite and at most 10;
     a g returning stacked samples (..., order, centres) gives (..., *alpha.shape).
     """
-    a = np.asarray(alpha, dtype=complex)
+    a = _components(alpha, None).astype(complex, copy=False)
     if not np.all(np.abs(a) <= 10.0):
         raise ValueError("|alpha| must be finite and at most 10")
     flat, scale = a.reshape(-1), _scale(omega, -1)

@@ -42,7 +42,7 @@ DEFAULT_H_SECOND = 1e-5
 def _point(x, h) -> np.ndarray:
     """The components (..., 4) of x; ValueError naming a point that is not finite,
     or for a step h that is not positive and finite."""
-    minkowski._positive(h, "step h")
+    minkowski._real(h, "step h")
     return minkowski._finite_map(_components, x, image="point")
 
 
@@ -310,10 +310,7 @@ def _check_options(trials=1, points=1, max_n=0, sigma_perturb=0.0, order=None,
     _count("trials", trials)
     _count("points", points)
     _count("max_n", max_n, 0)
-    # a bool is not a number here; the bound refuses an int beyond the float range
-    if isinstance(sigma_perturb, (bool, np.bool_, complex, np.complexfloating)) \
-            or not -minkowski._MAX <= minkowski._float64(sigma_perturb) <= minkowski._MAX:
-        raise ValueError(f"sigma_perturb must be finite and real, got {sigma_perturb!r}")
+    minkowski._real(sigma_perturb, "sigma_perturb", positive=False)
     if order is not None:
         transforms.gauss_hermite(order)  # raises for a bad order
     if isinstance(bargmann_sign, (bool, np.bool_)) or bargmann_sign not in (+1, -1):
@@ -332,7 +329,7 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     projection serve the stack, and P passes BoundSystem's checks in both frames.
     """
     _check_options(trials=trials, seed=seed)
-    if not 0.0 < vmax < 1.0:
+    if not (vmax := minkowski._real(vmax, "vmax")) < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
     m1, m2, sigma = _draw_masses(rng, (trials, 1))

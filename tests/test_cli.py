@@ -414,7 +414,7 @@ def test_negative_inputs_are_usage_errors(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     ("--max-n -1", "max_n must be a non-negative integer"),
     ("--order 0", "order must be an integer in [1, 256], got 0"),
-    ("--sigma-perturb nan", "sigma_perturb must be finite and real, got nan"),
+    ("--sigma-perturb nan", "sigma_perturb must be real and finite, got nan"),
     ("--points 0", "points must be a positive integer"),
     ("--seed -1", "seed must be a non-negative integer"),
 ])

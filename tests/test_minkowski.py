@@ -319,6 +319,9 @@ _NARROW_CALLS = {
     "reduced_mass": lambda c: reduced_mass(c(1.1), 2.0),
     # the state's sigma ran in float32 and missed sigma_n of float(omega)
     "oscillator_state": lambda c: oscillator_state((0, 0, 0), c(1.1), 1.0, 1.3),
+    # a 0-d array of the narrow float, which the array test compared in its own width
+    "phi_1d_omega_0d_array": lambda c: phi_1d(2, np.array(c(1.1)), 0.4),
+    "sigma_n_0d_array": lambda c: sigma_n(np.array(c(1.1)), 1),
 }
 
 

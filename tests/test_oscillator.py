@@ -190,6 +190,14 @@ _INVALID_INPUTS = {
     **{f"{name}_axis_{tag}": (lambda call=call, axis=axis: call(axis))
        for name, call in _AXIS_CALLS.items() for tag, axis in _BAD_AXES.items()
        if name == "replace_axis" or tag not in _ALREADY_REFUSED},
+    # one system's number is one number: an array mass raised TypeError, a bool sigma read as 1.0
+    "bound_system_array_m1": lambda: bound_system(np.array([1.0]), 1.0),
+    "state_array_m1": lambda: oscillator_state((0, 0, 0), 1.1, np.array([1.0]), 1.3),
+    "bound_system_bool_sigma": lambda: bound_system(1.0, 1.0, True),
+    "rest_mass_bool_sigma": lambda: rest_mass(1.0, 1.0, True),
+    # a 4-vector component is one number in the float range (OverflowError and TypeError)
+    "four_vector_beyond_float": lambda: FourVector(10 ** 400, 0, 0, 0),
+    "four_vector_array_component": lambda: FourVector(np.array([1.0]), 0, 0, 0),
     "rest_mass_m1_beyond_float": lambda: rest_mass(10 ** 400, 1, 0),
     "rest_mass_sigma_beyond_float": lambda: rest_mass(1, 1, 10 ** 400),
     "bound_system_m1_beyond_float": lambda: bound_system(10 ** 400, 1),

@@ -561,7 +561,7 @@ def test_the_suite_levels_hold_every_state_up_to_a_level_in_level_order():
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400, 1j, True, np.True_],
                          ids=["inf", "-inf", "nan", "10**400", "1j", "True", "np.True_"])
 def test_pde_suite_rejects_non_finite_sigma_perturb(value):
-    with pytest.raises(ValueError, match="sigma_perturb must be finite"):
+    with pytest.raises(ValueError, match="sigma_perturb must be real and finite, got"):
         run_pde_suite(sigma_perturb=value)
 
 
