@@ -137,10 +137,10 @@ def _all(mask) -> bool:
 
 
 def _real(x, name: str, stack: bool = False, positive: bool = True):
-    """x as a float, real, finite and unless positive is False positive, or with stack a
-    float64 array of such entries; else ValueError. A numpy number of any width, a 0-d array
-    too, reads as its float64 (float32 would meet the bound in its own width, and overflow);
-    a bool, a complex number, an array without stack and an int beyond the float range fail."""
+    """The finite real number x, positive unless positive is False, as a float, or with stack
+    a list or array of them as float64; else ValueError. Any numpy width, a 0-d array too,
+    reads as its float64 (a float32 would meet the bound in its own width, and overflow); a
+    bool, a complex number, an array without stack or an int beyond the float range fails."""
     # one float takes a chained comparison alone, which costs less than any type test
     if type(x) is float and (0.0 < x <= _MAX if positive else -_MAX <= x <= _MAX):
         return x

@@ -198,6 +198,9 @@ _INVALID_INPUTS = {
     # a 4-vector component is one number in the float range (OverflowError and TypeError)
     "four_vector_beyond_float": lambda: FourVector(10 ** 400, 0, 0, 0),
     "four_vector_array_component": lambda: FourVector(np.array([1.0]), 0, 0, 0),
+    # a bool is not a number in a vector either
+    "four_vector_bool_component": lambda: FourVector(True, 0, 0, 0),
+    "phi_bool_argument": lambda: phi_1d(0, 1.0, np.array([True, False])),
     "rest_mass_m1_beyond_float": lambda: rest_mass(10 ** 400, 1, 0),
     "rest_mass_sigma_beyond_float": lambda: rest_mass(1, 1, 10 ** 400),
     "bound_system_m1_beyond_float": lambda: bound_system(10 ** 400, 1),
