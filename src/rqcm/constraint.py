@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import (BoundSystem, FourVector, _components, _finite_map, _over_real,
-                        minkowski_dot)
+from .minkowski import (BoundSystem, FourVector, _components, _finite_map, _integer,
+                        _over_real, minkowski_dot)
 
 
 def constraint_coordinates(w, sys: BoundSystem) -> np.ndarray:
@@ -40,13 +40,6 @@ def _coordinates(w, P, M0) -> np.ndarray:
     num = minkowski_dot(P, w) - M0 * w[..., 3][()]
     P = _components(P)
     return w[..., :3] + P[..., :3] * _over_real(num, M0 * (M0 + P[..., 3]))[..., None]
-
-
-def _axis(axis) -> int:
-    """The 0-based index of axis, an int or numpy integer 1, 2 or 3 (not a bool)."""
-    if (type(axis) is int or isinstance(axis, np.integer)) and 1 <= axis <= 3:
-        return int(axis) - 1
-    raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
 
 
 def xi_jacobian(sys: BoundSystem) -> np.ndarray:
@@ -75,7 +68,7 @@ def xi_directional_derivative(grad4, axis: int, sys: BoundSystem):
     obeying the transversality condition P^mu d_mu f = 0 it agrees with the
     reduced two-term form used by the explicit ladder operators.
     """
-    i = _axis(axis)
+    i = _integer(axis, "axis", 1, 3) - 1
     g = _components(grad4)
     raised = np.concatenate([g[..., :3], -g[..., 3:]], axis=-1)
     return constraint_coordinates(raised, sys)[..., i][()]

@@ -159,6 +159,18 @@ def _real(x, name: str, stack: bool = False, positive: bool = True):
     return y
 
 
+def _integer(x, name: str, low: int = 0, high=math.inf) -> int:
+    """x, a Python int or a numpy integer of any width, as a Python int in [low, high];
+    else ValueError. A bool, a float (2.0 too), a string or an array is not one."""
+    # one int takes a chained comparison alone, which costs less than any other test
+    if type(x) is int and low <= x <= high:
+        return x
+    if isinstance(x, np.integer) and low <= (y := int(x)) <= high:
+        return y
+    bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bounds}, got {x!r}")
+
+
 def _dot(u: np.ndarray, w: np.ndarray):
     """Row by row u @ w, each row with the bits of a 1-D u @ w (a sum over the last
     axis need not have them); 1-D u and w take u @ w itself, which costs less."""
@@ -372,8 +384,10 @@ class BoundSystem:
     P: FourVector
 
     def __post_init__(self):
-        _real(self.m1, "m1")
-        _real(self.m2, "m2")
+        m1, m2 = _real(self.m1, "m1"), _real(self.m2, "m2")
+        if m1 is not self.m1 or m2 is not self.m2:  # a float32 or an int mass keeps its float
+            object.__setattr__(self, "m1", m1)
+            object.__setattr__(self, "m2", m2)
         if self.eta1 + self.eta2 != 1.0:
             raise ValueError("eta weights must sum to one exactly")
         _check_momentum(self.P, self.M0)

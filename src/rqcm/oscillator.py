@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from sys import float_info
 
 import numpy as np
 
-from .constraint import _axis, _coordinates, _jacobian
-from .minkowski import (BoundSystem, _all, _complex, _components, _finite_map, _real,
-                        bound_system, minkowski_dot, reduced_mass)
+from .constraint import _coordinates, _jacobian
+from .minkowski import (BoundSystem, _all, _complex, _components, _finite_map, _integer,
+                        _real, bound_system, minkowski_dot, reduced_mass)
 
 # Highest admissible 1D quantum number.
 MAX_LEVEL = 64
@@ -133,23 +132,15 @@ def _factor_table(sign: int, top: int, omega: float, t) -> np.ndarray:
     return _factor(sign, 0, omega, t, range(top + 1))
 
 
-def _level(value, name: str = "level", top=MAX_LEVEL) -> int:
-    """value as an int: integral (2.0 reads as 2), not a bool, in [0, top]."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                                   or value % 1 != 0) or not 0 <= value <= top:
-        raise ValueError(f"{name} must be an integer in [0, {top}], got {value!r}")
-    return value if type(value) is int else int(value)  # int() would return it, at a call's cost
-
-
 def phi_1d(l: int, omega: float, xi):
     """Position-space factor (Omega/pi)^(1/4)/sqrt(2^l l!) H_l(sqrt(Omega) xi) exp(-Omega xi^2/2)."""
-    out = _factor(+1, _level(l, "quantum number"), omega, xi)[0]
+    out = _factor(+1, _integer(l, "quantum number", 0, MAX_LEVEL), omega, xi)[0]
     return out if out.ndim else float(out)
 
 
 def phi_1d_momentum(l: int, omega: float, pi_):
     """Momentum-space factor (1/(Omega pi))^(1/4)/sqrt(2^l l!) H_l(pi/sqrt(Omega)) exp(-pi^2/(2 Omega))."""
-    out = _factor(-1, _level(l, "quantum number"), omega, pi_)[0]
+    out = _factor(-1, _integer(l, "quantum number", 0, MAX_LEVEL), omega, pi_)[0]
     return out if out.ndim else float(out)
 
 
@@ -162,7 +153,7 @@ def _monomial(l: int, alpha):
 def phi_1d_bargmann(l: int, omega: float, alpha):
     """Bargmann-space factor alpha^l / sqrt(l!), complex; Omega is checked, not used."""
     _real(omega, "spring constant")
-    out = _monomial(l := _level(l, "quantum number"), _components(alpha, None))
+    out = _monomial(l := _integer(l, "quantum number", 0, MAX_LEVEL), _components(alpha, None))
     if not _all(np.isfinite(out)):
         raise ValueError(f"the Bargmann factor alpha^{l} / sqrt({l}!) is non-finite")
     return out if out.ndim else complex(out)
@@ -170,14 +161,14 @@ def phi_1d_bargmann(l: int, omega: float, alpha):
 
 def phi_1d_derivative(l: int, omega: float, xi):
     """d/dxi of phi_1d: sqrt(Omega) (sqrt(l/2) phi_{l-1} - sqrt((l+1)/2) phi_{l+1})."""
-    out = _factor(+1, _level(l, "quantum number"), omega, xi, (), slope=True)[0]
+    out = _factor(+1, _integer(l, "quantum number", 0, MAX_LEVEL), omega, xi, (), slope=True)[0]
     return out if np.ndim(out) else float(out)
 
 
 def sigma_n(omega: float, n: int) -> float:
     """Separation-constant eigenvalue Omega (3/2 + n) of the level n, for a positive and
     finite Omega (a numpy float read as its float64), checked for overflow."""
-    n = _level(n, "level", float_info.max)
+    n = _integer(n, "level", 0, float_info.max)
     return _real(_real(omega, "spring constant") * (1.5 + n), "Omega (3/2 + n)")
 
 
@@ -189,13 +180,13 @@ def nr_spring_constant(m1: float, m2: float, omega_nr: float) -> float:
 
 def degeneracy(n: int) -> int:
     """Number of (l1, l2, l3) triples with l1 + l2 + l3 = n."""
-    n = _level(n, top=math.inf)
+    n = _integer(n, "level")
     return (n + 1) * (n + 2) // 2
 
 
 def quantum_numbers_at_level(n: int):
-    """All QuantumNumbers with total n, in lexicographic order."""
-    n = _level(n, top=math.inf)
+    """All QuantumNumbers with total n <= MAX_LEVEL, in lexicographic order."""
+    n = _integer(n, "level", 0, MAX_LEVEL)
     return [QuantumNumbers(l1, l2, n - l1 - l2)
             for l1 in range(n + 1) for l2 in range(n - l1 + 1)]
 
@@ -210,7 +201,7 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for name in ("l1", "l2", "l3"):
-            object.__setattr__(self, name, _level(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, MAX_LEVEL))
 
     @property
     def n(self) -> int:
@@ -221,7 +212,7 @@ class QuantumNumbers:
 
     def replace_axis(self, axis: int, value: int) -> "QuantumNumbers":
         ls = list(self.as_tuple())
-        ls[_axis(axis)] = value
+        ls[_integer(axis, "axis", 1, 3) - 1] = value
         return QuantumNumbers(*ls)
 
 
@@ -351,7 +342,7 @@ def psi_position_gradient(state: OscillatorState, x, X=None) -> np.ndarray:
 
 def _ladder_sign(direction: str, axis: int) -> tuple[int, int]:
     """The sign of a move, +1 to raise and -1 to lower, and the 0-based index of its axis."""
-    i = _axis(axis)
+    i = _integer(axis, "axis", 1, 3) - 1
     if direction == "raise":
         return +1, i
     if direction == "lower":

@@ -34,7 +34,6 @@ product and _shaped the result's shape; verify's transforms suite reads the same
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -42,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .constraint import constraint_coordinates
-from .minkowski import _components, _real
+from .minkowski import _components, _integer, _real
 from .oscillator import (OscillatorState, _factor, _factor_table, _factors, _hermite_levels,
                          _scale, phi_1d)
 
@@ -82,10 +81,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     The nodes and weights are numpy's hermgauss; rules are cached and
     their arrays read-only, so every caller shares one copy per order.
     """
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) \
-            or not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-    return _gauss_hermite(int(order))
+    return _gauss_hermite(_integer(order, "order", 1, MAX_ORDER))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import constraint, minkowski, oscillator, transforms
-from .minkowski import (_components, _dot, _over_real, bound_system, eta_params,
+from .minkowski import (_components, _dot, _integer, _over_real, bound_system, eta_params,
                         minkowski_dot, reduced_mass, rest_mass)
 from .oscillator import ladder_explicit_value, oscillator_state, psi_position
 
@@ -297,24 +298,21 @@ def _levels(max_n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suites
 
-def _count(name: str, n, least: int = 1):
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= least):
-        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+# each integer option of the suites and its bounds, as _check_options reads them
+_BOUNDS = {"seed": (0, math.inf), "trials": (1, sys.maxsize), "points": (1, sys.maxsize),
+           "max_n": (0, oscillator.MAX_LEVEL), "order": (1, transforms.MAX_ORDER),
+           "bargmann_sign": (-1, 1)}
 
 
-def _check_options(trials=1, points=1, max_n=0, sigma_perturb=0.0, order=None,
-                   bargmann_sign=1, seed=0):
-    """Raise ValueError for a bad value of any option the suites take; each
-    suite checks its own, and a caller can check all before running any."""
-    _count("seed", seed, 0)
-    _count("trials", trials)
-    _count("points", points)
-    _count("max_n", max_n, 0)
+def _check_options(sigma_perturb=0.0, **options) -> list:
+    """The given integer options as _integer reads them, in the order given, once sigma_perturb
+    and each of them pass; else ValueError for the first that does not. Each suite reads its
+    own, and a caller can check all before running any."""
     minkowski._real(sigma_perturb, "sigma_perturb", positive=False)
-    if order is not None:
-        transforms.gauss_hermite(order)  # raises for a bad order
-    if isinstance(bargmann_sign, (bool, np.bool_)) or bargmann_sign not in (+1, -1):
-        raise ValueError(f"bargmann_sign must be +1 or -1, got {bargmann_sign!r}")
+    read = {key: _integer(value, key, *_BOUNDS[key]) for key, value in options.items()}
+    if read.get("bargmann_sign") == 0:
+        raise ValueError("bargmann_sign must be +1 or -1, got 0")
+    return list(read.values())
 
 
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
@@ -328,7 +326,7 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     boosts and x and p come as blocks over all trials; one boost, one map and one
     projection serve the stack, and P passes BoundSystem's checks in both frames.
     """
-    _check_options(trials=trials, seed=seed)
+    trials, seed = _check_options(trials=trials, seed=seed)
     if not (vmax := minkowski._real(vmax, "vmax")) < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -429,7 +427,8 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     kept from those draws.
     Each check is one block over all states.
     """
-    _check_options(points=points, max_n=max_n, sigma_perturb=sigma_perturb, seed=seed)
+    points, max_n, seed = _check_options(points=points, max_n=max_n, seed=seed,
+                                         sigma_perturb=sigma_perturb)
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
     fd = mode == "fd"
@@ -531,7 +530,7 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     points kept from those draws. The 20 test fields run as one batch, the coefficient algebra as one over all
     states, and each check is one block.
     """
-    _check_options(points=points, max_n=max_n, seed=seed)
+    max_n, points, seed = _check_options(max_n=max_n, points=points, seed=seed)
     rng = np.random.default_rng(seed)
     # the states up to level max_n at Omega = 1, m1 = 1, m2 = 1.3, each drawing its velocity
     # in turn, and the eigenvalue of each level a move reaches
@@ -619,7 +618,7 @@ def run_nr_limit_suite(seed: int = 0) -> VerificationReport:
     pairs the suite draws from [0.5, 3), so seed is its only parameter. Halving
     sigma = 1e-3 must divide the error by 4 +- 0.5 (the ratio window [3.5, 4.5]);
     the small-sigma energy holds to 5e-6, the other identities to 1e-12."""
-    _check_options(seed=seed)
+    seed, = _check_options(seed=seed)
     rng = np.random.default_rng(seed)
     mass_pairs = rng.uniform(0.5, 3.0, (20, 2))
     sigma0 = 1e-3
@@ -694,7 +693,8 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     its own call, and each state joins its three levels' rows, the states of the
     Fourier modulus in chunks.
     """
-    _check_options(max_n=max_n, bargmann_sign=bargmann_sign, seed=seed)
+    max_n, order, bargmann_sign, seed = _check_options(max_n=max_n, order=order,
+                                                       bargmann_sign=bargmann_sign, seed=seed)
     omega, tol = 1.1, 1e-8
     rng = np.random.default_rng(seed)
     notes = [f"seed={seed}", f"order={order}"]

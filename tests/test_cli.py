@@ -395,15 +395,16 @@ def test_verify_unknown_suite_usage_error(capsys):
 def test_verify_empty_suite_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv.split())
     assert code == 2
-    assert err.startswith("error:") and "must be a positive integer" in err
+    assert err.startswith("error:") and f"must be an integer in [1, {sys.maxsize}], got" in err
     assert out == ""
 
 
 @pytest.mark.parametrize("argv, message", [
     ("spectrum --hbar-omega -2", "Schroedinger frequency must be positive and finite, got -2.0"),
     ("spectrum --nmax -1", "nmax must be an integer >= 0, got -1"),
-    ("verify --suite transforms --max-n -1", "max_n must be a non-negative integer"),
-], ids=["hbar-omega -2", "nmax -1", "max-n -1"])
+    ("verify --suite transforms --max-n -1", "max_n must be an integer in [0, 64], got -1"),
+    ("verify --suite transforms --max-n 65", "max_n must be an integer in [0, 64], got 65"),
+], ids=["hbar-omega -2", "nmax -1", "max-n -1", "max-n 65"])
 def test_negative_inputs_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
@@ -412,11 +413,12 @@ def test_negative_inputs_are_usage_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("--max-n -1", "max_n must be a non-negative integer"),
+    ("--max-n -1", "max_n must be an integer in [0, 64], got -1"),
     ("--order 0", "order must be an integer in [1, 256], got 0"),
     ("--sigma-perturb nan", "sigma_perturb must be real and finite, got nan"),
-    ("--points 0", "points must be a positive integer"),
-    ("--seed -1", "seed must be a non-negative integer"),
+    ("--points 0", f"points must be an integer in [1, {sys.maxsize}], got 0"),
+    (f"--points {10 ** 41}", f"points must be an integer in [1, {sys.maxsize}], got {10 ** 41}"),
+    ("--seed -1", "seed must be an integer >= 0, got -1"),
 ])
 def test_verify_checks_every_option_before_any_suite_runs(capsys, monkeypatch, argv, message):
     def never(**kwargs):

@@ -1,10 +1,12 @@
-"""Aim 3 as one table: each numeric slot of every public entry point, given in turn each
-value of VALUES, gives a finite value or raises ValueError, with no warning.
+"""Aim 3 as two tables: each real or vector slot of every public entry point, given in turn
+each value of VALUES, gives a finite value or raises ValueError, with no warning; and each
+integer slot (a level, an axis, a quadrature order, a suite's count, size, sign or seed),
+given in turn each value of INTEGER_VALUES, gives a value or raises ValueError, with no
+warning, and a numpy integer gives what its Python int gives.
 
 A slot whose default is a list is a vector: the value takes its first entry. Any other
-slot takes the value itself. A new entry point joins ENTRIES. Out of scope: a non-number
-where a state, a rule or a callable belongs, and the integer rules (levels, axes, counts,
-quadrature orders), which have tables of their own.
+slot takes the value itself. A new entry point joins ENTRIES, or INTEGERS for an integer
+slot. Out of scope: a non-number where a state, a rule or a callable belongs.
 """
 import dataclasses
 import math
@@ -102,14 +104,18 @@ def _finite(out) -> bool:
     return bool(np.isfinite(out).all())
 
 
+def _args(defaults: dict, slot: str, value) -> dict:
+    """The defaults with value in slot; a vector slot takes it as its first entry."""
+    default = defaults[slot]
+    return {**defaults, slot: [value, *default[1:]] if isinstance(default, list) else value}
+
+
 def _cell(name: str, slot: str, value):
     """What the entry point gives with value in slot: None for a finite value or a
     ValueError, else a description of the breach."""
     call, defaults = ENTRIES[name]
-    default = defaults[slot]
-    args = {**defaults, slot: [value, *default[1:]] if isinstance(default, list) else value}
     try:
-        out = call(**args)
+        out = call(**_args(defaults, slot, value))
     except ValueError:
         return None
     except Exception as err:  # any other exception, a warning too, is a breach
@@ -127,5 +133,92 @@ def test_every_numeric_slot_gives_a_finite_value_or_value_error(name, slot):
 
 def test_every_entry_point_gives_a_finite_value_at_its_defaults():
     # so that a breach shows as one, and not as a ValueError at every value
-    for name, (call, defaults) in ENTRIES.items():
-        assert _finite(call(**defaults)), name
+    for table in (ENTRIES, INTEGERS):
+        for name, (call, defaults) in table.items():
+            assert _finite(call(**defaults)), name
+
+
+# the narrow numpy integers overflowed their width inside a suite that computed with them:
+# 8192 // (11 * np.uint8(2)), np.int8(20) * 11, np.uint8(30) * 48, np.int8(127) + 1
+INTEGER_VALUES = {"2.0": 2.0, "2.5": 2.5, "True": True, "np.True_": np.True_,
+                  "int64": np.int64(2), "uint8(2)": np.uint8(2), "int8(20)": np.int8(20),
+                  "uint8(30)": np.uint8(30), "int8(127)": np.int8(127), "-1": -1,
+                  "nan": math.nan, "inf": math.inf, "10**400": 10 ** 400, "'2'": "2",
+                  "[2]": [2], "array(2)": np.array(2), "array([2])": np.array([2])}
+
+# entry point -> (call taking keyword arguments, the integer slots and their defaults);
+# the suites at their cheapest sizes
+INTEGERS = {
+    **{factor.__name__: (lambda l, factor=factor: factor(l, 1.1, 0.4), {"l": 2})
+       for factor in (oscillator.phi_1d, oscillator.phi_1d_momentum,
+                      oscillator.phi_1d_derivative, oscillator.phi_1d_bargmann)},
+    "QuantumNumbers": (oscillator.QuantumNumbers, {"l1": 1, "l2": 2, "l3": 3}),
+    "replace_axis": (lambda axis, value: oscillator.QuantumNumbers(1, 2, 3).replace_axis(
+        axis, value), {"axis": 2, "value": 5}),
+    "sigma_n": (lambda n: oscillator.sigma_n(1.1, n), {"n": 2}),
+    "degeneracy": (oscillator.degeneracy, {"n": 2}),
+    "quantum_numbers_at_level": (oscillator.quantum_numbers_at_level, {"n": 2}),
+    "oscillator_state": (lambda l: oscillator.oscillator_state(l, 1.1, 1.0, 1.3),
+                         {"l": [2, 0, 1]}),
+    "ladder_apply": (lambda axis: oscillator.ladder_apply("raise", axis, _STATE), {"axis": 1}),
+    **{ladder.__name__: (lambda axis, ladder=ladder: ladder("raise", axis, 1.0, _SYS, _POINT,
+                                                            0.5, _POINT), {"axis": 1})
+       for ladder in (oscillator.ladder_explicit_value, oscillator.ladder_explicit_4d_value)},
+    "xi_directional_derivative": (lambda axis: constraint.xi_directional_derivative(
+        _POINT, axis, _SYS), {"axis": 1}),
+    "gauss_hermite": (transforms.gauss_hermite, {"order": 8}),
+    "run_invariance_suite": (verify.run_invariance_suite, {"trials": 2, "seed": 0}),
+    "run_pde_suite": (verify.run_pde_suite, {"points": 1, "max_n": 0, "seed": 0}),
+    "run_ladder_suite": (verify.run_ladder_suite, {"points": 1, "max_n": 0, "seed": 0}),
+    "run_nr_limit_suite": (verify.run_nr_limit_suite, {"seed": 0}),
+    "run_transform_suite": (verify.run_transform_suite,
+                            {"max_n": 0, "order": 32, "bargmann_sign": 1, "seed": 0}),
+}
+INTEGER_SLOTS = [(name, slot) for name, (_, defaults) in INTEGERS.items() for slot in defaults]
+
+
+def _same(a, b) -> bool:
+    """Whether a and b are equal with the same types all the way down (an int where an int
+    is); reports by their JSON."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, verify.VerificationReport):
+        return a.to_json() == b.to_json()
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return bool(a == b)
+
+
+def _result(call, args: dict):
+    """call(**args), or ValueError where it raises that."""
+    try:
+        return call(**args)
+    except ValueError:
+        return ValueError
+
+
+def _integer_cell(name: str, slot: str, value):
+    """None where value in slot gives a value or a ValueError, and a numpy integer gives what
+    its Python int gives; else a description of the breach."""
+    call, defaults = INTEGERS[name]
+    try:
+        got = _result(call, _args(defaults, slot, value))
+        if isinstance(value, np.integer) and not _same(
+                got, want := _result(call, _args(defaults, slot, int(value)))):
+            return f"{got!r} where the int {int(value)} gives {want!r}"
+    except Exception as err:  # any other exception, a warning too, is a breach
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, slot", INTEGER_SLOTS,
+                         ids=[f"{name}-{slot}" for name, slot in INTEGER_SLOTS])
+def test_every_integer_slot_gives_a_value_or_value_error(name, slot):
+    breaches = {tag: why for tag, value in INTEGER_VALUES.items()
+                if (why := _integer_cell(name, slot, value)) is not None}
+    assert not breaches

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -323,11 +324,23 @@ _NARROW_CALLS = {
     "phi_1d_omega_0d_array": lambda c: phi_1d(2, np.array(c(1.1)), 0.4),
     "sigma_n_0d_array": lambda c: sigma_n(np.array(c(1.1)), 1),
 }
+# a system keeps the float its owner reads: a float32 mass ran its arithmetic in float32
+_SYSTEM = bound_system(1.0, 1.3, 0.3)
+_MASS_CALLS = {
+    "bound_system_m1_type": lambda c: type(bound_system(c(1.1), 1.3).m1),
+    "BoundSystem_m2_type": lambda c: type(dataclasses.replace(_SYSTEM, m2=c(1.3)).m2),
+    "oscillator_state_m1_type": lambda c: type(
+        oscillator_state((0, 0, 0), 1.1, c(1.1), 1.3).sys.m1),
+}
+# each call at each narrow type; an np.int64 mass too, read as the float64 of its value
+_NARROW_CASES = {f"{name}-{narrow.__name__}": (call, narrow)
+                 for calls, types in ((_NARROW_CALLS, (np.float32, np.float16)),
+                                      (_MASS_CALLS, (np.float32, np.float16, np.int64)))
+                 for name, call in calls.items() for narrow in types}
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("narrow", [np.float32, np.float16])
-@pytest.mark.parametrize("call", _NARROW_CALLS.values(), ids=_NARROW_CALLS.keys())
+@pytest.mark.parametrize("call, narrow", _NARROW_CASES.values(), ids=_NARROW_CASES.keys())
 def test_a_narrow_float_reads_as_the_float64_of_its_value(call, narrow):
     assert call(narrow) == call(lambda x: float(narrow(x)))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -522,7 +523,7 @@ def test_invariance_suite_checks_the_boosted_momenta(monkeypatch, scale, message
     (run_ladder_suite, "points", True),
 ])
 def test_empty_suites_raise(suite, count, value):
-    with pytest.raises(ValueError, match=f"{count} must be a positive integer"):
+    with pytest.raises(ValueError, match=rf"{count} must be an integer in \[1, {sys.maxsize}\]"):
         suite(**{count: value})
 
 
@@ -533,10 +534,10 @@ def test_transform_suite_checks_its_sign_before_running(sign):
         run_transform_suite(bargmann_sign=sign)
 
 
-@pytest.mark.parametrize("max_n", [-1, 1.5, True])
+@pytest.mark.parametrize("max_n", [-1, 1.5, True, 65])
 @pytest.mark.parametrize("suite", [run_pde_suite, run_ladder_suite, run_transform_suite])
 def test_negative_or_fractional_max_n_raises(suite, max_n):
-    with pytest.raises(ValueError, match="max_n must be a non-negative integer"):
+    with pytest.raises(ValueError, match=r"max_n must be an integer in \[0, 64\]"):
         suite(max_n=max_n)
 
 
@@ -875,7 +876,7 @@ def test_stacked_suites_keep_their_memory_bound(suite):
 def test_suites_refuse_a_bad_seed(suite, seed):
     # nr-limit ran seed 1 for True and wrote seed=True in its notes; numpy raised
     # TypeError for 1.5 and "a"
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         suite(seed=seed)
 
 
