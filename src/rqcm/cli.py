@@ -239,7 +239,8 @@ def cmd_verify(args, cfg) -> int:
     kwargs = {name: {key: value for key, value in options.items()
                      if value is not None and name in _VERIFY_OPTIONS[key]} for name in names}
     for name in names:  # every option, before the first suite runs
-        verify._check_options(seed=seed, **kwargs[name])
+        for key, value in {"seed": seed, **kwargs[name]}.items():
+            verify._option(value, key)
     reports = {name: verify.SUITES[name](seed=seed, **kwargs[name]) for name in names}
     if args.report:
         with open(args.report, "w") as fh:

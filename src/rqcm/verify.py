@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -298,21 +299,22 @@ def _levels(max_n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suites
 
-# each integer option of the suites and its bounds, as _check_options reads them
+# the bounds of each integer option of the suites but bargmann_sign
 _BOUNDS = {"seed": (0, math.inf), "trials": (1, sys.maxsize), "points": (1, sys.maxsize),
-           "max_n": (0, oscillator.MAX_LEVEL), "order": (1, transforms.MAX_ORDER),
-           "bargmann_sign": (-1, 1)}
+           "max_n": (0, oscillator.MAX_LEVEL), "order": (1, transforms.MAX_ORDER)}
 
 
-def _check_options(sigma_perturb=0.0, **options) -> list:
-    """The given integer options as _integer reads them, in the order given, once sigma_perturb
-    and each of them pass; else ValueError for the first that does not. Each suite reads its
-    own, and a caller can check all before running any."""
-    minkowski._real(sigma_perturb, "sigma_perturb", positive=False)
-    read = {key: _integer(value, key, *_BOUNDS[key]) for key, value in options.items()}
-    if read.get("bargmann_sign") == 0:
-        raise ValueError("bargmann_sign must be +1 or -1, got 0")
-    return list(read.values())
+def _option(value, name: str):
+    """The suite option name as its rule reads it, else ValueError: sigma_perturb a finite
+    real, bargmann_sign +1 or -1, any other an integer in its _BOUNDS."""
+    if name == "sigma_perturb":
+        return minkowski._real(value, name, positive=False)
+    if name != "bargmann_sign":
+        return _integer(value, name, *_BOUNDS[name])
+    with suppress(ValueError):
+        if abs(sign := _integer(value, name, -1, 1)) == 1:
+            return sign
+    raise ValueError(f"bargmann_sign must be +1 or -1, got {value!r}")
 
 
 def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
@@ -326,7 +328,7 @@ def run_invariance_suite(trials: int = 1000, vmax: float = 0.99,
     boosts and x and p come as blocks over all trials; one boost, one map and one
     projection serve the stack, and P passes BoundSystem's checks in both frames.
     """
-    trials, seed = _check_options(trials=trials, seed=seed)
+    trials, seed = _option(trials, "trials"), _option(seed, "seed")
     if not (vmax := minkowski._real(vmax, "vmax")) < 1.0:
         raise ValueError("vmax must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -427,8 +429,9 @@ def run_pde_suite(points: int = 20, mode: str = "fd", seed: int = 0,
     kept from those draws.
     Each check is one block over all states.
     """
-    points, max_n, seed = _check_options(points=points, max_n=max_n, seed=seed,
-                                         sigma_perturb=sigma_perturb)
+    _option(sigma_perturb, "sigma_perturb")  # used as given, so that its note keeps it
+    points, max_n = _option(points, "points"), _option(max_n, "max_n")
+    seed = _option(seed, "seed")
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
     fd = mode == "fd"
@@ -530,7 +533,8 @@ def run_ladder_suite(max_n: int = 4, points: int = 20, seed: int = 0) -> Verific
     points kept from those draws. The 20 test fields run as one batch, the coefficient algebra as one over all
     states, and each check is one block.
     """
-    max_n, points, seed = _check_options(max_n=max_n, points=points, seed=seed)
+    points, max_n = _option(points, "points"), _option(max_n, "max_n")
+    seed = _option(seed, "seed")
     rng = np.random.default_rng(seed)
     # the states up to level max_n at Omega = 1, m1 = 1, m2 = 1.3, each drawing its velocity
     # in turn, and the eigenvalue of each level a move reaches
@@ -618,7 +622,7 @@ def run_nr_limit_suite(seed: int = 0) -> VerificationReport:
     pairs the suite draws from [0.5, 3), so seed is its only parameter. Halving
     sigma = 1e-3 must divide the error by 4 +- 0.5 (the ratio window [3.5, 4.5]);
     the small-sigma energy holds to 5e-6, the other identities to 1e-12."""
-    seed, = _check_options(seed=seed)
+    seed = _option(seed, "seed")
     rng = np.random.default_rng(seed)
     mass_pairs = rng.uniform(0.5, 3.0, (20, 2))
     sigma0 = 1e-3
@@ -693,8 +697,8 @@ def run_transform_suite(max_n: int = 4, order: int = 32, bargmann_sign: int = +1
     its own call, and each state joins its three levels' rows, the states of the
     Fourier modulus in chunks.
     """
-    max_n, order, bargmann_sign, seed = _check_options(max_n=max_n, order=order,
-                                                       bargmann_sign=bargmann_sign, seed=seed)
+    max_n, order = _option(max_n, "max_n"), _option(order, "order")
+    bargmann_sign, seed = _option(bargmann_sign, "bargmann_sign"), _option(seed, "seed")
     omega, tol = 1.1, 1e-8
     rng = np.random.default_rng(seed)
     notes = [f"seed={seed}", f"order={order}"]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -527,10 +528,11 @@ def test_empty_suites_raise(suite, count, value):
         suite(**{count: value})
 
 
-@pytest.mark.parametrize("sign", [0, True, np.True_], ids=repr)
+@pytest.mark.parametrize("sign", [0, 2, 1.0, True, np.True_], ids=repr)
 def test_transform_suite_checks_its_sign_before_running(sign):
-    # True ran as +1 here
-    with pytest.raises(ValueError, match="bargmann_sign must be"):
+    # True ran as +1 here; one message for every refused sign
+    message = f"bargmann_sign must be +1 or -1, got {sign!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_transform_suite(bargmann_sign=sign)
 
 
